@@ -102,16 +102,6 @@ fn nproc() -> usize {
         .sum()
 }
 
-/// Peak resident set of this process, MB.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb / 1024.0)
-}
-
 /// Median wall time of a fixed arithmetic loop, ms: a yardstick for host
 /// speed, so run sets that disagree can be traced to host drift.
 fn calib_ms() -> f64 {
@@ -163,7 +153,13 @@ fn metric(name: &'static str, value: f64, unit: &'static str) -> Metric {
 /// The end-to-end metrics of an untraced run.
 fn end_to_end(workload: Workload, out: &Outcome, setup_s: &[f64]) -> Vec<Metric> {
     let reports = &out.reports;
-    let (p50, p95) = metrics::latency_ms(workload.loop_kind(), &reports[0], &out.idle_s);
+    let (p50, p95) = metrics::latency_ms(workload.loop_kind(), &reports[0], out.probe.as_ref());
+    let throughput = match workload {
+        // Fixed rounds of the same work: the median round.
+        Workload::FleetSaturate => metrics::median_round_fps(reports),
+        // The rig's one run, or the paper rungs pooled.
+        _ => metrics::throughput_fps(reports),
+    };
     let accuracy = match workload {
         // Paper-scale heads are not fitted, so ground-truth mAP there is
         // noise; the workload reports the share of deliveries that equal
@@ -182,12 +178,12 @@ fn end_to_end(workload: Workload, out: &Outcome, setup_s: &[f64]) -> Vec<Metric>
         }
     };
     vec![
-        metric("setup_s", median(setup_s), "s"),
         metric(
-            "throughput_fps",
-            metrics::throughput_fps(reports),
-            "frames/s",
+            "setup_s",
+            setup_s.iter().copied().fold(f64::INFINITY, f64::min),
+            "s",
         ),
+        metric("throughput_fps", throughput, "frames/s"),
         metric("latency_p50_ms", p50, "ms"),
         metric("latency_p95_ms", p95, "ms"),
         metric(
@@ -201,7 +197,7 @@ fn end_to_end(workload: Workload, out: &Outcome, setup_s: &[f64]) -> Vec<Metric>
             "mJ",
         ),
         metric("map_pct", accuracy, "%"),
-        metric("peak_rss_mb", peak_rss_mb(), "MB"),
+        metric("peak_rss_mb", out.peak_rss_mb, "MB"),
     ]
 }
 
@@ -354,6 +350,9 @@ fn run(args: &Args, host: &Value) -> Result<RunResult, Error> {
     for report in &out.reports {
         println!("{}", json!({"report": report_summary(report)}));
     }
+    if let Some(probe) = &out.probe {
+        println!("{}", json!({"probe": report_summary(probe)}));
+    }
     let mut failures = out.failures.clone();
     let metrics = if args.trace {
         let mut tracer = Tracer::new();
@@ -401,10 +400,11 @@ fn run(args: &Args, host: &Value) -> Result<RunResult, Error> {
     } else {
         end_to_end(workload, &out, &setup_s)
     };
-    let attempted = metrics::admitted(&out.reports);
+    let runs: Vec<_> = out.reports.iter().chain(&out.probe).cloned().collect();
+    let attempted = metrics::admitted(&runs);
     Ok(RunResult {
         attempted,
-        failed: attempted - metrics::delivered(&out.reports),
+        failed: attempted - metrics::delivered(&runs),
         failures,
         metrics,
     })

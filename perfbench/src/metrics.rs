@@ -66,6 +66,17 @@ pub fn throughput_fps(reports: &[FleetReport]) -> f64 {
     }
 }
 
+/// Median over `reports` of each run's delivered frames per second: the
+/// throughput of fixed rounds of work, robust to a slow or fast spell of
+/// the host hitting one of them.
+pub fn median_round_fps(reports: &[FleetReport]) -> f64 {
+    let fps: Vec<f64> = reports
+        .iter()
+        .map(|r| throughput_fps(std::slice::from_ref(r)))
+        .collect();
+    median(&fps)
+}
+
 /// Frames delivered within their deadline ÷ frames admitted. Dropped,
 /// failed and faulted frames are misses. Saturate mode carries no
 /// deadline (it counts no misses), so there every delivery counts.
@@ -105,24 +116,21 @@ pub fn map_pct(scenes: &[&Scene], delivered: &[Option<&[Box3d]>]) -> f64 {
     f64::from(evaluate_detections(&dets, scenes).map_dist)
 }
 
-/// `(p50, p95)` latency, milliseconds.
+/// `(p50, p95)` latency, milliseconds: arrival → detections from a fleet
+/// report.
 ///
-/// An open loop reports arrival → detections from the fleet report. A
-/// closed loop's arrival latency only measures the frame's place in the
-/// backlog the generator keeps full, so closed loops never read the
-/// report's latency: they report `idle_s`, the latency of single frames
-/// sent to an otherwise idle detector.
-pub fn latency_ms(kind: Loop, report: &FleetReport, idle_s: &[f64]) -> (f64, f64) {
-    match kind {
-        Loop::Open => (
-            report.e2e_latency.p50_s * 1e3,
-            report.e2e_latency.p95_s * 1e3,
-        ),
-        Loop::Closed => (
-            percentile(idle_s, 50.0) * 1e3,
-            percentile(idle_s, 95.0) * 1e3,
-        ),
-    }
+/// An open loop reads its serving run. A closed loop's serving run only
+/// measures each frame's place in the backlog its generator keeps full,
+/// so a closed loop reads its latency probe: an open-loop run of the same
+/// server at a rate it serves without queueing.
+pub fn latency_ms(kind: Loop, served: &FleetReport, probe: Option<&FleetReport>) -> (f64, f64) {
+    let report = match kind {
+        Loop::Open => Some(served),
+        Loop::Closed => probe,
+    };
+    report.map_or((0.0, 0.0), |r| {
+        (r.e2e_latency.p50_s * 1e3, r.e2e_latency.p95_s * 1e3)
+    })
 }
 
 /// Ready-queue wait, ms: the run's median arrival latency minus the
@@ -197,7 +205,7 @@ pub fn speedup_ratio(fwd_base_s: f64, fwd_rung_s: f64, est_base_s: f64, est_rung
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use upaq_det3d::Box3d;
     use upaq_kitti::scene::{Scene, SceneConfig};
@@ -206,7 +214,7 @@ mod tests {
     use upaq_serve::report::RungFrames;
 
     /// A report whose counters are set by hand; everything else is zero.
-    fn report(admitted: u64, completed: u64, degraded: u64) -> FleetReport {
+    pub(crate) fn report(admitted: u64, completed: u64, degraded: u64) -> FleetReport {
         FleetReport {
             scenario: "fixture".into(),
             detector: "lidar".into(),
@@ -310,15 +318,18 @@ mod tests {
         // A saturate run's arrival latency is its backlog position.
         r.e2e_latency.p50_s = 0.760;
         r.e2e_latency.p95_s = 1.400;
-        let idle = [0.008, 0.009, 0.010, 0.011, 0.030];
-        let (p50, p95) = latency_ms(Loop::Closed, &r, &idle);
+        let mut probe = report(40, 40, 0);
+        probe.e2e_latency.p50_s = 0.010;
+        probe.e2e_latency.p95_s = 0.030;
+        let (p50, p95) = latency_ms(Loop::Closed, &r, Some(&probe));
         assert!((p50 - 10.0).abs() < 1e-9);
         assert!((p95 - 30.0).abs() < 1e-9);
-        assert!(
-            p95 < 760.0,
+        assert_eq!(
+            latency_ms(Loop::Closed, &r, None),
+            (0.0, 0.0),
             "closed loops must not read the backlog latency"
         );
-        let (p50, p95) = latency_ms(Loop::Open, &r, &idle);
+        let (p50, p95) = latency_ms(Loop::Open, &r, Some(&probe));
         assert!((p50 - 760.0).abs() < 1e-9 && (p95 - 1400.0).abs() < 1e-9);
     }
 
@@ -356,6 +367,11 @@ mod tests {
         assert_eq!(overrides(&a), 6, "vru_unfit is not an override firing");
         assert!((full_model_frac(&[a.clone(), b.clone()]) - 0.6).abs() < 1e-12);
         assert!((throughput_fps(&[a.clone(), b.clone()]) - 10.0).abs() < 1e-12);
+        // Rounds of 40/2 s, 10/3 s and 30/1 s: the median round, 20 fps.
+        let mut c = report(30, 30, 0);
+        c.duration_s = 1.0;
+        let fps = median_round_fps(&[a.clone(), b.clone(), c]);
+        assert!((fps - 20.0).abs() < 1e-12);
         assert!((busy_ms(&[a.clone(), b.clone()]) - 1.8).abs() < 1e-12);
         assert!((energy_mj_per_frame(&[a]) - 10.0).abs() < 1e-9);
     }

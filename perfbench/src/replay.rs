@@ -9,6 +9,7 @@ use upaq_kitti::lidar::PointCloud;
 use upaq_models::StreamingDetector;
 use upaq_nn::exec::{forward_batch_into, forward_into, Workspace};
 use upaq_runtime::{DeadlineScheduler, SchedulerConfig};
+use upaq_serve::FleetReport;
 use upaq_tensor::Tensor;
 
 use crate::metrics::Loop;
@@ -35,42 +36,59 @@ pub struct ReplayStats {
     pub mismatches: Vec<String>,
 }
 
-/// Group sizes from the first report's batch histogram, largest first.
-/// The replayed pass may be shorter than the run (fleet-saturate replays
-/// one of its passes); the groups then follow the histogram's head.
-fn batch_sizes(outcome: &Outcome) -> Vec<usize> {
-    let mut buckets = outcome.reports[0].batch_histogram.clone();
-    buckets.sort_by_key(|b| std::cmp::Reverse(b.size));
-    buckets
-        .iter()
-        .flat_map(|b| std::iter::repeat_n(b.size, b.batches as usize))
-        .collect()
-}
-
 /// The replay's groups: `(rung, frames)` in the untraced run's order.
-fn groups(workload: Workload, outcome: &Outcome) -> Vec<(usize, Vec<&Served>)> {
-    let delivered: Vec<&Served> = outcome
-        .frames
-        .iter()
-        .filter(|f| f.boxes.is_some())
-        .collect();
-    if workload == Workload::PaperLadder {
-        return delivered
+///
+/// fleet-saturate serves every frame at rung 0, so its groups take the
+/// sizes of the first round's batch histogram (the replayed frames are
+/// that round's). paper-ladder ran every frame alone. On the rig a
+/// trigger may be served in several batches at different rungs, so its
+/// groups come from the frames themselves: consecutive delivered frames
+/// of one trigger on the same rung, at most `max_batch` each.
+pub fn groups<'a>(
+    workload: Workload,
+    frames: &'a [Served],
+    reports: &[FleetReport],
+) -> Vec<(usize, Vec<&'a Served>)> {
+    let delivered: Vec<&Served> = frames.iter().filter(|f| f.boxes.is_some()).collect();
+    match workload {
+        Workload::PaperLadder => delivered
             .into_iter()
             .map(|f| (f.level.unwrap_or(0), vec![f]))
-            .collect();
-    }
-    let mut rest = delivered.as_slice();
-    let mut out = Vec::new();
-    for size in batch_sizes(outcome) {
-        let (group, tail) = rest.split_at(size.min(rest.len()));
-        if group.is_empty() {
-            break;
+            .collect(),
+        Workload::FleetSaturate => {
+            let sizes = reports[0]
+                .batch_histogram
+                .iter()
+                .flat_map(|b| std::iter::repeat_n(b.size, b.batches as usize));
+            let mut rest = delivered.as_slice();
+            let mut out = Vec::new();
+            for size in sizes {
+                let (group, tail) = rest.split_at(size.min(rest.len()));
+                if group.is_empty() {
+                    break;
+                }
+                out.push((0, group.to_vec()));
+                rest = tail;
+            }
+            out
         }
-        out.push((group[0].level.unwrap_or(0), group.to_vec()));
-        rest = tail;
+        Workload::RigRealtime => {
+            let max_batch = reports[0].max_batch.max(1);
+            let mut out: Vec<(usize, Vec<&Served>)> = Vec::new();
+            for f in delivered {
+                let level = f.level.unwrap_or(0);
+                match out.last_mut() {
+                    Some((l, group))
+                        if *l == level && group[0].id == f.id && group.len() < max_batch =>
+                    {
+                        group.push(f)
+                    }
+                    _ => out.push((level, vec![f])),
+                }
+            }
+            out
+        }
     }
-    out
 }
 
 /// Replays `outcome` through `ladder`, recording spans into `tracer`.
@@ -87,7 +105,7 @@ pub fn replay(
     let mut wss: Vec<Workspace> = Vec::new();
     let mut stats = ReplayStats::default();
     let mut next_trace = 1u64;
-    for (level, frames) in groups(workload, outcome) {
+    for (level, frames) in groups(workload, &outcome.frames, &outcome.reports) {
         let variant = ladder.level(level);
         let det = &variant.detector;
         let k = frames.len();
@@ -190,4 +208,96 @@ pub fn replay(
         }
     }
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::groups;
+    use crate::metrics::tests::report;
+    use crate::workloads::{Served, Workload};
+    use upaq_runtime::metrics::BatchBucket;
+
+    fn served(stream: usize, id: u64, level: Option<usize>) -> Served {
+        Served {
+            stream,
+            id,
+            level,
+            boxes: level.map(|_| Vec::new()),
+        }
+    }
+
+    fn sizes(groups: &[(usize, Vec<&Served>)]) -> Vec<(usize, Vec<(usize, u64)>)> {
+        groups
+            .iter()
+            .map(|(l, g)| (*l, g.iter().map(|f| (f.stream, f.id)).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn rig_groups_follow_triggers_and_rungs() {
+        let mut report = report(12, 11, 0);
+        // Trigger 0 was split across rungs: streams 0–1 on base, 2–3 on
+        // HCK. Trigger 1 ran whole on base. Trigger 2 lost stream 1 and
+        // ran the rest on HCK. The histogram (one batch of 4 …) is not
+        // consulted: cutting by it would mix triggers and rungs.
+        report.batch_histogram = vec![BatchBucket {
+            size: 4,
+            batches: 3,
+        }];
+        let frames = vec![
+            served(0, 0, Some(0)),
+            served(1, 0, Some(0)),
+            served(2, 0, Some(2)),
+            served(3, 0, Some(2)),
+            served(0, 1, Some(0)),
+            served(1, 1, Some(0)),
+            served(2, 1, Some(0)),
+            served(3, 1, Some(0)),
+            served(0, 2, Some(2)),
+            served(1, 2, None),
+            served(2, 2, Some(2)),
+            served(3, 2, Some(2)),
+        ];
+        let got = groups(Workload::RigRealtime, &frames, &[report]);
+        assert_eq!(
+            sizes(&got),
+            vec![
+                (0, vec![(0, 0), (1, 0)]),
+                (2, vec![(2, 0), (3, 0)]),
+                (0, vec![(0, 1), (1, 1), (2, 1), (3, 1)]),
+                (2, vec![(0, 2), (2, 2), (3, 2)]),
+            ]
+        );
+    }
+
+    #[test]
+    fn rig_groups_respect_max_batch() {
+        let mut report = report(4, 4, 0);
+        report.max_batch = 2;
+        let frames: Vec<Served> = (0..4).map(|s| served(s, 0, Some(0))).collect();
+        let got = groups(Workload::RigRealtime, &frames, &[report]);
+        assert_eq!(
+            sizes(&got),
+            vec![(0, vec![(0, 0), (1, 0)]), (0, vec![(2, 0), (3, 0)])]
+        );
+    }
+
+    #[test]
+    fn fleet_groups_take_the_histogram_sizes() {
+        let mut report = report(7, 7, 0);
+        report.batch_histogram = vec![
+            BatchBucket {
+                size: 3,
+                batches: 1,
+            },
+            BatchBucket {
+                size: 4,
+                batches: 1,
+            },
+        ];
+        let frames: Vec<Served> = (0..7).map(|s| served(s, 0, Some(0))).collect();
+        let got = groups(Workload::FleetSaturate, &frames, &[report]);
+        let lens: Vec<usize> = got.iter().map(|(_, g)| g.len()).collect();
+        assert_eq!(lens, vec![3, 4]);
+    }
 }

@@ -2,15 +2,12 @@
 //! public `FleetServer` API, and the checks on what they deliver.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use upaq_det3d::Box3d;
 use upaq_kitti::fleet::{FleetScenario, FleetScenarioConfig, StreamClass};
 use upaq_kitti::lidar::PointCloud;
 use upaq_kitti::scenario::{self as catalog, ScenarioProfile};
 use upaq_kitti::scene::Scene;
 use upaq_kitti::stream::{Frame, FrameStream};
-use upaq_models::StreamingDetector;
-use upaq_nn::exec::{forward_into, Workspace};
 use upaq_runtime::ProactiveConfig;
 use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
 
@@ -20,14 +17,25 @@ use crate::setup::{nominal, Error, Ladder, Scale};
 /// fleet-saturate: streams multiplexed over the pool.
 const FLEET_STREAMS: usize = 32;
 /// fleet-saturate: distinct scenes per stream. 32 × 12 = 384 distinct
-/// scenes keep `map_pct` within a few percent across seeds; the run
-/// cycles through them.
+/// scenes keep `map_pct` within a few percent across seeds; one round
+/// serves each of them once.
 const FLEET_SCENES: u64 = 12;
-/// fleet-saturate: frames offered per second of `--seconds`. The work is
-/// fixed rather than timed, so memory (which holds every pre-generated
-/// frame) does not follow host speed; 240 frames/s is about this
-/// workload's rate on a 2-vCPU host.
-const FLEET_FRAMES_PER_S: f64 = 240.0;
+/// fleet-saturate: rounds per second of `--seconds`. A round is one
+/// lossless pass over the 384 scenes, 1–1.6 s on a 2-vCPU host, and
+/// `throughput_fps` is the median round. The work is fixed rather than
+/// timed, so memory (which holds every pre-generated frame of a round)
+/// does not follow host speed.
+const FLEET_ROUNDS_PER_S: f64 = 1.0;
+/// Closed loops' latency probe: deadline of the probe stream's frames,
+/// generous enough that the scheduler keeps every frame on rung 0.
+const PROBE_DEADLINE_S: f64 = 10.0;
+/// fleet-saturate probe: at 50 Hz a worker is idle on every arrival (a
+/// tiny frame takes 5–10 ms); 300 frames put 15 beyond the p95, and six
+/// seconds of them let one slow spell of the host move the tail less.
+const FLEET_PROBE: Probe = Probe {
+    rate_hz: 50.0,
+    frames: 300,
+};
 /// rig-realtime: lidars on one trigger.
 const RIG_STREAMS: usize = 4;
 /// rig-realtime: trigger rate, Hz.
@@ -40,6 +48,20 @@ const RIG_RATE_HZ: f64 = 12.0;
 const RIG_PROFILE: &str = "rush-hour";
 /// paper-ladder: distinct scenes the single stream cycles through.
 const PAPER_SCENES: u64 = 4;
+/// paper-ladder: frames served on each rung per second of `--seconds`.
+const PAPER_FRAMES_PER_S: f64 = 1.2;
+/// paper-ladder probe: one full-model frame a second (a paper-scale
+/// frame takes 0.3–0.7 s at 2 tensor threads), eight of them.
+const PAPER_PROBE: Probe = Probe {
+    rate_hz: 1.0,
+    frames: 8,
+};
+
+/// A closed loop's latency probe: one stream's rate and length.
+struct Probe {
+    rate_hz: f64,
+    frames: u64,
+}
 
 /// The benchmark's workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,13 +120,13 @@ impl Workload {
         }
     }
 
-    /// Set-ups per run; `setup_s` is their median. A tiny set-up is
-    /// sub-second and single set-ups swing ±15% on a shared host, so it
-    /// is repeated more.
+    /// Set-ups per run; `setup_s` is the fastest. A tiny set-up takes
+    /// ≈ 0.2 s and single set-ups swing by half on a shared host, so it
+    /// is repeated over three to five seconds; a paper-scale one takes 6–10 s.
     pub fn set_ups(self) -> usize {
         match self {
-            Workload::PaperLadder => 3,
-            _ => 12,
+            Workload::PaperLadder => 2,
+            _ => 24,
         }
     }
 }
@@ -145,9 +167,9 @@ impl Inputs {
 pub struct Served {
     /// Stream index.
     pub stream: usize,
-    /// Frame id within the stream.
+    /// Frame id within the stream (the trigger, on the rig).
     pub id: u64,
-    /// The rung whose `detect` output the delivery equals.
+    /// The rung that served the delivery (see [`resolve_rungs`]).
     pub level: Option<usize>,
     /// The delivered detections (`None` when the frame was not delivered).
     pub boxes: Option<Vec<Box3d>>,
@@ -155,21 +177,44 @@ pub struct Served {
 
 /// Everything an untraced workload run produced.
 pub struct Outcome {
-    /// One report per serving run (rounds or rungs).
+    /// One report per serving run (fleet rounds, the rig run, or the
+    /// paper rungs).
     pub reports: Vec<FleetReport>,
+    /// Closed loops: the latency probe's report.
+    pub probe: Option<FleetReport>,
     /// The frames served.
     pub inputs: Inputs,
     /// One pass over the admitted frames, in admission order.
     pub frames: Vec<Served>,
-    /// Closed loops: latencies of single frames on an idle server, seconds.
-    pub idle_s: Vec<f64>,
     /// Deliveries that reproduced their rung's `detect` bit for bit.
     pub exact: u64,
     /// Scheduled emit time of the last frame, seconds (open loops).
     pub last_emit_s: f64,
+    /// Peak resident set after the first serving run, MB (see
+    /// `peak_rss_mb`).
+    pub peak_rss_mb: f64,
     /// Output-check failures; empty when every check passed.
     pub failures: Vec<String>,
 }
+
+/// Peak resident set of this process so far (`VmHWM`), MB.
+///
+/// Workloads read it right after their first serving run. Later runs
+/// repeat the same work in fresh worker threads, and which allocator
+/// arena each of them reuses moves the high-water mark by up to 15% at
+/// random with the program unchanged; through the first run it repeats
+/// within 2%.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// `detect` outputs keyed by `(stream, scene index, rung)`.
+type Refs = HashMap<(usize, usize, usize), Vec<Box3d>>;
 
 /// Raw-bit equality of two detection lists.
 pub fn same_boxes(a: &[Box3d], b: &[Box3d]) -> bool {
@@ -223,80 +268,28 @@ fn check_report(report: &FleetReport, failures: &mut Vec<String>) {
     }
 }
 
-/// Runs `detect` on rung `level`, returning the boxes and the wall time.
-fn detect(ladder: &Ladder, level: usize, cloud: &PointCloud) -> Result<(Vec<Box3d>, f64), Error> {
-    let t0 = Instant::now();
-    let boxes = ladder.level(level).detector.detect(cloud)?;
-    Ok((boxes, t0.elapsed().as_secs_f64()))
+/// Rung `level`'s `detect` on `cloud`.
+fn detect(ladder: &Ladder, level: usize, cloud: &PointCloud) -> Result<Vec<Box3d>, Error> {
+    Ok(ladder.level(level).detector.detect(cloud)?)
 }
 
-/// The closed loops' idle latency: single frames through the calls a
-/// warm worker makes (`preprocess`, `forward_into` on a reused workspace,
-/// `postprocess`), keeping each frame's fastest try. `detect` is not timed
-/// for this: it allocates every activation afresh, which a serving worker
-/// does not.
-struct IdleProbe {
-    keys: Vec<(usize, u64, usize)>,
-    wss: Vec<Workspace>,
-    best_s: Vec<f64>,
-}
-
-impl IdleProbe {
-    fn new(ladder: &Ladder, keys: Vec<(usize, u64, usize)>) -> Self {
-        IdleProbe {
-            wss: (0..ladder.len()).map(|_| Workspace::new()).collect(),
-            best_s: vec![f64::INFINITY; keys.len()],
-            keys,
-        }
-    }
-
-    /// One more try at every `(stream, id, rung)` frame. Slow spells last
-    /// seconds, so tries taken seconds apart rarely all fall in one. Each
-    /// try's boxes must equal the rung's `detect`.
-    fn try_all(
-        &mut self,
-        ladder: &Ladder,
-        inputs: &Inputs,
-        refs: &HashMap<(usize, usize, usize), Vec<Box3d>>,
-        failures: &mut Vec<String>,
-    ) -> Result<(), Error> {
-        let base = &ladder.level(0).detector;
-        for (best, &(stream, id, level)) in self.best_s.iter_mut().zip(&self.keys) {
-            let cloud = inputs.frame(stream, id).data;
-            let variant = ladder.level(level);
-            let ws = &mut self.wss[level];
-            let t0 = Instant::now();
-            let input = HashMap::from([(base.input_name().to_string(), base.preprocess(&cloud))]);
-            forward_into(variant.detector.model(), &input, ws)?;
-            let boxes = variant
-                .detector
-                .postprocess(&ws.activations()[&variant.head], &cloud);
-            *best = best.min(t0.elapsed().as_secs_f64());
-            let key = (stream, inputs.frame_scene(stream, id), level);
-            if !refs.get(&key).is_some_and(|r| same_boxes(r, &boxes)) {
-                failures.push(format!(
-                    "warm path differs from rung {level}'s detect on stream {stream} frame {id}"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Compares one closed-loop run's deliveries with the references of its
-/// rung and returns them in admission order (frame-major round robin).
-fn closed_loop_deliveries(
+/// Checks that `report` delivered every admitted frame and that each
+/// delivery equals rung `level`'s `detect` on its frame. Returns the
+/// deliveries in admission order (frame-major round robin) and how many
+/// matched.
+fn check_lossless(
     report: &FleetReport,
     detections: Vec<(usize, u64, Vec<Box3d>)>,
     level: usize,
     inputs: &Inputs,
-    refs: &HashMap<(usize, usize, usize), Vec<Box3d>>,
+    refs: &Refs,
     failures: &mut Vec<String>,
 ) -> (Vec<Served>, u64) {
     check_report(report, failures);
     if report.delivered() != report.admitted || detections.len() as u64 != report.admitted {
         failures.push(format!(
-            "closed loop delivered {} of {} frames ({} detection lists)",
+            "{} run delivered {} of {} frames ({} detection lists)",
+            report.mode,
             report.delivered(),
             report.admitted,
             detections.len()
@@ -311,7 +304,8 @@ fn closed_loop_deliveries(
                 exact += 1;
             } else {
                 failures.push(format!(
-                    "stream {stream} frame {id} differs from rung {level}'s detect"
+                    "{} run: stream {stream} frame {id} differs from rung {level}'s detect",
+                    report.mode
                 ));
             }
             Served {
@@ -326,78 +320,125 @@ fn closed_loop_deliveries(
     (served, exact)
 }
 
-/// fleet-saturate: one lossless run over the 384 scenes, cycled for
-/// `seconds` × 240 frames.
+/// The closed loops' latency. A closed loop's arrival latency is only a
+/// frame's place in the backlog its generator keeps full, so the latency
+/// comes from a second, open-loop run of the same server configuration:
+/// stream 0's frames alone in realtime mode, at a rate that finds a worker
+/// idle on each arrival, with a deadline loose enough that the scheduler
+/// keeps every frame on rung 0. Every delivery must equal rung 0's
+/// `detect`.
+fn latency_probe(
+    ladder: &Ladder,
+    config: &FleetConfig,
+    probe: &Probe,
+    scenes: u64,
+    seed: u64,
+    refs: &Refs,
+    failures: &mut Vec<String>,
+) -> FleetReport {
+    let class = StreamClass {
+        rate_hz: probe.rate_hz,
+        deadline_s: PROBE_DEADLINE_S,
+    };
+    // Same dataset and seed as the workload: its stream 0, so the
+    // references computed for the workload cover the probe's frames.
+    let inputs = Inputs::new(scenario(
+        &nominal(),
+        1,
+        probe.frames,
+        scenes,
+        vec![class],
+        seed,
+    ));
+    let server = FleetServer::new(
+        ladder.clone(),
+        inputs.scenario.clone(),
+        FleetConfig {
+            mode: FleetMode::Realtime,
+            force_level: None,
+            collect_detections: true,
+            ..config.clone()
+        },
+    );
+    let run = server.run();
+    check_lossless(&run.report, run.detections, 0, &inputs, refs, failures);
+    run.report
+}
+
+/// fleet-saturate: lossless rounds over the 384 scenes, then the latency
+/// probe.
 pub fn fleet_saturate(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome, Error> {
-    let passes = ((seconds * FLEET_FRAMES_PER_S / (FLEET_STREAMS as u64 * FLEET_SCENES) as f64)
-        .round() as u64)
-        .max(1);
+    let rounds = ((seconds * FLEET_ROUNDS_PER_S).round() as usize).max(1);
     let inputs = Inputs::new(scenario(
         &nominal(),
         FLEET_STREAMS,
-        passes * FLEET_SCENES,
+        FLEET_SCENES,
         FLEET_SCENES,
         vec![nominal_class()],
         seed,
     ));
-    let mut refs = HashMap::new();
+    let mut refs = Refs::new();
     for stream in 0..FLEET_STREAMS {
         for id in 0..FLEET_SCENES {
             let frame = inputs.frame(stream, id);
             refs.insert(
                 (stream, frame.scene_index, 0),
-                detect(ladder, 0, &frame.data)?.0,
+                detect(ladder, 0, &frame.data)?,
             );
         }
     }
-    // Idle latency over four scenes per stream: five tries before the run
-    // and five after it, the fastest kept. The tail needs many tries: a
-    // frame counts as slow only if every one of its tries hit a slow spell.
-    let keys = (0..FLEET_STREAMS)
-        .flat_map(|stream| (0..4).map(move |id| (stream, id, 0)))
-        .collect();
-    let mut idle = IdleProbe::new(ladder, keys);
+    let config = FleetConfig {
+        workers: 2,
+        max_batch: 4,
+        mode: FleetMode::Saturate,
+        force_level: Some(0),
+        collect_detections: true,
+        ..FleetConfig::default()
+    };
+    let server = FleetServer::new(ladder.clone(), inputs.scenario.clone(), config.clone());
     let mut failures = Vec::new();
-    for _ in 0..5 {
-        idle.try_all(ladder, &inputs, &refs, &mut failures)?;
+    let mut reports = Vec::with_capacity(rounds);
+    let mut frames = Vec::new();
+    let mut exact = 0;
+    let mut peak_rss = 0.0;
+    for round in 0..rounds {
+        let run = server.run();
+        if round == 0 {
+            peak_rss = peak_rss_mb();
+        }
+        let (served, matched) = check_lossless(
+            &run.report,
+            run.detections,
+            0,
+            &inputs,
+            &refs,
+            &mut failures,
+        );
+        exact += matched;
+        // Every round serves the same frames (checked above); accuracy
+        // and the traced replay take the first.
+        if round == 0 {
+            frames = served;
+        }
+        reports.push(run.report);
     }
-    // One run, not several shorter ones: the server pre-generates every
-    // frame, and one run's peak memory repeats where repeated runs'
-    // allocator reuse does not.
-    let server = FleetServer::new(
-        ladder.clone(),
-        inputs.scenario.clone(),
-        FleetConfig {
-            workers: 2,
-            max_batch: 4,
-            mode: FleetMode::Saturate,
-            force_level: Some(0),
-            collect_detections: true,
-            ..FleetConfig::default()
-        },
-    );
-    let run = server.run();
-    for _ in 0..5 {
-        idle.try_all(ladder, &inputs, &refs, &mut failures)?;
-    }
-    let (mut frames, exact) = closed_loop_deliveries(
-        &run.report,
-        run.detections,
-        0,
-        &inputs,
+    let probe = latency_probe(
+        ladder,
+        &config,
+        &FLEET_PROBE,
+        FLEET_SCENES,
+        seed,
         &refs,
         &mut failures,
     );
-    // Later passes repeat the first bit for bit (checked above); accuracy
-    // and the traced replay take one pass over the 384 scenes.
-    frames.retain(|f| f.id < FLEET_SCENES);
     Ok(Outcome {
-        reports: vec![run.report],
+        reports,
+        probe: Some(probe),
         inputs,
         frames,
-        idle_s: idle.best_s,
         exact,
         last_emit_s: 0.0,
+        peak_rss_mb: peak_rss,
         failures,
     })
 }
@@ -425,18 +466,51 @@ fn check_rig_schedule(scenario: &FleetScenario, failures: &mut Vec<String>) -> f
     emits.last().copied().unwrap_or(0.0)
 }
 
-/// The first rung whose `detect` reproduces `boxes` on `cloud`.
-fn matching_rung(
-    ladder: &Ladder,
-    cloud: &PointCloud,
-    boxes: &[Box3d],
-) -> Result<Option<usize>, Error> {
+/// The rungs whose `detect` reproduces `boxes` on `cloud`, as a bit set
+/// (bit `l` for rung `l`; 0 when none does).
+fn matching_rungs(ladder: &Ladder, cloud: &PointCloud, boxes: &[Box3d]) -> Result<u32, Error> {
+    let mut rungs = 0;
     for level in 0..ladder.len() {
-        if same_boxes(&detect(ladder, level, cloud)?.0, boxes) {
-            return Ok(Some(level));
+        if same_boxes(&detect(ladder, level, cloud)?, boxes) {
+            rungs |= 1 << level;
         }
     }
-    Ok(None)
+    Ok(rungs)
+}
+
+/// Picks the rung that served each frame of one trigger, given the rungs
+/// whose `detect` reproduces its delivery (`None` when the frame was not
+/// delivered). The server runs a batch at one rung, so a frame that
+/// several rungs reproduce (their outputs coincide, typically both empty)
+/// takes the rung of the nearest frame of its trigger that exactly one
+/// rung reproduces, when that rung is a candidate; otherwise its lowest
+/// candidate. A delivery no rung reproduces gets `None`.
+pub fn resolve_rungs(candidates: &[Option<u32>]) -> Vec<Option<usize>> {
+    let unique: Vec<Option<usize>> = candidates
+        .iter()
+        .map(|c| match c {
+            Some(bits) if bits.count_ones() == 1 => Some(bits.trailing_zeros() as usize),
+            _ => None,
+        })
+        .collect();
+    candidates
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let bits = c.filter(|&b| b != 0)?;
+            if let Some(level) = unique[i] {
+                return Some(level);
+            }
+            let neighbour = (1..candidates.len()).find_map(|d| {
+                let before = i.checked_sub(d).and_then(|j| unique[j]);
+                let after = unique.get(i + d).copied().flatten();
+                before
+                    .filter(|&l| bits & (1 << l) != 0)
+                    .or(after.filter(|&l| bits & (1 << l) != 0))
+            });
+            Some(neighbour.unwrap_or(bits.trailing_zeros() as usize))
+        })
+        .collect()
 }
 
 /// rig-realtime: one open-loop run of `seconds` of `RIG_RATE_HZ` triggers.
@@ -474,131 +548,111 @@ pub fn rig_realtime(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome,
         },
     );
     let run = server.run();
+    let peak_rss = peak_rss_mb();
     check_report(&run.report, &mut failures);
     let delivered: HashMap<(usize, u64), Vec<Box3d>> = run
         .detections
         .into_iter()
         .map(|(stream, id, boxes)| ((stream, id), boxes))
         .collect();
-    // Arrival order: trigger by trigger, stream by stream.
-    let order: Vec<(usize, u64)> = (0..frames)
-        .flat_map(|id| (0..RIG_STREAMS).map(move |stream| (stream, id)))
-        .collect();
     // Which rung served a frame is not reported, so each delivery is
-    // matched against the rungs' `detect` in turn. The check is not
-    // timed; two threads halve it.
-    let halves: Vec<&[(usize, u64)]> = order.chunks(order.len().div_ceil(2)).collect();
-    let levels: Vec<Result<Vec<Option<usize>>, Error>> = std::thread::scope(|s| {
-        let handles: Vec<_> = halves
-            .iter()
-            .map(|half| {
-                let (inputs, delivered) = (&inputs, &delivered);
-                s.spawn(move || {
-                    half.iter()
-                        .map(|&(stream, id)| match delivered.get(&(stream, id)) {
-                            Some(boxes) => {
-                                matching_rung(ladder, &inputs.frame(stream, id).data, boxes)
-                            }
-                            None => Ok(None),
-                        })
-                        .collect::<Result<Vec<_>, Error>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rig check thread panicked"))
-            .collect()
-    });
-    let mut levels_flat = Vec::with_capacity(order.len());
-    for half in levels {
-        levels_flat.extend(half?);
-    }
+    // matched against every rung's `detect`. The check is not timed.
     let mut exact = 0;
-    let mut served = Vec::with_capacity(order.len());
-    for (&(stream, id), level) in order.iter().zip(levels_flat) {
-        let boxes = delivered.get(&(stream, id)).cloned();
-        if boxes.is_some() {
-            if level.is_some() {
-                exact += 1;
-            } else {
-                failures.push(format!(
-                    "stream {stream} frame {id} matches no rung's detect"
-                ));
-            }
+    let mut served = Vec::with_capacity(frames as usize * RIG_STREAMS);
+    for id in 0..frames {
+        let mut trigger = Vec::with_capacity(RIG_STREAMS);
+        for stream in 0..RIG_STREAMS {
+            let boxes = delivered.get(&(stream, id)).cloned();
+            let candidates = match &boxes {
+                Some(b) => Some(matching_rungs(ladder, &inputs.frame(stream, id).data, b)?),
+                None => None,
+            };
+            trigger.push((stream, boxes, candidates));
         }
-        served.push(Served {
-            stream,
-            id,
-            level,
-            boxes,
-        });
+        let candidates: Vec<Option<u32>> = trigger.iter().map(|t| t.2).collect();
+        for ((stream, boxes, _), level) in trigger.into_iter().zip(resolve_rungs(&candidates)) {
+            if boxes.is_some() {
+                if level.is_some() {
+                    exact += 1;
+                } else {
+                    failures.push(format!(
+                        "stream {stream} frame {id} matches no rung's detect"
+                    ));
+                }
+            }
+            served.push(Served {
+                stream,
+                id,
+                level,
+                boxes,
+            });
+        }
     }
     Ok(Outcome {
         reports: vec![run.report],
+        probe: None,
         inputs,
         frames: served,
-        idle_s: Vec::new(),
         exact,
         last_emit_s,
+        peak_rss_mb: peak_rss,
         failures,
     })
 }
 
 /// paper-ladder: each rung served closed loop at batch 1, the same
-/// number of frames per rung, sized so the three runs fill `seconds`.
+/// number of frames per rung, then the full model's latency probe.
 pub fn paper_ladder(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome, Error> {
-    let class = vec![nominal_class()];
-    let mut inputs = Inputs::new(scenario(
+    let frames = ((seconds * PAPER_FRAMES_PER_S).round() as u64).max(2);
+    let inputs = Inputs::new(scenario(
         &nominal(),
         1,
+        frames,
         PAPER_SCENES,
-        PAPER_SCENES,
-        class.clone(),
+        vec![nominal_class()],
         seed,
     ));
-    let keys: Vec<(usize, u64, usize)> = (0..ladder.len())
-        .flat_map(|level| (0..PAPER_SCENES).map(move |id| (0, id, level)))
-        .collect();
-    let mut refs = HashMap::new();
-    let mut detect_s = 0.0;
-    for &(stream, id, level) in &keys {
-        let frame = inputs.frame(stream, id);
-        let (boxes, dt) = detect(ladder, level, &frame.data)?;
-        detect_s += dt;
-        refs.insert((stream, frame.scene_index, level), boxes);
+    let mut refs = Refs::new();
+    for level in 0..ladder.len() {
+        for id in 0..PAPER_SCENES.min(frames) {
+            let frame = inputs.frame(0, id);
+            refs.insert(
+                (0, frame.scene_index, level),
+                detect(ladder, level, &frame.data)?,
+            );
+        }
     }
-    let per_frame_s = detect_s / PAPER_SCENES as f64;
-    let frames = ((seconds / per_frame_s).floor() as u64).max(2);
-    // Same seed and scene pool: the stream's frames are the ones the
-    // references were computed on.
-    inputs.scenario = scenario(&nominal(), 1, frames, PAPER_SCENES, class, seed);
+    let config = FleetConfig {
+        workers: 1,
+        max_batch: 1,
+        mode: FleetMode::Saturate,
+        collect_detections: true,
+        ..FleetConfig::default()
+    };
     let mut out = Outcome {
         reports: Vec::new(),
+        probe: None,
         inputs,
         frames: Vec::new(),
-        idle_s: Vec::new(),
         exact: 0,
         last_emit_s: 0.0,
+        peak_rss_mb: 0.0,
         failures: Vec::new(),
     };
-    let mut idle = IdleProbe::new(ladder, keys);
-    idle.try_all(ladder, &out.inputs, &refs, &mut out.failures)?;
     for level in 0..ladder.len() {
         let server = FleetServer::new(
             ladder.clone(),
             out.inputs.scenario.clone(),
             FleetConfig {
-                workers: 1,
-                max_batch: 1,
-                mode: FleetMode::Saturate,
                 force_level: Some(level),
-                collect_detections: true,
-                ..FleetConfig::default()
+                ..config.clone()
             },
         );
         let run = server.run();
-        let (frames, exact) = closed_loop_deliveries(
+        if level == 0 {
+            out.peak_rss_mb = peak_rss_mb();
+        }
+        let (frames, exact) = check_lossless(
             &run.report,
             run.detections,
             level,
@@ -609,13 +663,16 @@ pub fn paper_ladder(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome,
         out.exact += exact;
         out.frames.extend(frames);
         out.reports.push(run.report);
-        // Idle-latency tries before the runs, between the LCK and HCK
-        // runs and after them; the fastest of three is kept.
-        if level > 0 {
-            idle.try_all(ladder, &out.inputs, &refs, &mut out.failures)?;
-        }
     }
-    out.idle_s = idle.best_s;
+    out.probe = Some(latency_probe(
+        ladder,
+        &config,
+        &PAPER_PROBE,
+        PAPER_SCENES,
+        seed,
+        &refs,
+        &mut out.failures,
+    ));
     Ok(out)
 }
 
@@ -630,5 +687,24 @@ pub fn serve(
         Workload::FleetSaturate => fleet_saturate(ladder, seed, seconds),
         Workload::RigRealtime => rig_realtime(ladder, seed, seconds),
         Workload::PaperLadder => paper_ladder(ladder, seed, seconds),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::resolve_rungs;
+
+    #[test]
+    fn coinciding_rungs_follow_their_trigger() {
+        // Rung 2 alone reproduces streams 0 and 3; stream 1's output is
+        // reproduced by rungs 0 and 2 (say, both empty): it joins its
+        // nearest unambiguous neighbour's rung.
+        let rungs = resolve_rungs(&[Some(0b100), Some(0b101), None, Some(0b100)]);
+        assert_eq!(rungs, vec![Some(2), Some(2), None, Some(2)]);
+        // A split trigger: the neighbour's rung must be a candidate.
+        let rungs = resolve_rungs(&[Some(0b001), Some(0b110), Some(0b100)]);
+        assert_eq!(rungs, vec![Some(0), Some(2), Some(2)]);
+        // No unambiguous neighbour: the lowest candidate. No candidate: none.
+        assert_eq!(resolve_rungs(&[Some(0b110), Some(0)]), vec![Some(1), None]);
     }
 }
