@@ -152,51 +152,28 @@ fn metric(name: &'static str, value: f64, unit: &'static str) -> Metric {
 
 /// The end-to-end metrics of an untraced run.
 fn end_to_end(workload: Workload, out: &Outcome, setup_s: &[f64]) -> Vec<Metric> {
-    let reports = &out.reports;
-    let (p50, p95) = metrics::latency_ms(workload.loop_kind(), &reports[0], out.probe.as_ref());
-    let throughput = match workload {
-        // Fixed rounds of the same work: the median round.
-        Workload::FleetSaturate => metrics::median_round_fps(reports),
-        // The rig's one run, or the paper rungs pooled.
-        _ => metrics::throughput_fps(reports),
-    };
-    let accuracy = match workload {
-        // Paper-scale heads are not fitted, so ground-truth mAP there is
-        // noise; the workload reports the share of deliveries that equal
-        // their rung's `detect` instead (see README.md).
-        Workload::PaperLadder => {
-            100.0 * out.exact as f64 / metrics::delivered(reports).max(1) as f64
-        }
-        _ => {
-            let scenes: Vec<_> = out
-                .frames
-                .iter()
-                .map(|f| out.inputs.scene(f.stream, f.id))
-                .collect();
-            let delivered: Vec<_> = out.frames.iter().map(|f| f.boxes.as_deref()).collect();
-            metrics::map_pct(&scenes, &delivered)
-        }
-    };
+    let runs = metrics::runs(&out.rounds);
+    let (p50, p95) = metrics::latency_ms(workload.loop_kind(), &out.rounds);
     vec![
         metric(
             "setup_s",
             setup_s.iter().copied().fold(f64::INFINITY, f64::min),
             "s",
         ),
-        metric("throughput_fps", throughput, "frames/s"),
+        metric("throughput_fps", metrics::throughput_fps(&runs), "frames/s"),
         metric("latency_p50_ms", p50, "ms"),
         metric("latency_p95_ms", p95, "ms"),
         metric(
             "deadline_met_frac",
-            metrics::deadline_met_frac(reports),
+            metrics::deadline_met_frac(&runs),
             "frac",
         ),
         metric(
             "energy_mj_per_frame",
-            metrics::energy_mj_per_frame(reports),
+            metrics::energy_mj_per_frame(&runs),
             "mJ",
         ),
-        metric("map_pct", accuracy, "%"),
+        metric("map_pct", out.accuracy_pct, "%"),
         metric("peak_rss_mb", out.peak_rss_mb, "MB"),
     ]
 }
@@ -210,7 +187,8 @@ fn per_layer(
     stats: &replay::ReplayStats,
     host: &Value,
 ) -> Vec<Metric> {
-    let reports = &out.reports;
+    // The report numbers describe the first round, the one replayed.
+    let reports = out.first_runs();
     let total = |name: &str| tracer.durations(name, None).iter().fold(0.0, |a, b| a + b);
     let p50_ms =
         |name: &str, tag: Option<&str>| percentile(&tracer.durations(name, tag), 50.0) * 1e3;
@@ -347,11 +325,13 @@ fn run(args: &Args, host: &Value) -> Result<RunResult, Error> {
     let set_ups = if args.trace { 1 } else { workload.set_ups() };
     let (ladder, uncalibrated, setup_s) = setup::timed_set_ups(workload.scale(), &train, set_ups)?;
     let out = workloads::serve(workload, &ladder, args.seed, args.seconds)?;
-    for report in &out.reports {
-        println!("{}", json!({"report": report_summary(report)}));
-    }
-    if let Some(probe) = &out.probe {
-        println!("{}", json!({"probe": report_summary(probe)}));
+    for round in &out.rounds {
+        for report in &round.runs {
+            println!("{}", json!({"report": report_summary(report)}));
+        }
+        if let Some(probe) = &round.probe {
+            println!("{}", json!({"probe": report_summary(probe)}));
+        }
     }
     let mut failures = out.failures.clone();
     let metrics = if args.trace {
@@ -400,7 +380,12 @@ fn run(args: &Args, host: &Value) -> Result<RunResult, Error> {
     } else {
         end_to_end(workload, &out, &setup_s)
     };
-    let runs: Vec<_> = out.reports.iter().chain(&out.probe).cloned().collect();
+    let runs: Vec<_> = out
+        .rounds
+        .iter()
+        .flat_map(|r| r.runs.iter().chain(&r.probe))
+        .cloned()
+        .collect();
     let attempted = metrics::admitted(&runs);
     Ok(RunResult {
         attempted,
@@ -461,7 +446,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    TensorParallel::set_threads(args.workload.tensor_threads());
+    // One busy thread per workload: the two vCPUs of the benchmark host
+    // slow each other down when both compute (see README.md).
+    TensorParallel::set_threads(1);
     let host = host_block(&args, calib_ms());
     println!("{}", json!({"host": host.clone()}));
     let result = match run(&args, &host) {

@@ -9,6 +9,43 @@ use upaq_det3d::Box3d;
 use upaq_kitti::scene::Scene;
 use upaq_serve::FleetReport;
 
+/// One repetition of a workload's fixed unit of work.
+///
+/// Every workload serves rounds until its time is up. Throughput pools
+/// every round; latency takes each round's percentiles, then the trimmed
+/// mean of the rounds' p50 and the lowest round's p95 (see
+/// [`latency_ms`]).
+#[derive(Debug, Clone)]
+pub struct Round {
+    /// Its serving runs: fleet-saturate's pass over the fleet, the rig's
+    /// run, or paper-ladder's base, LCK and HCK runs.
+    pub runs: Vec<FleetReport>,
+    /// Closed loops: the round's latency probe.
+    pub probe: Option<FleetReport>,
+}
+
+/// Every serving run of `rounds`, in order (probes excluded).
+pub fn runs(rounds: &[Round]) -> Vec<FleetReport> {
+    rounds.iter().flat_map(|r| r.runs.iter().cloned()).collect()
+}
+
+/// Share of values [`trimmed_mean`] drops at each end.
+pub const TRIM: f64 = 0.2;
+
+/// Mean of `values` without the lowest and highest [`TRIM`] of them
+/// (nothing is dropped from fewer than five). Empty input gives 0.
+pub fn trimmed_mean(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let cut = (sorted.len() as f64 * TRIM) as usize;
+    let kept = &sorted[cut..sorted.len() - cut];
+    if kept.is_empty() {
+        0.0
+    } else {
+        kept.iter().sum::<f64>() / kept.len() as f64
+    }
+}
+
 /// Whether a workload paces arrivals (open) or keeps the server full
 /// (closed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,17 +103,6 @@ pub fn throughput_fps(reports: &[FleetReport]) -> f64 {
     }
 }
 
-/// Median over `reports` of each run's delivered frames per second: the
-/// throughput of fixed rounds of work, robust to a slow or fast spell of
-/// the host hitting one of them.
-pub fn median_round_fps(reports: &[FleetReport]) -> f64 {
-    let fps: Vec<f64> = reports
-        .iter()
-        .map(|r| throughput_fps(std::slice::from_ref(r)))
-        .collect();
-    median(&fps)
-}
-
 /// Frames delivered within their deadline ÷ frames admitted. Dropped,
 /// failed and faulted frames are misses. Saturate mode carries no
 /// deadline (it counts no misses), so there every delivery counts.
@@ -116,21 +142,50 @@ pub fn map_pct(scenes: &[&Scene], delivered: &[Option<&[Box3d]>]) -> f64 {
     f64::from(evaluate_detections(&dets, scenes).map_dist)
 }
 
-/// `(p50, p95)` latency, milliseconds: arrival → detections from a fleet
-/// report.
+/// Frames a round needs for its p95 to be a tail rather than its
+/// slowest frame (the twentieth slowest of twenty).
+pub const TAIL_FRAMES: u64 = 20;
+
+/// `(p50, p95)` latency, milliseconds, arrival → detections: the
+/// [`trimmed_mean`] of the rounds' p50, and the lowest round's p95, or,
+/// when a round holds fewer than [`TAIL_FRAMES`] frames, the trimmed
+/// mean of the rounds' p95.
 ///
-/// An open loop reads its serving run. A closed loop's serving run only
-/// measures each frame's place in the backlog its generator keeps full,
-/// so a closed loop reads its latency probe: an open-loop run of the same
-/// server at a rate it serves without queueing.
-pub fn latency_ms(kind: Loop, served: &FleetReport, probe: Option<&FleetReport>) -> (f64, f64) {
-    let report = match kind {
-        Loop::Open => Some(served),
-        Loop::Closed => probe,
+/// The host runs the same work at two speeds in spells of seconds. A
+/// round's p50 follows the speed the round mostly ran at; a mean over
+/// rounds moves in proportion to the share of slow rounds, where a
+/// median would jump from one speed to the other as that share crosses a
+/// half. A round's p95 lands in a slow spell whenever a twentieth of its
+/// frames met one, and how slow that spell was varies; the lowest
+/// round's p95 is the tail under the mildest spell, which a change to
+/// the program still moves in every round. A round of a few frames has
+/// no tail, only a slowest frame, so there the rounds are averaged.
+///
+/// An open loop's round reads its serving run. A closed loop's serving
+/// run only measures each frame's place in the backlog its generator
+/// keeps full, so a closed loop's round reads its latency probe: an
+/// open-loop run of the same server at a rate it serves without
+/// queueing. Without probes a closed loop reports 0.
+pub fn latency_ms(kind: Loop, rounds: &[Round]) -> (f64, f64) {
+    let reports: Vec<&FleetReport> = rounds
+        .iter()
+        .filter_map(|r| match kind {
+            Loop::Open => r.runs.first(),
+            Loop::Closed => r.probe.as_ref(),
+        })
+        .collect();
+    if reports.is_empty() {
+        return (0.0, 0.0);
+    }
+    let p50: Vec<f64> = reports.iter().map(|r| r.e2e_latency.p50_s * 1e3).collect();
+    let p95: Vec<f64> = reports.iter().map(|r| r.e2e_latency.p95_s * 1e3).collect();
+    let tails = reports.iter().all(|r| r.e2e_latency.count >= TAIL_FRAMES);
+    let p95 = if tails {
+        p95.into_iter().fold(f64::INFINITY, f64::min)
+    } else {
+        trimmed_mean(&p95)
     };
-    report.map_or((0.0, 0.0), |r| {
-        (r.e2e_latency.p50_s * 1e3, r.e2e_latency.p95_s * 1e3)
-    })
+    (trimmed_mean(&p50), p95)
 }
 
 /// Ready-queue wait, ms: the run's median arrival latency minus the
@@ -311,26 +366,82 @@ pub(crate) mod tests {
         assert_eq!(map_pct(&refs, &[None, None]), 0.0);
     }
 
+    fn round(runs: Vec<FleetReport>, probe: Option<FleetReport>) -> Round {
+        Round { runs, probe }
+    }
+
+    /// `r` with its latency summary set: one sample per delivered frame.
+    fn with_latency(mut r: FleetReport, p50_s: f64, p95_s: f64) -> FleetReport {
+        r.e2e_latency.count = r.delivered();
+        r.e2e_latency.p50_s = p50_s;
+        r.e2e_latency.p95_s = p95_s;
+        r
+    }
+
     #[test]
     fn closed_loops_never_report_backlog_latency() {
         let mut r = report(100, 100, 0);
         r.mode = "saturate".into();
         // A saturate run's arrival latency is its backlog position.
-        r.e2e_latency.p50_s = 0.760;
-        r.e2e_latency.p95_s = 1.400;
-        let mut probe = report(40, 40, 0);
-        probe.e2e_latency.p50_s = 0.010;
-        probe.e2e_latency.p95_s = 0.030;
-        let (p50, p95) = latency_ms(Loop::Closed, &r, Some(&probe));
+        let r = with_latency(r, 0.760, 1.400);
+        let probe = with_latency(report(40, 40, 0), 0.010, 0.030);
+        let rounds = [round(vec![r.clone()], Some(probe))];
+        let (p50, p95) = latency_ms(Loop::Closed, &rounds);
         assert!((p50 - 10.0).abs() < 1e-9);
         assert!((p95 - 30.0).abs() < 1e-9);
         assert_eq!(
-            latency_ms(Loop::Closed, &r, None),
+            latency_ms(Loop::Closed, &[round(vec![r], None)]),
             (0.0, 0.0),
             "closed loops must not read the backlog latency"
         );
-        let (p50, p95) = latency_ms(Loop::Open, &r, Some(&probe));
+        let (p50, p95) = latency_ms(Loop::Open, &rounds);
         assert!((p50 - 760.0).abs() < 1e-9 && (p95 - 1400.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn latency_takes_the_trimmed_mean_p50_and_the_lowest_p95() {
+        // Five rounds of `frames` frames; the second and the fourth met
+        // slow spells.
+        let rounds = |frames: u64| {
+            [
+                (0.020, 0.035),
+                (0.090, 0.070),
+                (0.018, 0.040),
+                (0.022, 0.030),
+                (0.024, 0.036),
+            ]
+            .map(|(p50_s, p95_s)| {
+                let r = with_latency(report(frames, frames, 0), p50_s, p95_s);
+                round(vec![r], None)
+            })
+        };
+        // The p50 drops the lowest and the highest round and averages the
+        // middle three; rounds of 40 frames have a tail, and the lowest
+        // round's is taken.
+        let (p50, p95) = latency_ms(Loop::Open, &rounds(40));
+        assert!((p50 - 22.0).abs() < 1e-9, "trimmed mean of p50: {p50}");
+        assert!((p95 - 30.0).abs() < 1e-9, "the lowest round's p95: {p95}");
+        // Rounds of three frames have no tail, only a slowest frame: their
+        // p95 is averaged like the p50.
+        let (p50, p95) = latency_ms(Loop::Open, &rounds(3));
+        assert!((p50 - 22.0).abs() < 1e-9);
+        assert!((p95 - 37.0).abs() < 1e-9, "trimmed mean of p95: {p95}");
+        assert_eq!(runs(&rounds(3)).len(), 5, "probes are not serving runs");
+    }
+
+    #[test]
+    fn trimmed_mean_drops_a_fifth_at_each_end() {
+        assert_eq!(trimmed_mean(&[]), 0.0);
+        assert_eq!(
+            trimmed_mean(&[1.0, 2.0, 6.0]),
+            3.0,
+            "fewer than five: none dropped"
+        );
+        let ten = [100.0, 1.0, 5.0, 4.0, 6.0, 3.0, 7.0, 2.0, 8.0, -50.0];
+        assert!(
+            (trimmed_mean(&ten) - 4.5).abs() < 1e-12,
+            "two dropped at each end"
+        );
     }
 
     #[test]
@@ -367,11 +478,6 @@ pub(crate) mod tests {
         assert_eq!(overrides(&a), 6, "vru_unfit is not an override firing");
         assert!((full_model_frac(&[a.clone(), b.clone()]) - 0.6).abs() < 1e-12);
         assert!((throughput_fps(&[a.clone(), b.clone()]) - 10.0).abs() < 1e-12);
-        // Rounds of 40/2 s, 10/3 s and 30/1 s: the median round, 20 fps.
-        let mut c = report(30, 30, 0);
-        c.duration_s = 1.0;
-        let fps = median_round_fps(&[a.clone(), b.clone(), c]);
-        assert!((fps - 20.0).abs() < 1e-12);
         assert!((busy_ms(&[a.clone(), b.clone()]) - 1.8).abs() < 1e-12);
         assert!((energy_mj_per_frame(&[a]) - 10.0).abs() < 1e-9);
     }

@@ -105,7 +105,7 @@ pub fn replay(
     let mut wss: Vec<Workspace> = Vec::new();
     let mut stats = ReplayStats::default();
     let mut next_trace = 1u64;
-    for (level, frames) in groups(workload, &outcome.frames, &outcome.reports) {
+    for (level, frames) in groups(workload, &outcome.frames, outcome.first_runs()) {
         let variant = ladder.level(level);
         let det = &variant.detector;
         let k = frames.len();

@@ -1,60 +1,65 @@
 //! The three workloads: their inputs, their serving runs through the
 //! public `FleetServer` API, and the checks on what they deliver.
+//!
+//! Every workload repeats one fixed unit of work, a round, until
+//! `--seconds` have passed (at least [`MIN_ROUNDS`] times); see
+//! [`crate::metrics::Round`] for how the rounds become metrics.
 
 use std::collections::HashMap;
+use std::time::Instant;
 use upaq_det3d::Box3d;
 use upaq_kitti::fleet::{FleetScenario, FleetScenarioConfig, StreamClass};
 use upaq_kitti::lidar::PointCloud;
 use upaq_kitti::scenario::{self as catalog, ScenarioProfile};
 use upaq_kitti::scene::Scene;
 use upaq_kitti::stream::{Frame, FrameStream};
+use upaq_models::LidarDetector;
 use upaq_runtime::ProactiveConfig;
-use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
+use upaq_serve::{FleetConfig, FleetMode, FleetOutcome, FleetReport, FleetServer};
 
-use crate::metrics::Loop;
+use crate::metrics::{self, Loop, Round};
 use crate::setup::{nominal, Error, Ladder, Scale};
 
+/// Rounds every run serves at least, however long they take.
+pub const MIN_ROUNDS: usize = 3;
 /// fleet-saturate: streams multiplexed over the pool.
 const FLEET_STREAMS: usize = 32;
-/// fleet-saturate: distinct scenes per stream. 32 × 12 = 384 distinct
-/// scenes keep `map_pct` within a few percent across seeds; one round
-/// serves each of them once.
+/// fleet-saturate: distinct scenes per stream. A round is one lossless
+/// pass over the 32 × 12 = 384 scenes (1.5–3 s on one worker), which
+/// keeps `map_pct` within a few percent across seeds.
 const FLEET_SCENES: u64 = 12;
-/// fleet-saturate: rounds per second of `--seconds`. A round is one
-/// lossless pass over the 384 scenes, 1–1.6 s on a 2-vCPU host, and
-/// `throughput_fps` is the median round. The work is fixed rather than
-/// timed, so memory (which holds every pre-generated frame of a round)
-/// does not follow host speed.
-const FLEET_ROUNDS_PER_S: f64 = 1.0;
 /// Closed loops' latency probe: deadline of the probe stream's frames,
 /// generous enough that the scheduler keeps every frame on rung 0.
 const PROBE_DEADLINE_S: f64 = 10.0;
-/// fleet-saturate probe: at 50 Hz a worker is idle on every arrival (a
-/// tiny frame takes 5–10 ms); 300 frames put 15 beyond the p95, and six
-/// seconds of them let one slow spell of the host move the tail less.
+/// fleet-saturate probe, once per round: at 50 Hz the worker is idle on
+/// every arrival (a tiny frame takes 4–10 ms); the p95 of 40 frames is
+/// the third slowest.
 const FLEET_PROBE: Probe = Probe {
     rate_hz: 50.0,
-    frames: 300,
+    frames: 40,
 };
 /// rig-realtime: lidars on one trigger.
 const RIG_STREAMS: usize = 4;
-/// rig-realtime: trigger rate, Hz.
-const RIG_RATE_HZ: f64 = 12.0;
-/// rig-realtime: the scene mix. Dense rush-hour traffic keeps the
-/// proactive VRU floor engaged on a steady 68–84% of frames; nominal
-/// traffic drives it into a ≈50% duty cycle whose share swings with the
-/// seed, which puts the median latency between the base and HCK
-/// service-time clusters (see README.md).
-const RIG_PROFILE: &str = "rush-hour";
+/// rig-realtime: trigger rate, Hz (the highway profile's own frame rate).
+const RIG_RATE_HZ: f64 = 20.0;
+/// rig-realtime: triggers per round (2 s; 160 frames, so a round's p95
+/// is its eighth slowest frame).
+const RIG_TRIGGERS: u64 = 40;
+/// rig-realtime: the scene mix. On sparse highway scenes the proactive
+/// policy steers every batch to HCK and no VRU floor fires. Mixed traffic
+/// (`nominal`, `rush-hour`) splits the frames between base and HCK, whose
+/// service times differ 2.9×, and the median latency then moves with
+/// each round's rung mix (see README.md).
+const RIG_PROFILE: &str = "empty-highway";
 /// paper-ladder: distinct scenes the single stream cycles through.
-const PAPER_SCENES: u64 = 4;
-/// paper-ladder: frames served on each rung per second of `--seconds`.
-const PAPER_FRAMES_PER_S: f64 = 1.2;
-/// paper-ladder probe: one full-model frame a second (a paper-scale
-/// frame takes 0.3–0.7 s at 2 tensor threads), eight of them.
+const PAPER_SCENES: u64 = 2;
+/// paper-ladder: frames each rung serves per round.
+const PAPER_FRAMES: u64 = 1;
+/// paper-ladder probe, once per round: one full-model frame every two
+/// seconds (a paper-scale frame takes 0.6–1.2 s on one thread).
 const PAPER_PROBE: Probe = Probe {
-    rate_hz: 1.0,
-    frames: 8,
+    rate_hz: 0.5,
+    frames: 3,
 };
 
 /// A closed loop's latency probe: one stream's rate and length.
@@ -112,21 +117,13 @@ impl Workload {
         }
     }
 
-    /// Intra-op tensor threads (`TensorParallel::set_threads`).
-    pub fn tensor_threads(self) -> usize {
-        match self {
-            Workload::PaperLadder => 2,
-            _ => 1,
-        }
-    }
-
     /// Set-ups per run; `setup_s` is the fastest. A tiny set-up takes
     /// ≈ 0.2 s and single set-ups swing by half on a shared host, so it
-    /// is repeated over three to five seconds; a paper-scale one takes 6–10 s.
+    /// is repeated over two to five seconds; a paper-scale one takes 6–10 s.
     pub fn set_ups(self) -> usize {
         match self {
             Workload::PaperLadder => 2,
-            _ => 24,
+            _ => 16,
         }
     }
 }
@@ -177,24 +174,33 @@ pub struct Served {
 
 /// Everything an untraced workload run produced.
 pub struct Outcome {
-    /// One report per serving run (fleet rounds, the rig run, or the
-    /// paper rungs).
-    pub reports: Vec<FleetReport>,
-    /// Closed loops: the latency probe's report.
-    pub probe: Option<FleetReport>,
-    /// The frames served.
+    /// The rounds served, in order.
+    pub rounds: Vec<Round>,
+    /// The first round's frames (the traced run replays them).
     pub inputs: Inputs,
-    /// One pass over the admitted frames, in admission order.
+    /// The frames the traced run replays, in admission order: the first
+    /// round's (paper-ladder: every round's).
     pub frames: Vec<Served>,
-    /// Deliveries that reproduced their rung's `detect` bit for bit.
-    pub exact: u64,
-    /// Scheduled emit time of the last frame, seconds (open loops).
+    /// `map_pct` (see README.md): centre-distance mAP of the deliveries
+    /// (fleet-saturate: the first round; rig-realtime: every round), or
+    /// on paper-ladder the share of deliveries equal to their rung's
+    /// `detect`.
+    pub accuracy_pct: f64,
+    /// Scheduled emit time of the first round's last frame, seconds (open
+    /// loops).
     pub last_emit_s: f64,
     /// Peak resident set after the first serving run, MB (see
     /// `peak_rss_mb`).
     pub peak_rss_mb: f64,
     /// Output-check failures; empty when every check passed.
     pub failures: Vec<String>,
+}
+
+impl Outcome {
+    /// The first round's serving runs.
+    pub fn first_runs(&self) -> &[FleetReport] {
+        &self.rounds[0].runs
+    }
 }
 
 /// Peak resident set of this process so far (`VmHWM`), MB.
@@ -211,6 +217,20 @@ fn peak_rss_mb() -> f64 {
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// Serves rounds until `seconds` have passed and at least [`MIN_ROUNDS`]
+/// ran; `round(r)` serves round `r`.
+fn serve_rounds<T>(
+    seconds: f64,
+    mut round: impl FnMut(usize) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    let started = Instant::now();
+    let mut rounds = Vec::new();
+    while rounds.len() < MIN_ROUNDS || started.elapsed().as_secs_f64() < seconds {
+        rounds.push(round(rounds.len())?);
+    }
+    Ok(rounds)
 }
 
 /// `detect` outputs keyed by `(stream, scene index, rung)`.
@@ -273,30 +293,54 @@ fn detect(ladder: &Ladder, level: usize, cloud: &PointCloud) -> Result<Vec<Box3d
     Ok(ladder.level(level).detector.detect(cloud)?)
 }
 
-/// Checks that `report` delivered every admitted frame and that each
+/// Rung `level`'s `detect` on the first `frames` frames of every stream
+/// of `inputs`.
+fn references(
+    ladder: &Ladder,
+    inputs: &Inputs,
+    frames: u64,
+    levels: std::ops::Range<usize>,
+) -> Result<Refs, Error> {
+    let mut refs = Refs::new();
+    for stream in 0..inputs.scenario.len() {
+        for id in 0..frames {
+            let frame = inputs.frame(stream, id);
+            for level in levels.clone() {
+                refs.insert(
+                    (stream, frame.scene_index, level),
+                    detect(ladder, level, &frame.data)?,
+                );
+            }
+        }
+    }
+    Ok(refs)
+}
+
+/// Checks that `run` delivered every admitted frame and that each
 /// delivery equals rung `level`'s `detect` on its frame. Returns the
 /// deliveries in admission order (frame-major round robin) and how many
 /// matched.
 fn check_lossless(
-    report: &FleetReport,
-    detections: Vec<(usize, u64, Vec<Box3d>)>,
+    run: FleetOutcome,
     level: usize,
     inputs: &Inputs,
     refs: &Refs,
     failures: &mut Vec<String>,
-) -> (Vec<Served>, u64) {
-    check_report(report, failures);
-    if report.delivered() != report.admitted || detections.len() as u64 != report.admitted {
+) -> (FleetReport, Vec<Served>, u64) {
+    let report = run.report;
+    check_report(&report, failures);
+    if report.delivered() != report.admitted || run.detections.len() as u64 != report.admitted {
         failures.push(format!(
             "{} run delivered {} of {} frames ({} detection lists)",
             report.mode,
             report.delivered(),
             report.admitted,
-            detections.len()
+            run.detections.len()
         ));
     }
     let mut exact = 0;
-    let mut served: Vec<Served> = detections
+    let mut served: Vec<Served> = run
+        .detections
         .into_iter()
         .map(|(stream, id, boxes)| {
             let key = (stream, inputs.frame_scene(stream, id), level);
@@ -317,58 +361,60 @@ fn check_lossless(
         })
         .collect();
     served.sort_by_key(|s| (s.id, s.stream));
-    (served, exact)
+    (report, served, exact)
 }
 
-/// The closed loops' latency. A closed loop's arrival latency is only a
-/// frame's place in the backlog its generator keeps full, so the latency
-/// comes from a second, open-loop run of the same server configuration:
-/// stream 0's frames alone in realtime mode, at a rate that finds a worker
-/// idle on each arrival, with a deadline loose enough that the scheduler
-/// keeps every frame on rung 0. Every delivery must equal rung 0's
-/// `detect`.
-fn latency_probe(
-    ladder: &Ladder,
-    config: &FleetConfig,
-    probe: &Probe,
-    scenes: u64,
-    seed: u64,
-    refs: &Refs,
-    failures: &mut Vec<String>,
-) -> FleetReport {
-    let class = StreamClass {
-        rate_hz: probe.rate_hz,
-        deadline_s: PROBE_DEADLINE_S,
-    };
-    // Same dataset and seed as the workload: its stream 0, so the
-    // references computed for the workload cover the probe's frames.
-    let inputs = Inputs::new(scenario(
-        &nominal(),
-        1,
-        probe.frames,
-        scenes,
-        vec![class],
-        seed,
-    ));
-    let server = FleetServer::new(
-        ladder.clone(),
-        inputs.scenario.clone(),
-        FleetConfig {
-            mode: FleetMode::Realtime,
-            force_level: None,
-            collect_detections: true,
-            ..config.clone()
-        },
-    );
-    let run = server.run();
-    check_lossless(&run.report, run.detections, 0, &inputs, refs, failures);
-    run.report
+/// A closed loop's latency probe. A closed loop's arrival latency is only
+/// a frame's place in the backlog its generator keeps full, so the
+/// latency comes from an open-loop run of the same server configuration:
+/// stream 0's frames alone in realtime mode, at a rate that finds a
+/// worker idle on each arrival, with a deadline loose enough that the
+/// scheduler keeps every frame on rung 0. Every delivery must equal rung
+/// 0's `detect`.
+struct LatencyProbe {
+    server: FleetServer<LidarDetector>,
+    inputs: Inputs,
 }
 
-/// fleet-saturate: lossless rounds over the 384 scenes, then the latency
-/// probe.
+impl LatencyProbe {
+    fn new(ladder: &Ladder, config: &FleetConfig, probe: &Probe, scenes: u64, seed: u64) -> Self {
+        let class = StreamClass {
+            rate_hz: probe.rate_hz,
+            deadline_s: PROBE_DEADLINE_S,
+        };
+        // Same dataset and seed as the workload: its stream 0, so the
+        // workload's references cover the probe's frames.
+        let inputs = Inputs::new(scenario(
+            &nominal(),
+            1,
+            probe.frames,
+            scenes,
+            vec![class],
+            seed,
+        ));
+        let server = FleetServer::new(
+            ladder.clone(),
+            inputs.scenario.clone(),
+            FleetConfig {
+                mode: FleetMode::Realtime,
+                force_level: None,
+                collect_detections: true,
+                ..config.clone()
+            },
+        );
+        LatencyProbe { server, inputs }
+    }
+
+    /// One probe run; returns its report and how many deliveries matched.
+    fn run(&self, refs: &Refs, failures: &mut Vec<String>) -> (FleetReport, u64) {
+        let (report, _, exact) = check_lossless(self.server.run(), 0, &self.inputs, refs, failures);
+        (report, exact)
+    }
+}
+
+/// fleet-saturate: rounds of one lossless pass over the 384 scenes, each
+/// followed by a latency probe.
 pub fn fleet_saturate(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome, Error> {
-    let rounds = ((seconds * FLEET_ROUNDS_PER_S).round() as usize).max(1);
     let inputs = Inputs::new(scenario(
         &nominal(),
         FLEET_STREAMS,
@@ -377,18 +423,11 @@ pub fn fleet_saturate(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcom
         vec![nominal_class()],
         seed,
     ));
-    let mut refs = Refs::new();
-    for stream in 0..FLEET_STREAMS {
-        for id in 0..FLEET_SCENES {
-            let frame = inputs.frame(stream, id);
-            refs.insert(
-                (stream, frame.scene_index, 0),
-                detect(ladder, 0, &frame.data)?,
-            );
-        }
-    }
+    let refs = references(ladder, &inputs, FLEET_SCENES, 0..1)?;
+    // One worker: two workers on the two vCPUs slow each other down by
+    // 20–40%, and by how much varies from run to run (see README.md).
     let config = FleetConfig {
-        workers: 2,
+        workers: 1,
         max_batch: 4,
         mode: FleetMode::Saturate,
         force_level: Some(0),
@@ -396,47 +435,38 @@ pub fn fleet_saturate(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcom
         ..FleetConfig::default()
     };
     let server = FleetServer::new(ladder.clone(), inputs.scenario.clone(), config.clone());
+    let probe = LatencyProbe::new(ladder, &config, &FLEET_PROBE, FLEET_SCENES, seed);
     let mut failures = Vec::new();
-    let mut reports = Vec::with_capacity(rounds);
     let mut frames = Vec::new();
-    let mut exact = 0;
     let mut peak_rss = 0.0;
-    for round in 0..rounds {
+    let rounds = serve_rounds(seconds, |round| {
         let run = server.run();
         if round == 0 {
             peak_rss = peak_rss_mb();
         }
-        let (served, matched) = check_lossless(
-            &run.report,
-            run.detections,
-            0,
-            &inputs,
-            &refs,
-            &mut failures,
-        );
-        exact += matched;
+        let (report, served, _) = check_lossless(run, 0, &inputs, &refs, &mut failures);
         // Every round serves the same frames (checked above); accuracy
         // and the traced replay take the first.
         if round == 0 {
             frames = served;
         }
-        reports.push(run.report);
-    }
-    let probe = latency_probe(
-        ladder,
-        &config,
-        &FLEET_PROBE,
-        FLEET_SCENES,
-        seed,
-        &refs,
-        &mut failures,
-    );
+        let (probe, _) = probe.run(&refs, &mut failures);
+        Ok(Round {
+            runs: vec![report],
+            probe: Some(probe),
+        })
+    })?;
+    let scenes: Vec<&Scene> = frames
+        .iter()
+        .map(|f| inputs.scene(f.stream, f.id))
+        .collect();
+    let delivered: Vec<_> = frames.iter().map(|f| f.boxes.as_deref()).collect();
+    let accuracy_pct = metrics::map_pct(&scenes, &delivered);
     Ok(Outcome {
-        reports,
-        probe: Some(probe),
+        rounds,
         inputs,
         frames,
-        exact,
+        accuracy_pct,
         last_emit_s: 0.0,
         peak_rss_mb: peak_rss,
         failures,
@@ -467,10 +497,21 @@ fn check_rig_schedule(scenario: &FleetScenario, failures: &mut Vec<String>) -> f
 }
 
 /// The rungs whose `detect` reproduces `boxes` on `cloud`, as a bit set
-/// (bit `l` for rung `l`; 0 when none does).
-fn matching_rungs(ladder: &Ladder, cloud: &PointCloud, boxes: &[Box3d]) -> Result<u32, Error> {
+/// (bit `l` for rung `l`; 0 when none does). With a `hint`, a match on
+/// that rung alone is enough.
+fn matching_rungs(
+    ladder: &Ladder,
+    cloud: &PointCloud,
+    boxes: &[Box3d],
+    hint: Option<usize>,
+) -> Result<u32, Error> {
+    if let Some(level) = hint {
+        if same_boxes(&detect(ladder, level, cloud)?, boxes) {
+            return Ok(1 << level);
+        }
+    }
     let mut rungs = 0;
-    for level in 0..ladder.len() {
+    for level in (0..ladder.len()).filter(|&l| Some(l) != hint) {
         if same_boxes(&detect(ladder, level, cloud)?, boxes) {
             rungs |= 1 << level;
         }
@@ -483,9 +524,10 @@ fn matching_rungs(ladder: &Ladder, cloud: &PointCloud, boxes: &[Box3d]) -> Resul
 /// delivered). The server runs a batch at one rung, so a frame that
 /// several rungs reproduce (their outputs coincide, typically both empty)
 /// takes the rung of the nearest frame of its trigger that exactly one
-/// rung reproduces, when that rung is a candidate; otherwise its lowest
-/// candidate. A delivery no rung reproduces gets `None`.
-pub fn resolve_rungs(candidates: &[Option<u32>]) -> Vec<Option<usize>> {
+/// rung reproduces, when that rung is a candidate; otherwise `usual` (the
+/// rung that served most of the run's frames) when it is a candidate, or
+/// its lowest candidate. A delivery no rung reproduces gets `None`.
+pub fn resolve_rungs(candidates: &[Option<u32>], usual: usize) -> Vec<Option<usize>> {
     let unique: Vec<Option<usize>> = candidates
         .iter()
         .map(|c| match c {
@@ -508,120 +550,155 @@ pub fn resolve_rungs(candidates: &[Option<u32>]) -> Vec<Option<usize>> {
                     .filter(|&l| bits & (1 << l) != 0)
                     .or(after.filter(|&l| bits & (1 << l) != 0))
             });
-            Some(neighbour.unwrap_or(bits.trailing_zeros() as usize))
+            let fallback = if bits & (1 << usual) != 0 {
+                usual
+            } else {
+                bits.trailing_zeros() as usize
+            };
+            Some(neighbour.unwrap_or(fallback))
         })
         .collect()
 }
 
-/// rig-realtime: one open-loop run of `seconds` of `RIG_RATE_HZ` triggers.
-pub fn rig_realtime(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome, Error> {
-    let frames = (RIG_RATE_HZ * seconds).ceil() as u64;
-    let profile =
-        catalog::by_name(RIG_PROFILE).expect("the scenario catalog has the rig's profile");
+/// The frames of rig round `round`: 40 triggers of distinct scenes, the
+/// first round drawn from `seed` itself.
+fn rig_inputs(profile: &ScenarioProfile, seed: u64, round: usize) -> Inputs {
     let class = StreamClass {
         rate_hz: RIG_RATE_HZ,
         deadline_s: profile.deadline_s,
     };
-    // Every frame is a distinct scene, so `map_pct` averages over
-    // hundreds of them. Identical classes put every stream in the first
-    // phase cohort: the streams share one trigger.
-    let inputs = Inputs::new(scenario(
-        &profile,
+    // Identical classes put every stream in the first phase cohort: the
+    // streams share one trigger.
+    Inputs::new(scenario(
+        profile,
         RIG_STREAMS,
-        frames,
-        frames,
+        RIG_TRIGGERS,
+        RIG_TRIGGERS,
         vec![class; RIG_STREAMS],
-        seed,
-    ));
+        seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    ))
+}
+
+/// rig-realtime: open-loop rounds of 40 triggers, each round new scenes.
+pub fn rig_realtime(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome, Error> {
+    let profile =
+        catalog::by_name(RIG_PROFILE).expect("the scenario catalog has the rig's profile");
+    let config = FleetConfig {
+        workers: 1,
+        max_batch: 4,
+        mode: FleetMode::Realtime,
+        proactive: Some(ProactiveConfig::default()),
+        collect_detections: true,
+        ..FleetConfig::default()
+    };
     let mut failures = Vec::new();
-    let last_emit_s = check_rig_schedule(&inputs.scenario, &mut failures);
-    let server = FleetServer::new(
-        ladder.clone(),
-        inputs.scenario.clone(),
-        FleetConfig {
-            workers: 1,
-            max_batch: 4,
-            mode: FleetMode::Realtime,
-            proactive: Some(ProactiveConfig::default()),
-            collect_detections: true,
-            ..FleetConfig::default()
-        },
-    );
-    let run = server.run();
-    let peak_rss = peak_rss_mb();
-    check_report(&run.report, &mut failures);
-    let delivered: HashMap<(usize, u64), Vec<Box3d>> = run
-        .detections
-        .into_iter()
-        .map(|(stream, id, boxes)| ((stream, id), boxes))
-        .collect();
-    // Which rung served a frame is not reported, so each delivery is
-    // matched against every rung's `detect`. The check is not timed.
-    let mut exact = 0;
-    let mut served = Vec::with_capacity(frames as usize * RIG_STREAMS);
-    for id in 0..frames {
-        let mut trigger = Vec::with_capacity(RIG_STREAMS);
-        for stream in 0..RIG_STREAMS {
-            let boxes = delivered.get(&(stream, id)).cloned();
-            let candidates = match &boxes {
-                Some(b) => Some(matching_rungs(ladder, &inputs.frame(stream, id).data, b)?),
-                None => None,
-            };
-            trigger.push((stream, boxes, candidates));
+    let mut last_emit_s = 0.0;
+    let mut peak_rss = 0.0;
+    // Serve every round first; the output check is not timed.
+    let served = serve_rounds(seconds, |round| {
+        let inputs = rig_inputs(&profile, seed, round);
+        let emit_s = check_rig_schedule(&inputs.scenario, &mut failures);
+        let server = FleetServer::new(ladder.clone(), inputs.scenario.clone(), config.clone());
+        let run = server.run();
+        if round == 0 {
+            peak_rss = peak_rss_mb();
+            last_emit_s = emit_s;
         }
-        let candidates: Vec<Option<u32>> = trigger.iter().map(|t| t.2).collect();
-        for ((stream, boxes, _), level) in trigger.into_iter().zip(resolve_rungs(&candidates)) {
-            if boxes.is_some() {
-                if level.is_some() {
-                    exact += 1;
-                } else {
+        Ok((inputs, run))
+    })?;
+    // Which rung served a frame is not reported, so each delivery is
+    // matched against the rungs' `detect`: every rung for the first
+    // round, whose rungs the traced replay needs; for the others, the
+    // previous delivery's rung first.
+    let mut rounds = Vec::with_capacity(served.len());
+    let mut scored: Vec<(Inputs, Vec<Served>)> = Vec::with_capacity(served.len());
+    for (round, (inputs, run)) in served.into_iter().enumerate() {
+        check_report(&run.report, &mut failures);
+        let usual = run
+            .report
+            .rungs
+            .iter()
+            .max_by_key(|r| r.frames)
+            .map_or(0, |r| r.level);
+        let delivered: HashMap<(usize, u64), Vec<Box3d>> = run
+            .detections
+            .into_iter()
+            .map(|(stream, id, boxes)| ((stream, id), boxes))
+            .collect();
+        let mut frames = Vec::with_capacity(RIG_TRIGGERS as usize * RIG_STREAMS);
+        let mut hint = None;
+        for id in 0..RIG_TRIGGERS {
+            let mut trigger = Vec::with_capacity(RIG_STREAMS);
+            for stream in 0..RIG_STREAMS {
+                let boxes = delivered.get(&(stream, id)).cloned();
+                let candidates = match &boxes {
+                    Some(b) => {
+                        let cloud = &inputs.frame(stream, id).data;
+                        let bits = matching_rungs(ladder, cloud, b, hint)?;
+                        if round > 0 && bits != 0 {
+                            hint = Some(bits.trailing_zeros() as usize);
+                        }
+                        Some(bits)
+                    }
+                    None => None,
+                };
+                trigger.push((stream, boxes, candidates));
+            }
+            let candidates: Vec<Option<u32>> = trigger.iter().map(|t| t.2).collect();
+            let levels = resolve_rungs(&candidates, usual);
+            for ((stream, boxes, _), level) in trigger.into_iter().zip(levels) {
+                if boxes.is_some() && level.is_none() {
                     failures.push(format!(
-                        "stream {stream} frame {id} matches no rung's detect"
+                        "round {round}: stream {stream} frame {id} matches no rung's detect"
                     ));
                 }
+                frames.push(Served {
+                    stream,
+                    id,
+                    level,
+                    boxes,
+                });
             }
-            served.push(Served {
-                stream,
-                id,
-                level,
-                boxes,
-            });
         }
+        rounds.push(Round {
+            runs: vec![run.report],
+            probe: None,
+        });
+        scored.push((inputs, frames));
     }
+    let scenes: Vec<&Scene> = scored
+        .iter()
+        .flat_map(|(inputs, frames)| frames.iter().map(|f| inputs.scene(f.stream, f.id)))
+        .collect();
+    let delivered: Vec<_> = scored
+        .iter()
+        .flat_map(|(_, frames)| frames.iter().map(|f| f.boxes.as_deref()))
+        .collect();
+    let accuracy_pct = metrics::map_pct(&scenes, &delivered);
+    let (inputs, frames) = scored.swap_remove(0);
     Ok(Outcome {
-        reports: vec![run.report],
-        probe: None,
+        rounds,
         inputs,
-        frames: served,
-        exact,
+        frames,
+        accuracy_pct,
         last_emit_s,
         peak_rss_mb: peak_rss,
         failures,
     })
 }
 
-/// paper-ladder: each rung served closed loop at batch 1, the same
-/// number of frames per rung, then the full model's latency probe.
+/// paper-ladder: rounds that serve each rung closed loop at batch 1, the
+/// same frames on every rung, then probe the full model's latency.
 pub fn paper_ladder(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome, Error> {
-    let frames = ((seconds * PAPER_FRAMES_PER_S).round() as u64).max(2);
     let inputs = Inputs::new(scenario(
         &nominal(),
         1,
-        frames,
+        PAPER_FRAMES,
         PAPER_SCENES,
         vec![nominal_class()],
         seed,
     ));
-    let mut refs = Refs::new();
-    for level in 0..ladder.len() {
-        for id in 0..PAPER_SCENES.min(frames) {
-            let frame = inputs.frame(0, id);
-            refs.insert(
-                (0, frame.scene_index, level),
-                detect(ladder, level, &frame.data)?,
-            );
-        }
-    }
+    let refs = references(ladder, &inputs, PAPER_SCENES, 0..ladder.len())?;
     let config = FleetConfig {
         workers: 1,
         max_batch: 1,
@@ -629,51 +706,60 @@ pub fn paper_ladder(ladder: &Ladder, seed: u64, seconds: f64) -> Result<Outcome,
         collect_detections: true,
         ..FleetConfig::default()
     };
-    let mut out = Outcome {
-        reports: Vec::new(),
-        probe: None,
-        inputs,
-        frames: Vec::new(),
-        exact: 0,
-        last_emit_s: 0.0,
-        peak_rss_mb: 0.0,
-        failures: Vec::new(),
-    };
-    for level in 0..ladder.len() {
-        let server = FleetServer::new(
-            ladder.clone(),
-            out.inputs.scenario.clone(),
-            FleetConfig {
-                force_level: Some(level),
-                ..config.clone()
-            },
-        );
-        let run = server.run();
-        if level == 0 {
-            out.peak_rss_mb = peak_rss_mb();
+    let servers: Vec<_> = (0..ladder.len())
+        .map(|level| {
+            FleetServer::new(
+                ladder.clone(),
+                inputs.scenario.clone(),
+                FleetConfig {
+                    force_level: Some(level),
+                    ..config.clone()
+                },
+            )
+        })
+        .collect();
+    let probe = LatencyProbe::new(ladder, &config, &PAPER_PROBE, PAPER_SCENES, seed);
+    let mut failures = Vec::new();
+    let mut frames = Vec::new();
+    let mut exact = 0;
+    let mut peak_rss = 0.0;
+    let rounds = serve_rounds(seconds, |round| {
+        let mut runs = Vec::with_capacity(servers.len());
+        for (level, server) in servers.iter().enumerate() {
+            let run = server.run();
+            if round == 0 && level == 0 {
+                peak_rss = peak_rss_mb();
+            }
+            let (report, served, matched) =
+                check_lossless(run, level, &inputs, &refs, &mut failures);
+            exact += matched;
+            // Identical rounds: the traced replay takes every one, for
+            // more than one forward per rung.
+            frames.extend(served);
+            runs.push(report);
         }
-        let (frames, exact) = check_lossless(
-            &run.report,
-            run.detections,
-            level,
-            &out.inputs,
-            &refs,
-            &mut out.failures,
-        );
-        out.exact += exact;
-        out.frames.extend(frames);
-        out.reports.push(run.report);
-    }
-    out.probe = Some(latency_probe(
-        ladder,
-        &config,
-        &PAPER_PROBE,
-        PAPER_SCENES,
-        seed,
-        &refs,
-        &mut out.failures,
-    ));
-    Ok(out)
+        let (probe, probe_matched) = probe.run(&refs, &mut failures);
+        exact += probe_matched;
+        Ok(Round {
+            runs,
+            probe: Some(probe),
+        })
+    })?;
+    let delivered = rounds
+        .iter()
+        .map(|r| metrics::delivered(&r.runs) + r.probe.as_ref().map_or(0, |p| p.delivered()))
+        .sum::<u64>();
+    Ok(Outcome {
+        rounds,
+        inputs,
+        frames,
+        // The paper-scale head is not fitted, so ground-truth mAP is
+        // noise here; the share of exact deliveries stands in for it.
+        accuracy_pct: 100.0 * exact as f64 / delivered.max(1) as f64,
+        last_emit_s: 0.0,
+        peak_rss_mb: peak_rss,
+        failures,
+    })
 }
 
 /// Runs `workload` untraced on `ladder`.
@@ -699,12 +785,18 @@ mod tests {
         // Rung 2 alone reproduces streams 0 and 3; stream 1's output is
         // reproduced by rungs 0 and 2 (say, both empty): it joins its
         // nearest unambiguous neighbour's rung.
-        let rungs = resolve_rungs(&[Some(0b100), Some(0b101), None, Some(0b100)]);
+        let rungs = resolve_rungs(&[Some(0b100), Some(0b101), None, Some(0b100)], 0);
         assert_eq!(rungs, vec![Some(2), Some(2), None, Some(2)]);
         // A split trigger: the neighbour's rung must be a candidate.
-        let rungs = resolve_rungs(&[Some(0b001), Some(0b110), Some(0b100)]);
+        let rungs = resolve_rungs(&[Some(0b001), Some(0b110), Some(0b100)], 0);
         assert_eq!(rungs, vec![Some(0), Some(2), Some(2)]);
-        // No unambiguous neighbour: the lowest candidate. No candidate: none.
-        assert_eq!(resolve_rungs(&[Some(0b110), Some(0)]), vec![Some(1), None]);
+        // No unambiguous neighbour: the run's usual rung when it is a
+        // candidate, else the lowest candidate. No candidate: none.
+        assert_eq!(
+            resolve_rungs(&[Some(0b110), Some(0)], 0),
+            vec![Some(1), None]
+        );
+        let all_empty = [Some(0b111); 4];
+        assert_eq!(resolve_rungs(&all_empty, 2), vec![Some(2); 4]);
     }
 }
