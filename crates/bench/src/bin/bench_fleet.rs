@@ -6,9 +6,9 @@
 //!
 //! Four arms, all over the same deterministic [`FleetScenario`]:
 //!
-//! 1. **Independent pipelines**: one dedicated single-stream pipeline per
-//!    stream, all concurrent — the per-stream deployment the fleet
-//!    consolidates away, and the baseline of the consolidation speedup.
+//! 1. **Independent fleets**: one dedicated one-stream fleet per stream,
+//!    all concurrent — the per-stream deployment the fleet consolidates
+//!    away, and the baseline of the consolidation speedup.
 //! 2. **Unbatched fleet** (saturate, `max_batch = 1`): the shared pool
 //!    with per-frame scheduling.
 //! 3. **Batched fleet** (saturate, `max_batch = 4`): cross-stream batches
@@ -21,16 +21,13 @@
 //! Run with `cargo run --release -p upaq-bench --bin bench_fleet --
 //! [--streams N] [--frames N] [--quick] [--out PATH]`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use upaq_bench::serving::independent_fleets;
 use upaq_hwmodel::DeviceProfile;
 use upaq_json::{json, Value};
 use upaq_kitti::fleet::{FleetScenario, FleetScenarioConfig, StreamClass};
-use upaq_kitti::lidar::PointCloud;
-use upaq_kitti::stream::FrameStream;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::LidarDetector;
-use upaq_runtime::{Pipeline, PipelineConfig, SchedulerConfig, VariantLadder};
+use upaq_runtime::{SchedulerConfig, VariantLadder};
 use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
 
 const SEED: u64 = 2025;
@@ -130,45 +127,6 @@ fn arm_row(label: &str, report: &FleetReport) -> BenchResult<Value> {
     }))
 }
 
-/// One dedicated deterministic pipeline per stream, all running at once —
-/// mirrors `bin/fleet`'s independent baseline. Returns delivered frames
-/// and wall-clock seconds.
-fn independent_arm(ladder: &VariantLadder<LidarDetector>, scenario: &FleetScenario) -> (u64, f64) {
-    let streams: Vec<FrameStream<PointCloud>> = scenario
-        .profiles()
-        .iter()
-        .map(|p| scenario.stream::<PointCloud>(p.id))
-        .collect();
-    let frames = scenario.config().frames_per_stream;
-    let delivered = AtomicU64::new(0);
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for stream in streams {
-            let ladder = ladder.clone();
-            let delivered = &delivered;
-            s.spawn(move || {
-                let pipeline = Pipeline::new(
-                    ladder,
-                    PipelineConfig {
-                        frames,
-                        backbone_workers: 1,
-                        max_batch: 1,
-                        deterministic: true,
-                        scenario: "independent".into(),
-                        ..PipelineConfig::default()
-                    },
-                );
-                let outcome = pipeline.run(stream).expect("pipeline run");
-                delivered.fetch_add(outcome.report.frames_completed, Ordering::Relaxed);
-            });
-        }
-    });
-    (
-        delivered.load(Ordering::Relaxed),
-        started.elapsed().as_secs_f64(),
-    )
-}
-
 fn saturate_arm(
     ladder: &VariantLadder<LidarDetector>,
     scenario: &FleetScenario,
@@ -209,10 +167,10 @@ fn main() -> BenchResult<()> {
     );
 
     println!(
-        "Independent arm ({} dedicated pipelines, concurrently)…",
+        "Independent arm ({} dedicated one-stream fleets, concurrently)…",
         budget.streams
     );
-    let (ind_delivered, ind_duration_s) = independent_arm(&ladder, &scenario);
+    let (ind_delivered, ind_duration_s) = independent_fleets(&ladder, &scenario);
     let ind_fps = if ind_duration_s > 0.0 {
         ind_delivered as f64 / ind_duration_s
     } else {
@@ -266,7 +224,6 @@ fn main() -> BenchResult<()> {
             scheduler: SchedulerConfig {
                 ema_alpha: 0.2,
                 headroom: 1.0,
-                ..SchedulerConfig::default()
             },
             mode: FleetMode::Realtime,
             ..FleetConfig::default()
@@ -313,7 +270,7 @@ fn main() -> BenchResult<()> {
     });
     std::fs::write(&out_path, report.pretty())?;
     println!(
-        "\nConsolidation speedup {consolidation_speedup:.2}× over dedicated pipelines, \
+        "\nConsolidation speedup {consolidation_speedup:.2}× over dedicated fleets, \
          batching {batching_speedup:.2}× over the unbatched pool \
          ({} cross-stream batches); realtime Jain {:.3}",
         batched.cross_stream_batches, realtime.fairness_jain

@@ -11,8 +11,8 @@
 //!    `forward_into`, comparing the spawn-per-call + scan-per-call
 //!    baseline against the pool + packed-weights + reused-workspace path.
 //!    The `--threads 4` speedup is the PR's acceptance number.
-//! 3. **End-to-end**: deterministic `upaq-runtime` pipeline frames/sec per
-//!    detector across `threads × batch`.
+//! 3. **End-to-end**: lossless one-stream fleet (`upaq-serve`, Saturate
+//!    mode) frames/sec per detector across `threads × batch`.
 //! 4. **Per-stage breakdown**: mean latency of each serving stage —
 //!    pillarize (preprocess), backbone, decode, NMS (refine + dedupe for
 //!    LiDAR; candidate suppression for SMOKE) — on the steady-state packed
@@ -41,9 +41,10 @@ use upaq_hwmodel::DeviceProfile;
 use upaq_json::{json, Value};
 use upaq_kitti::camera::CameraImage;
 use upaq_kitti::dataset::{Dataset, DatasetConfig};
+use upaq_kitti::fleet::FleetScenario;
 use upaq_kitti::lidar::PointCloud;
 use upaq_kitti::scenario;
-use upaq_kitti::stream::{FrameStream, SensorData};
+use upaq_kitti::stream::SensorData;
 use upaq_models::detector::{CameraDetector, LidarDetector};
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::smoke::{Smoke, SmokeConfig};
@@ -51,7 +52,8 @@ use upaq_models::StreamingDetector;
 use upaq_nn::exec::{forward_into, Workspace};
 use upaq_nn::sparse::{forward_sparse_into, SparseExecConfig};
 use upaq_nn::Model;
-use upaq_runtime::{Pipeline, PipelineConfig, SchedulerConfig, VariantLadder};
+use upaq_runtime::VariantLadder;
+use upaq_serve::{FleetConfig, FleetMode, FleetServer};
 use upaq_tensor::ops::{conv2d_into, conv2d_packed_into, Conv2dParams, ExecMode, TensorParallel};
 use upaq_tensor::packed::PackedConv;
 use upaq_tensor::{Shape, Tensor};
@@ -342,44 +344,37 @@ where
         }));
     }
 
-    // --- End-to-end pipeline throughput (deterministic mode: lossless
-    // queues, unpaced source, level-0 model — pure compute throughput).
+    // --- End-to-end throughput of one stream served losslessly (Saturate
+    // mode: no pacing, no scheduler, level-0 model — pure compute
+    // throughput) by a two-worker fleet.
     TensorParallel::set_exec_mode(ExecMode::Pool);
+    let scenario =
+        FleetScenario::single(data_cfg.clone(), SEED, budget.e2e_frames, &[0.033], 0.100);
     for &threads in &THREAD_COUNTS {
         TensorParallel::set_threads(threads);
         for &batch in &BATCH_SIZES {
-            let config = PipelineConfig {
-                frames: budget.e2e_frames,
-                queue_capacity: 4.max(batch),
-                backbone_workers: 2,
-                scheduler: SchedulerConfig::default(),
-                source_interval_s: 0.0,
-                source_intervals: Vec::new(),
-                slow_backbone_s: 0.0,
-                proactive: None,
-                max_batch: batch,
-                postprocess_workers: 2,
-                deterministic: true,
-                scenario: format!("bench-t{threads}-b{batch}"),
-                ..PipelineConfig::default()
-            };
-            let pipeline = Pipeline::new(ladder.clone(), config);
-            let outcome = pipeline
-                .run(FrameStream::<D::Input>::generate(data_cfg, SEED))
-                .expect("pipeline run");
+            let server = FleetServer::new(
+                ladder.clone(),
+                scenario.clone(),
+                FleetConfig {
+                    workers: 2,
+                    max_batch: batch,
+                    mode: FleetMode::Saturate,
+                    ..FleetConfig::default()
+                },
+            );
+            let report = server.run().report;
             println!(
                 "  [{label}] e2e t{threads} b{batch}: {:.1} fps ({}/{} frames)",
-                outcome.report.fps,
-                outcome.report.frames_completed,
-                outcome.report.frames_generated
+                report.delivered_fps, report.completed, report.admitted
             );
             e2e_rows.push(json!({
                 "detector": label,
                 "threads": threads,
                 "batch": batch,
-                "fps": outcome.report.fps,
-                "completed": outcome.report.frames_completed,
-                "generated": outcome.report.frames_generated,
+                "fps": report.delivered_fps,
+                "completed": report.completed,
+                "generated": report.admitted,
             }));
         }
     }

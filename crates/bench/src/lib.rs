@@ -14,12 +14,16 @@
 //! * `ablation` — design-choice ablations DESIGN.md calls out (pattern
 //!   families, score weights, 1×1 transform, mixed precision).
 //!
+//! [`serving::independent_fleets`] is the dedicated-server baseline
+//! `bin/fleet` and `bench_fleet` measure consolidation against.
+//!
 //! Environment knobs: `UPAQ_SCENES` (dataset size), `UPAQ_REFIT` (training
 //! scenes used for head fits), `UPAQ_SEED`.
 
 pub mod harness;
 pub mod paper;
 pub mod render;
+pub mod serving;
 pub mod table;
 
 pub use harness::{HarnessConfig, Row, Table2Result};

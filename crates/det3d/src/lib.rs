@@ -33,7 +33,6 @@
 
 pub mod box3d;
 pub mod camera_head;
-pub mod complexity;
 pub mod eval;
 pub mod head;
 pub mod iou;
@@ -48,7 +47,6 @@ pub use camera_head::{
     decode_camera, decode_camera_candidates, decode_camera_candidates_reference,
     encode_camera_targets, CameraHeadSpec,
 };
-pub use complexity::{channel_activity, tensor_activity, FrameComplexity};
 pub use eval::{evaluate_detections, EvalResult};
 pub use head::{decode, decode_candidates, decode_candidates_reference, encode_targets, HeadSpec};
 pub use map::{average_precision, mean_average_precision, FrameBox};

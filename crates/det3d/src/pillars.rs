@@ -83,8 +83,7 @@ impl BevGrid {
 pub const PILLAR_CHANNELS: usize = 12;
 
 /// Index of the occupancy-flag channel in the pillar tensor: exactly 1.0
-/// at populated cells, 0.0 elsewhere — the channel complexity-feature
-/// extraction scans for BEV occupancy.
+/// at populated cells, 0.0 elsewhere.
 pub const OCCUPANCY_CHANNEL: usize = 7;
 
 /// Pillar-encoder parameters.

@@ -23,7 +23,9 @@
 //! * **Injected panics** fire inside the backbone layer, exercising
 //!   `catch_unwind` isolation and worker respawn.
 //! * **Latency spikes** add wall time to the backbone invocation
-//!   (thermal throttling), exercising watchdog deadlines.
+//!   (thermal throttling), exercising the scheduler's latency adaptation
+//!   and deadline misses. A spike rule firing on every frame models a
+//!   uniformly slow backbone (the overload scenarios use one).
 
 use crate::camera::{CameraImage, CAMERA_CHANNELS};
 use crate::lidar::PointCloud;
@@ -67,7 +69,8 @@ pub enum FaultKind {
     },
     /// Panic inside the backbone layer while processing the frame.
     PanicInBackbone,
-    /// Add wall time to the backbone invocation handling the frame.
+    /// Add wall time to the backbone invocation handling the frame; a
+    /// batched invocation pays its worst member's spike once.
     LatencySpike {
         /// Extra backbone latency, seconds.
         extra_s: f64,
@@ -139,6 +142,22 @@ impl FaultPlan {
             description: "no faults injected (control)",
             seed: 0,
             rules: Vec::new(),
+        }
+    }
+
+    /// A uniformly slow backbone: one latency spike of `extra_s` on every
+    /// frame — the overload scenarios' injected stall. Charged once per
+    /// invocation, so batching amortizes it.
+    pub fn slow_backbone(extra_s: f64) -> Self {
+        FaultPlan {
+            name: "slow-backbone",
+            description: "every backbone invocation runs slow (overload)",
+            seed: 0,
+            rules: vec![FaultRule {
+                kind: FaultKind::LatencySpike { extra_s },
+                every: 1,
+                offset: 0,
+            }],
         }
     }
 
@@ -452,6 +471,16 @@ mod tests {
         assert!(by_name("no-such-plan").is_none());
         assert!(FaultPlan::clean().is_clean());
         assert!((0..64).all(|id| FaultPlan::clean().frame(id).is_clean()));
+    }
+
+    #[test]
+    fn slow_backbone_spikes_every_frame_and_nothing_else() {
+        let plan = FaultPlan::slow_backbone(0.08);
+        for id in 0..16 {
+            let f = plan.frame(id);
+            assert_eq!(f.spike_s, 0.08);
+            assert!(f.payload.is_none() && !f.panic && f.stall_s == 0.0);
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! function of `(config, seed)` — two fleets built from equal inputs are
 //! frame-for-frame identical, the property the cross-stream bit-identity
 //! tests rely on.
+//!
+//! A single sensor stream is a fleet of one: [`FleetScenario::single`]
+//! draws stream 0 straight from the caller's seed (its frames are
+//! `FrameStream::generate(dataset, seed)`) and can replay a catalog
+//! profile's arrival-gap cycle instead of a constant rate.
 
 use crate::dataset::DatasetConfig;
 use crate::stream::{FrameStream, SensorData};
@@ -89,12 +94,22 @@ pub struct StreamProfile {
     pub frames: u64,
     /// Per-frame deadline, seconds.
     pub deadline_s: f64,
+    /// Repeating inter-arrival gaps, seconds: frame `k + 1` arrives
+    /// `gaps_s[k % len]` after frame `k`. Empty means constant-rate
+    /// pacing at `rate_hz`.
+    pub gaps_s: Vec<f64>,
 }
 
 impl StreamProfile {
-    /// Scheduled emission time of frame `k`, seconds from scenario start.
+    /// Scheduled emission time of frame `k`, seconds from scenario start:
+    /// `phase_s + k / rate_hz` at a constant rate, otherwise the phase
+    /// plus the first `k` gaps of the cycle, summed in order.
     pub fn emit_time_s(&self, k: u64) -> f64 {
-        self.phase_s + k as f64 / self.rate_hz
+        if self.gaps_s.is_empty() {
+            return self.phase_s + k as f64 / self.rate_hz;
+        }
+        let n = self.gaps_s.len() as u64;
+        (0..k).fold(self.phase_s, |t, i| t + self.gaps_s[(i % n) as usize])
     }
 }
 
@@ -146,9 +161,58 @@ impl FleetScenario {
                     phase_s,
                     frames: config.frames_per_stream,
                     deadline_s: class.deadline_s,
+                    gaps_s: Vec::new(),
                 }
             })
             .collect();
+        FleetScenario { config, profiles }
+    }
+
+    /// A fleet of one stream: `frames` frames of
+    /// `FrameStream::generate(&dataset, seed)` arriving on the repeating
+    /// inter-arrival cycle `gaps_s` (seconds; one entry is a constant
+    /// rate), each with `deadline_s` to deliver. The stream starts at
+    /// phase 0 and reports `1 / mean gap` as its rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero frames, an empty or negative gap cycle, a cycle
+    /// whose gaps are all zero, or a non-positive deadline.
+    pub fn single(
+        dataset: DatasetConfig,
+        seed: u64,
+        frames: u64,
+        gaps_s: &[f64],
+        deadline_s: f64,
+    ) -> Self {
+        assert!(frames > 0, "streams need at least one frame");
+        assert!(
+            !gaps_s.is_empty() && gaps_s.iter().all(|&g| g >= 0.0),
+            "the arrival cycle needs non-negative gaps"
+        );
+        let rate_hz = gaps_s.len() as f64 / gaps_s.iter().sum::<f64>();
+        assert!(
+            rate_hz.is_finite() && deadline_s > 0.0,
+            "streams need a positive rate and deadline"
+        );
+        let config = FleetScenarioConfig {
+            streams: 1,
+            frames_per_stream: frames,
+            classes: vec![StreamClass {
+                rate_hz,
+                deadline_s,
+            }],
+            dataset,
+        };
+        let profiles = vec![StreamProfile {
+            id: 0,
+            seed,
+            rate_hz,
+            phase_s: 0.0,
+            frames,
+            deadline_s,
+            gaps_s: gaps_s.to_vec(),
+        }];
         FleetScenario { config, profiles }
     }
 
@@ -249,6 +313,64 @@ mod tests {
         let s0: Vec<_> = a.stream::<PointCloud>(0).take(1).collect();
         let s1: Vec<_> = a.stream::<PointCloud>(1).take(1).collect();
         assert_ne!(s0[0].data.points(), s1[0].data.points());
+    }
+
+    #[test]
+    fn built_profiles_keep_the_constant_rate_schedule_bit_for_bit() {
+        let s = scenario(9);
+        for p in s.profiles() {
+            assert!(p.gaps_s.is_empty());
+            for k in 0..40 {
+                let want = p.phase_s + k as f64 / p.rate_hz;
+                assert_eq!(
+                    p.emit_time_s(k).to_bits(),
+                    want.to_bits(),
+                    "stream {}",
+                    p.id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_stream_draws_stream_zero_from_the_given_seed() {
+        let mut dataset = DatasetConfig::small();
+        dataset.scenes = 3;
+        let s = FleetScenario::single(dataset.clone(), 31, 5, &[0.033], 0.100);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.total_frames(), 5);
+        let p = &s.profiles()[0];
+        assert_eq!((p.id, p.seed, p.phase_s, p.deadline_s), (0, 31, 0.0, 0.100));
+        let fleet: Vec<_> = s.stream::<PointCloud>(0).take(7).collect();
+        let solo: Vec<_> = FrameStream::<PointCloud>::generate(&dataset, 31)
+            .take(7)
+            .collect();
+        for (a, b) in fleet.iter().zip(&solo) {
+            assert_eq!((a.id, a.scene_index), (b.id, b.scene_index));
+            assert_eq!(a.data.points(), b.data.points());
+        }
+    }
+
+    #[test]
+    fn gap_cycle_schedule_is_the_cumulative_gaps() {
+        let gaps = [0.008, 0.008, 0.008, 0.110];
+        let s = FleetScenario::single(DatasetConfig::small(), 7, 12, &gaps, 0.120);
+        let p = &s.profiles()[0];
+        let mut t = 0.0f64;
+        for k in 0..12u64 {
+            assert_eq!(p.emit_time_s(k).to_bits(), t.to_bits(), "frame {k}");
+            t += gaps[k as usize % gaps.len()];
+        }
+        assert!((p.rate_hz - 4.0 / 0.134).abs() < 1e-9);
+        // A one-gap cycle is a constant rate.
+        let u = FleetScenario::single(DatasetConfig::small(), 7, 3, &[0.05], 0.1);
+        assert!((u.profiles()[0].emit_time_s(2) - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive rate")]
+    fn all_zero_gap_cycle_panics() {
+        FleetScenario::single(DatasetConfig::small(), 1, 2, &[0.0, 0.0], 0.1);
     }
 
     #[test]

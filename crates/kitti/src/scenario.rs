@@ -49,9 +49,9 @@ pub enum ArrivalPattern {
 }
 
 impl ArrivalPattern {
-    /// The repeating cycle of inter-frame gaps, seconds. The pipeline
-    /// source cycles this list: frame `i` is followed by a sleep of
-    /// `cycle[i % cycle.len()]`.
+    /// The repeating cycle of inter-frame gaps, seconds: frame `i` is
+    /// followed by a gap of `cycle[i % cycle.len()]` (see
+    /// `FleetScenario::single`, which replays it).
     pub fn cycle(&self) -> Vec<f64> {
         match *self {
             ArrivalPattern::Uniform { interval_s } => vec![interval_s],
@@ -127,9 +127,9 @@ fn highway_lidar() -> LidarConfig {
 }
 
 fn sparse_lidar() -> LidarConfig {
-    // Dusk-grade return density: the cloud *looks* cheap to a
-    // complexity predictor even when the scene is crowded with people —
-    // the adversarial input the VRU safety floor exists for.
+    // Dusk-grade return density: the cloud *looks* cheap (few returns)
+    // even when the scene is crowded with people — the adversarial input
+    // the VRU safety floor exists for.
     LidarConfig {
         ground_points: 120,
         clutter_points: 8,

@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 use upaq_det3d::camera_head::{decode_camera, CameraHeadSpec};
-use upaq_det3d::complexity::{channel_activity, tensor_activity, FrameComplexity};
 use upaq_det3d::head::{decode, HeadSpec};
 use upaq_det3d::nms::nms;
 use upaq_det3d::pillars::{pillarize, pillarize_active, PillarConfig};
@@ -79,21 +78,6 @@ pub trait StreamingDetector: Clone + Send + Sync + 'static {
     /// Stage 3: raw head output (+ the original sample, for refinement) →
     /// final 3D boxes.
     fn postprocess(&self, output: &Tensor, input: &Self::Input) -> Vec<Box3d>;
-
-    /// Per-frame complexity features for proactive scheduling, computed
-    /// from the sensor sample and its preprocessed tensor — both already
-    /// in hand at the admission decision, so extraction is one serial
-    /// counting scan.
-    ///
-    /// Must stay deterministic: the same frame yields raw-bits-identical
-    /// features at any thread count, batch size, or execution mode,
-    /// because the features feed admission decisions and nondeterminism
-    /// here would make scheduling machine-dependent. The default scans
-    /// the whole tensor for nonzero activity; modalities with a proper
-    /// occupancy channel override it.
-    fn complexity(&self, _input: &Self::Input, preprocessed: &Tensor) -> FrameComplexity {
-        tensor_activity(preprocessed)
-    }
 
     /// The one-shot pipeline, by construction identical to running the
     /// three stages in sequence.
@@ -332,17 +316,6 @@ impl StreamingDetector for LidarDetector {
     fn postprocess(&self, output: &Tensor, input: &PointCloud) -> Vec<Box3d> {
         LidarDetector::postprocess(self, output, input)
     }
-
-    fn complexity(&self, input: &PointCloud, preprocessed: &Tensor) -> FrameComplexity {
-        // The pillar tensor's occupancy channel is exactly 1.0 at
-        // populated cells; 0.5 cleanly separates it from empty cells.
-        let (_, occupancy) =
-            channel_activity(preprocessed, upaq_det3d::pillars::OCCUPANCY_CHANNEL, 0.5);
-        FrameComplexity {
-            points: input.len().min(u32::MAX as usize) as u32,
-            occupancy,
-        }
-    }
 }
 
 /// A camera (SMOKE-style) detector: rendered image in, lifted 3D boxes out.
@@ -481,14 +454,5 @@ impl StreamingDetector for CameraDetector {
 
     fn postprocess(&self, output: &Tensor, input: &CameraImage) -> Vec<Box3d> {
         CameraDetector::postprocess(self, output, input)
-    }
-
-    fn complexity(&self, _input: &CameraImage, preprocessed: &Tensor) -> FrameComplexity {
-        // Intensity channel 0: the rendered background is ≤ 0.32 (sky
-        // 0.30, road ≤ 0.22, both ±0.02 noise) while painted objects sit
-        // above 0.34 — 0.40 splits foreground from background with margin
-        // on the bright side, where the detectable objects are.
-        let (points, occupancy) = channel_activity(preprocessed, 0, 0.40);
-        FrameComplexity { points, occupancy }
     }
 }

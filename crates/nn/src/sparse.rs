@@ -29,7 +29,8 @@
 //! `ws.activations()` after [`forward_sparse_into`] is raw-bits identical
 //! to [`crate::exec::forward_into`] at any threshold, thread count,
 //! [`ExecMode`](upaq_tensor::ops::ExecMode) or batch size — pinned by the
-//! proptests in `crates/nn/tests` and `crates/runtime/tests`.
+//! proptests in `crates/nn/tests` and the serving suite
+//! `crates/serve/tests/sparse.rs`.
 
 use crate::exec::{eval_layer, missing, Workspace};
 use crate::{LayerId, LayerKind, Model, NnError, Result};

@@ -1,47 +1,46 @@
-//! Proactive complexity-aware admission with hard safety overrides.
+//! Proactive rung steering with hard safety overrides.
 //!
 //! The reactive [`DeadlineScheduler`] is purely corrective: it picks the
-//! most accurate rung whose *measured* latency fits the frame's remaining
+//! most accurate rung whose *measured* latency fits the batch's remaining
 //! budget, so it only degrades after latency has already been paid. The
-//! proactive policy layered here uses signals the pipeline has for free
-//! *before* the backbone runs — raw point count, BEV pillar occupancy,
-//! and an EMA of recent per-class detection counts — to predict how hard
-//! the frame is, and steers simple frames onto cheaper rungs ahead of
-//! time. Energy is saved on easy frames instead of latency being burned
-//! on hard ones.
+//! proactive policy layered here reads a signal the engine has for free
+//! before the backbone runs — an EMA of recent per-class detection counts
+//! — to predict how busy the scene is, and steers quiet scenes onto
+//! cheaper rungs ahead of time. Energy is saved on easy frames instead of
+//! latency being burned on hard ones.
 //!
 //! The prediction is advisory; two hard rules override it:
 //!
 //! 1. **VRU floor** — when recent detections predict a vulnerable road
 //!    user (pedestrian or cyclist) in view — the count EMA is above
 //!    threshold, or one was sighted within the last few frames — the
-//!    frame never runs below
-//!    [`ProactiveConfig::vru_floor_level`], unconditionally. Missing
-//!    a pedestrian to save millijoules is not a trade this policy makes;
-//!    if the floored rung is predicted not to fit the deadline, the frame
-//!    still runs there and the conflict is surfaced through the
-//!    `vru_unfit` counter and the pipeline's deadline-miss metrics.
+//!    batch never runs below [`ProactiveConfig::vru_floor_level`],
+//!    unconditionally. Missing a pedestrian to save millijoules is not a
+//!    trade this policy makes; if the floored rung is predicted not to
+//!    fit the deadline, the batch still runs there and the conflict is
+//!    surfaced through the `vru_unfit` counter and the deadline-miss
+//!    metrics.
 //! 2. **Headroom fallback** — when the reactive choice's slack against
 //!    the deadline is below [`ProactiveConfig::headroom_margin_s`], the
 //!    prediction is ignored entirely and the reactive ladder's verdict
 //!    stands. Proactive steering is for frames with room to spare, not
 //!    frames already on the edge.
 //!
-//! Two invariants hold by construction and are property-tested:
-//! the policy drops a frame **iff** the reactive scheduler would have
-//! dropped it (same budgets, same verdict structure), and any rung that
-//! *differs* from the reactive floor is explicitly re-checked against the
-//! frame's budget before being chosen (per-rung latency EMAs are
-//! independent, so a cheaper rung is not automatically a faster one).
+//! The policy only re-picks the rung of a prefix the scheduler already
+//! admitted ([`ProactivePolicy::clamp_prefix`]): it never changes how
+//! many frames run or whether the head frame drops, and any rung that
+//! *differs* from the reactive one is explicitly re-checked against the
+//! budget before being chosen (per-rung latency EMAs are independent, so
+//! a cheaper rung is not automatically a faster one).
 //!
-//! Everything here is deterministic: the score is pure arithmetic over
-//! the features, the EMA update order is the postprocess completion
-//! order, and no wall-clock or RNG state is consulted.
+//! Everything here is deterministic given the detection order: the
+//! score is pure arithmetic over the EMAs, and no wall-clock or RNG state
+//! is consulted.
 
-use crate::scheduler::{Admission, DeadlineScheduler, GroupAdmission};
+use crate::scheduler::DeadlineScheduler;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use upaq_det3d::{Box3d, FrameComplexity};
+use upaq_det3d::Box3d;
 use upaq_json::{json, ToJson, Value};
 use upaq_kitti::ObjectClass;
 
@@ -76,11 +75,7 @@ pub struct ProactiveConfig {
     /// a score `≥ rung_thresholds[i]` suggests rung `i`; a score below
     /// them all suggests the cheapest rung, `rung_thresholds.len()`.
     pub rung_thresholds: Vec<f64>,
-    /// Point count that saturates the point-density term of the score.
-    pub points_norm: f64,
-    /// BEV occupancy fraction that saturates the occupancy term.
-    pub occupancy_norm: f64,
-    /// Total detection-count EMA that saturates the recent-boxes term.
+    /// Total detection-count EMA that saturates the score.
     pub boxes_norm: f64,
     /// Per-class detection-count clamp applied *before* the EMA update.
     /// Degraded rungs can spray dozens of false positives; without the
@@ -98,8 +93,6 @@ impl Default for ProactiveConfig {
             vru_hold_frames: 8,
             headroom_margin_s: 0.005,
             rung_thresholds: vec![0.60, 0.45],
-            points_norm: 1200.0,
-            occupancy_norm: 0.85,
             boxes_norm: 24.0,
             class_count_cap: 10.0,
         }
@@ -135,7 +128,7 @@ impl OverrideCounters {
 pub struct OverrideSnapshot {
     /// Frames clamped up to the VRU floor rung by the safety override.
     pub vru_floor: u64,
-    /// Frames where the predictor's suggestion was rejected because it
+    /// Batches where the predictor's suggestion was rejected because it
     /// was not verified to fit the remaining deadline budget (either more
     /// expensive than the reactive floor, or cheaper but with a worse
     /// measured latency EMA).
@@ -159,9 +152,9 @@ impl ToJson for OverrideSnapshot {
     }
 }
 
-/// The proactive admission policy: complexity predictor plus override
-/// rules, layered over a [`DeadlineScheduler`] it never contradicts on
-/// drops.
+/// The proactive steering policy: detection-history predictor plus
+/// override rules, layered over a [`DeadlineScheduler`] whose admission
+/// verdicts it never changes.
 pub struct ProactivePolicy {
     config: ProactiveConfig,
     /// Per-class detection-count EMA, indexed by [`ObjectClass::index`].
@@ -194,8 +187,7 @@ impl ProactivePolicy {
     }
 
     /// Feeds back one completed frame's detections, updating the
-    /// per-class count EMAs that drive the recent-boxes score term and
-    /// the VRU override.
+    /// per-class count EMAs that drive the score and the VRU override.
     pub fn observe_detections(&self, detections: &[Box3d]) {
         let mut counts = [0.0f64; 3];
         for b in detections {
@@ -241,22 +233,9 @@ impl ProactivePolicy {
             >= self.config.vru_threshold
     }
 
-    /// Scene-complexity score in `[0, 1]`: the mean of the saturated
-    /// point-density, BEV-occupancy and recent-detection terms.
-    pub fn complexity_score(&self, features: &FrameComplexity) -> f64 {
-        let p = (features.points as f64 / self.config.points_norm).min(1.0);
-        let o = (features.occupancy as f64 / self.config.occupancy_norm).min(1.0);
-        (p + o + self.ema_term()) / 3.0
-    }
-
-    /// Detection-history score in `[0, 1]` — the only term available
-    /// before preprocessing (the fleet serving path admits frames before
-    /// any per-frame features exist).
+    /// Scene-complexity score in `[0, 1]`: the total detection-count EMA
+    /// over [`ProactiveConfig::boxes_norm`], saturated.
     pub fn ema_score(&self) -> f64 {
-        self.ema_term()
-    }
-
-    fn ema_term(&self) -> f64 {
         let total: f64 = self.class_ema.lock().unwrap().iter().sum();
         (total / self.config.boxes_norm).min(1.0)
     }
@@ -272,97 +251,17 @@ impl ProactivePolicy {
         self.config.rung_thresholds.len()
     }
 
-    /// The predictor's rung suggestion for one frame.
-    pub fn suggest_level(&self, features: &FrameComplexity) -> usize {
-        self.level_for_score(self.complexity_score(features))
-    }
-
-    /// Proactive per-frame admission: the reactive verdict, steered by
-    /// the complexity prediction where safe, then floored by the VRU
-    /// override. Drops exactly when the reactive scheduler drops.
-    pub fn admit_budget(
-        &self,
-        scheduler: &DeadlineScheduler,
-        features: &FrameComplexity,
-        remaining_s: f64,
-    ) -> Admission {
-        let floor = match scheduler.admit_budget(remaining_s) {
-            Admission::Drop => return Admission::Drop,
-            Admission::Run { level } => level,
-        };
-        let level = self.steer(scheduler, floor, 1, remaining_s, |p| {
-            p.suggest_level(features)
-        });
-        Admission::Run { level }
-    }
-
-    /// Proactive group admission, mirroring
-    /// [`DeadlineScheduler::admit_group_budgets`]: the reactive verdict
-    /// decides the batch-vs-single-vs-drop *structure*; this policy only
-    /// re-picks the rung, fit-checked at the group's size against its
-    /// tightest budget. `features` aligns with `remaining_s`, head first.
-    pub fn admit_group_budgets(
-        &self,
-        scheduler: &DeadlineScheduler,
-        features: &[FrameComplexity],
-        remaining_s: &[f64],
-    ) -> GroupAdmission {
-        debug_assert_eq!(features.len(), remaining_s.len());
-        match scheduler.admit_group_budgets(remaining_s) {
-            GroupAdmission::Drop => GroupAdmission::Drop,
-            GroupAdmission::Single { .. } => {
-                let head = FrameComplexity::default();
-                let features = features.first().unwrap_or(&head);
-                let budget = remaining_s.first().copied().unwrap_or(f64::NEG_INFINITY);
-                match self.admit_budget(scheduler, features, budget) {
-                    Admission::Run { level } => GroupAdmission::Single { level },
-                    Admission::Drop => GroupAdmission::Drop,
-                }
-            }
-            GroupAdmission::Batch { level: floor } => {
-                let k = remaining_s.len();
-                let tightest = remaining_s.iter().copied().fold(f64::INFINITY, f64::min);
-                // The batch runs at one shared rung: suggest the rung the
-                // *hardest* member wants (the most accurate suggestion).
-                let level = self.steer(scheduler, floor, k, tightest, |p| {
-                    features
-                        .iter()
-                        .map(|f| p.suggest_level(f))
-                        .min()
-                        .unwrap_or(floor)
-                });
-                GroupAdmission::Batch { level }
-            }
-        }
-    }
-
-    /// Serve-side hook for the cross-stream batcher: re-picks the rung of
-    /// an already-admitted EDF prefix of `k` frames, using the
-    /// detection-history score (per-frame features do not exist before
-    /// preprocessing on that path). Never changes `k`; returns the rung
-    /// to run the batch on.
+    /// Re-picks the rung of an already-admitted EDF prefix of `k` frames
+    /// whose head budget is `budget_s` and whose reactive rung is
+    /// `floor`: apply the headroom fallback, then the (fit-checked)
+    /// detection-history suggestion, then the VRU floor. Never changes
+    /// `k`; returns the rung to run the batch on.
     pub fn clamp_prefix(
         &self,
         scheduler: &DeadlineScheduler,
         k: usize,
-        level: usize,
-        head_budget_s: f64,
-    ) -> usize {
-        self.steer(scheduler, level, k, head_budget_s, |p| {
-            p.level_for_score(p.ema_score())
-        })
-    }
-
-    /// The shared steering core: starting from the reactive floor rung
-    /// for a `k`-frame invocation against `budget_s`, apply the headroom
-    /// fallback, the (fit-checked) prediction, then the VRU floor.
-    fn steer(
-        &self,
-        scheduler: &DeadlineScheduler,
         floor: usize,
-        k: usize,
         budget_s: f64,
-        suggest: impl Fn(&Self) -> usize,
     ) -> usize {
         let headroom = scheduler.config().headroom;
         let cost = |level: usize| {
@@ -374,7 +273,7 @@ impl ProactivePolicy {
                 .headroom_fallback
                 .fetch_add(1, Ordering::Relaxed);
         } else {
-            let suggested = suggest(self);
+            let suggested = self.level_for_score(self.ema_score());
             if suggested != floor {
                 // A rung differing from the reactive floor must prove it
                 // fits: per-rung latency EMAs are independent, so even a
@@ -413,15 +312,9 @@ mod tests {
         VariantLadder::build(det, &DeviceProfile::jetson_orin_nano(), 3).unwrap()
     }
 
-    fn scheduler(deadline_s: f64) -> (VariantLadder<LidarDetector>, DeadlineScheduler) {
+    fn scheduler(config: SchedulerConfig) -> (VariantLadder<LidarDetector>, DeadlineScheduler) {
         let l = ladder();
-        let s = DeadlineScheduler::new(
-            &l,
-            SchedulerConfig {
-                deadline_s,
-                ..SchedulerConfig::default()
-            },
-        );
+        let s = DeadlineScheduler::new(&l, config);
         (l, s)
     }
 
@@ -441,84 +334,66 @@ mod tests {
             .collect()
     }
 
-    fn easy() -> FrameComplexity {
-        FrameComplexity {
-            points: 40,
-            occupancy: 0.001,
-        }
-    }
-
-    fn hard() -> FrameComplexity {
-        FrameComplexity {
-            points: 5000,
-            occupancy: 0.95,
-        }
-    }
-
     #[test]
     fn score_is_monotone_and_maps_to_rungs() {
         let p = ProactivePolicy::new(ProactiveConfig::default());
-        assert!(p.complexity_score(&easy()) < p.complexity_score(&hard()));
-        // A saturated-hard frame with a saturated box EMA scores 1.0
-        // (per-class counts clamp at the cap, so saturation needs all
-        // three classes busy).
+        assert_eq!(p.ema_score(), 0.0, "no history, quiet scene");
+        p.observe_detections(&boxes(3, 0, 0));
+        let light = p.ema_score();
+        assert!(light > 0.0);
+        // A saturated history scores 1.0 (per-class counts clamp at the
+        // cap, so saturation needs all three classes busy).
         for _ in 0..50 {
             p.observe_detections(&boxes(10, 10, 10));
         }
-        assert!((p.complexity_score(&hard()) - 1.0).abs() < 1e-9);
+        assert!(p.ema_score() > light);
+        assert!((p.ema_score() - 1.0).abs() < 1e-9);
         assert_eq!(p.level_for_score(1.0), 0);
         assert_eq!(p.level_for_score(0.5), 1);
         assert_eq!(p.level_for_score(0.2), 2);
     }
 
     #[test]
-    fn easy_frames_steer_to_cheaper_rungs_under_a_loose_deadline() {
-        let (_l, s) = scheduler(10.0);
+    fn quiet_scenes_steer_to_cheaper_rungs_and_busy_ones_stay_put() {
+        let (_l, s) = scheduler(SchedulerConfig::default());
         let p = ProactivePolicy::new(ProactiveConfig::default());
-        // Reactive alone runs the full model; the predictor sends the
-        // easy frame down the ladder.
-        assert_eq!(s.admit_budget(10.0), Admission::Run { level: 0 });
-        match p.admit_budget(&s, &easy(), 10.0) {
-            Admission::Run { level } => assert!(level > 0, "easy frame should degrade"),
-            Admission::Drop => panic!("must not drop"),
-        }
-        // A hard frame stays on the full model — no counters fire.
-        assert_eq!(
-            p.admit_budget(&s, &hard(), 10.0),
-            Admission::Run { level: 0 }
+        // Reactive alone runs the full model; the empty history sends the
+        // batch down the ladder.
+        assert_eq!(s.admit_prefix(&[10.0; 4]), Some((4, 0)));
+        assert!(
+            p.clamp_prefix(&s, 4, 0, 10.0) > 0,
+            "quiet scene should degrade"
         );
-    }
-
-    #[test]
-    fn drop_parity_with_the_reactive_scheduler() {
-        let (_l, s) = scheduler(0.100);
-        let p = ProactivePolicy::new(ProactiveConfig::default());
-        for budget in [-1.0, 0.0, 1e-6, 0.001, 0.05, 0.1, 10.0] {
-            let reactive_drops = s.admit_budget(budget) == Admission::Drop;
-            let proactive_drops = p.admit_budget(&s, &easy(), budget) == Admission::Drop;
-            assert_eq!(reactive_drops, proactive_drops, "budget {budget}");
+        // A saturated history keeps the batch on the full model on the
+        // score alone (the VRU override is disarmed here), and no
+        // counter fires.
+        let busy = ProactivePolicy::new(ProactiveConfig {
+            vru_threshold: f64::INFINITY,
+            vru_hold_frames: 0,
+            ..ProactiveConfig::default()
+        });
+        for _ in 0..50 {
+            busy.observe_detections(&boxes(10, 10, 10));
         }
+        assert_eq!(busy.clamp_prefix(&s, 4, 0, 10.0), 0);
+        assert_eq!(busy.overrides(), OverrideSnapshot::default());
     }
 
     #[test]
     fn vru_override_floors_the_rung_and_counts() {
-        let (_l, s) = scheduler(10.0);
+        let (_l, s) = scheduler(SchedulerConfig::default());
         let p = ProactivePolicy::new(ProactiveConfig::default());
         for _ in 0..10 {
             p.observe_detections(&boxes(0, 2, 1));
         }
         assert!(p.vru_predicted());
-        // The easy frame would steer to the cheapest rung, but the VRU
-        // floor holds it at LCK.
-        match p.admit_budget(&s, &easy(), 10.0) {
-            Admission::Run { level } => {
-                assert!(
-                    level <= p.config().vru_floor_level,
-                    "ran below the VRU floor"
-                )
-            }
-            Admission::Drop => panic!("must not drop"),
-        }
+        // The reactive verdict may already be degraded (a cheap rung
+        // fits), but the VRU floor pulls the batch back up.
+        let floored = p.clamp_prefix(&s, 4, 2, 10.0);
+        assert!(
+            floored <= p.config().vru_floor_level,
+            "ran below the VRU floor"
+        );
         let snap = p.overrides();
         assert!(snap.vru_floor > 0, "override must be counted");
         assert_eq!(snap.vru_unfit, 0, "a 10 s budget fits every rung");
@@ -557,15 +432,15 @@ mod tests {
     #[test]
     fn false_positive_spray_is_clamped_before_the_ema() {
         // A degraded rung hallucinating 60 cars must not saturate the
-        // recent-boxes term — that feedback would keep the policy pinned
-        // on whatever rung produced the spray.
+        // score — that feedback would keep the policy pinned on whatever
+        // rung produced the spray.
         let p = ProactivePolicy::new(ProactiveConfig::default());
         for _ in 0..50 {
             p.observe_detections(&boxes(60, 0, 0));
         }
         let cap = p.config().class_count_cap;
         assert!(p.class_ema()[0] <= cap + 1e-9);
-        assert!(p.ema_score() < 0.5, "one class cannot saturate the term");
+        assert!(p.ema_score() < 0.5, "one class cannot saturate the score");
     }
 
     #[test]
@@ -575,95 +450,46 @@ mod tests {
         let s = DeadlineScheduler::new(
             &l,
             SchedulerConfig {
-                deadline_s: 10.0,
                 ema_alpha: 0.0,
                 headroom: 1.0,
             },
         );
         let p = ProactivePolicy::new(ProactiveConfig::default());
-        // Budget leaves the reactive choice (level 0) less slack than the
-        // margin: prediction is skipped, reactive verdict stands.
+        // The budget leaves the reactive choice (level 0) less slack than
+        // the margin: the prediction is skipped, the reactive rung stands.
         let budget = base + p.config().headroom_margin_s / 2.0;
-        assert_eq!(p.admit_budget(&s, &easy(), budget), s.admit_budget(budget));
+        assert_eq!(s.admit_prefix(&[budget]), Some((1, 0)));
+        assert_eq!(p.clamp_prefix(&s, 1, 0, budget), 0);
         assert!(p.overrides().headroom_fallback > 0);
     }
 
     #[test]
     fn cheaper_suggestion_with_worse_measured_ema_is_clamped() {
-        let l = ladder();
-        let s = DeadlineScheduler::new(
-            &l,
-            SchedulerConfig {
-                deadline_s: 1.0,
-                ema_alpha: 0.5,
-                headroom: 1.0,
-            },
-        );
+        let (l, s) = scheduler(SchedulerConfig {
+            ema_alpha: 0.5,
+            headroom: 1.0,
+        });
         // Teach the scheduler that the cheapest rung is measured *slow*:
         // nominally cheaper, actually unaffordable.
         for _ in 0..50 {
             s.observe(l.len() - 1, 5.0);
         }
         let p = ProactivePolicy::new(ProactiveConfig::default());
-        match p.admit_budget(&s, &easy(), 1.0) {
-            Admission::Run { level } => {
-                assert!(level < l.len() - 1, "must not pick the slow rung");
-                let fits =
-                    (s.predicted_s(level) + s.predicted_post_s()) * s.config().headroom <= 1.0;
-                assert!(fits, "chosen rung must fit the budget");
-            }
-            Admission::Drop => panic!("must not drop"),
-        }
+        let level = p.clamp_prefix(&s, 1, 0, 1.0);
+        assert!(level < l.len() - 1, "must not pick the slow rung");
+        let fits = (s.predicted_s(level) + s.predicted_post_s()) * s.config().headroom <= 1.0;
+        assert!(fits, "chosen rung must fit the budget");
+        assert!(p.overrides().deadline_clamp > 0);
     }
 
     #[test]
-    fn group_admission_preserves_structure_and_floors_batches() {
-        let (_l, s) = scheduler(10.0);
+    fn clamp_prefix_fit_checks_the_whole_batch() {
+        let (_l, s) = scheduler(SchedulerConfig::default());
         let p = ProactivePolicy::new(ProactiveConfig::default());
-        let feats = vec![easy(), easy(), easy()];
-        let budgets = vec![10.0, 10.0, 10.0];
-        // Reactive batches; proactive must also batch (never changes the
-        // structure), possibly at a different rung.
-        let reactive = s.admit_group_budgets(&budgets);
-        assert!(matches!(reactive, GroupAdmission::Batch { .. }));
-        match p.admit_group_budgets(&s, &feats, &budgets) {
-            GroupAdmission::Batch { level } => {
-                let tight = 10.0;
-                let total =
-                    (s.predicted_batch_s(level, 3) + s.predicted_post_s()) * s.config().headroom;
-                assert!(total <= tight, "batched rung must fit the tightest budget");
-            }
-            other => panic!("structure changed: {other:?}"),
-        }
-        // With a VRU predicted, the batch rung is floored too.
-        for _ in 0..10 {
-            p.observe_detections(&boxes(0, 2, 1));
-        }
-        match p.admit_group_budgets(&s, &feats, &budgets) {
-            GroupAdmission::Batch { level } => assert!(level <= p.config().vru_floor_level),
-            other => panic!("structure changed: {other:?}"),
-        }
-        // Drop structure is preserved exactly.
-        assert_eq!(
-            p.admit_group_budgets(&s, &[easy()], &[-1.0]),
-            GroupAdmission::Drop
-        );
-        assert_eq!(p.admit_group_budgets(&s, &[], &[]), GroupAdmission::Drop);
-    }
-
-    #[test]
-    fn clamp_prefix_keeps_k_and_respects_the_vru_floor() {
-        let (_l, s) = scheduler(10.0);
-        let p = ProactivePolicy::new(ProactiveConfig::default());
-        // Empty EMA → easy scene → cheaper rung suggested and taken.
-        let steered = p.clamp_prefix(&s, 4, 0, 10.0);
-        assert!(steered > 0, "idle fleet should steer down the ladder");
-        // VRU in view → floored.
-        for _ in 0..10 {
-            p.observe_detections(&boxes(0, 2, 1));
-        }
-        let floored = p.clamp_prefix(&s, 4, 0, 10.0);
-        assert!(floored <= p.config().vru_floor_level);
+        let (k, level) = s.admit_prefix(&[10.0; 3]).expect("admits");
+        let steered = p.clamp_prefix(&s, k, level, 10.0);
+        let total = (s.predicted_batch_s(steered, k) + s.predicted_post_s()) * s.config().headroom;
+        assert!(total <= 10.0, "batched rung must fit the head budget");
     }
 
     #[test]

@@ -1,30 +1,31 @@
-//! Deadline-aware admission: per frame, run the most accurate variant
-//! that still fits the frame's remaining deadline budget, degrade down
-//! the ladder when it does not, and drop the frame when even the
-//! cheapest variant cannot finish in time.
+//! Deadline-aware admission: offered a group of queued frames in
+//! earliest-deadline-first order, run the largest prefix one batched
+//! invocation can finish within the head frame's remaining budget, on the
+//! most accurate rung that fits; degrade down the ladder when the full
+//! model does not fit, and drop the head frame when even the cheapest
+//! variant cannot finish in time.
 //!
 //! Latency predictions start from the hardware model's per-variant
 //! estimates and are corrected online by an exponential moving average of
-//! measured stage latencies, so the policy adapts to the machine it is
-//! actually running on (including injected slow stages in the overload
-//! tests). The admission budget covers the frame's *remaining* work —
-//! predicted backbone latency plus the observed postprocess EMA — so a
-//! frame admitted with an exactly-fitting budget does not then miss its
-//! deadline inside postprocess.
+//! measured invocation latencies, so the policy adapts to the machine it
+//! is actually running on (including injected latency spikes in the
+//! overload tests). The admission budget covers the frame's *remaining*
+//! work — predicted backbone latency plus the observed postprocess EMA —
+//! so a frame admitted with an exactly-fitting budget does not then miss
+//! its deadline inside postprocess.
 
 use crate::variant::VariantLadder;
 use std::sync::Mutex;
 use upaq_hwmodel::BatchCost;
 use upaq_models::StreamingDetector;
 
-/// Scheduler knobs.
+/// Scheduler knobs. Deadlines belong to the streams: the scheduler only
+/// ever sees each frame's remaining budget.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
-    /// Per-frame deadline from source arrival to detections, seconds.
-    pub deadline_s: f64,
     /// EMA weight for new latency observations (0 disables adaptation).
     pub ema_alpha: f64,
-    /// Safety factor applied to predicted latency (1.0 = none): a frame is
+    /// Safety factor applied to predicted latency (1.0 = none): a batch is
     /// admitted at a level only if `headroom × predicted ≤ remaining`.
     pub headroom: f64,
 }
@@ -32,43 +33,10 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            deadline_s: 0.100,
             ema_alpha: 0.2,
             headroom: 1.0,
         }
     }
-}
-
-/// The scheduler's verdict for one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Run the frame on ladder level `level` (0 = full model).
-    Run {
-        /// Chosen degrade-ladder level.
-        level: usize,
-    },
-    /// The frame cannot meet its deadline on any variant; drop it.
-    Drop,
-}
-
-/// The scheduler's verdict for a group of queued frames offered together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupAdmission {
-    /// Run the whole group as one batched forward pass on ladder level
-    /// `level`. Guaranteed to fit the *earliest* deadline in the group.
-    Batch {
-        /// Chosen degrade-ladder level, shared by every member.
-        level: usize,
-    },
-    /// Batching does not fit, but the group's head frame can run alone on
-    /// `level` (today's per-frame path). The caller re-offers the rest.
-    Single {
-        /// Chosen degrade-ladder level for the head frame.
-        level: usize,
-    },
-    /// The head frame cannot meet its deadline on any variant; drop it
-    /// and re-offer the rest.
-    Drop,
 }
 
 /// Deadline-aware variant scheduler over a [`VariantLadder`].
@@ -128,79 +96,7 @@ impl DeadlineScheduler {
         self.post_s.lock().unwrap().unwrap_or(0.0)
     }
 
-    /// Decides what to do with a frame that has already waited `age_s`
-    /// seconds since source arrival. The budget must cover the frame's
-    /// remaining work: the level's predicted backbone latency *plus* the
-    /// observed postprocess cost.
-    pub fn admit(&self, age_s: f64) -> Admission {
-        self.admit_budget(self.config.deadline_s - age_s)
-    }
-
-    /// Decides what to do with a frame that has `remaining_s` seconds of
-    /// deadline budget left. This is the per-stream-deadline entry point:
-    /// the fleet serving layer computes each frame's budget against its
-    /// *own* stream's deadline and offers the budget directly, while
-    /// [`admit`][Self::admit] keeps deriving it from the config's single
-    /// deadline.
-    pub fn admit_budget(&self, remaining_s: f64) -> Admission {
-        if remaining_s <= 0.0 {
-            return Admission::Drop;
-        }
-        let post = self.predicted_post_s();
-        let costs = self.costs.lock().unwrap();
-        for (level, c) in costs.iter().enumerate() {
-            if (c.predict_s(1) + post) * self.config.headroom <= remaining_s {
-                return Admission::Run { level };
-            }
-        }
-        Admission::Drop
-    }
-
-    /// Decides what to do with a group of queued frames whose waits so far
-    /// are `ages_s` (head of the queue first).
-    ///
-    /// A batch is admitted only when one invocation covering the *whole*
-    /// group — predicted batched backbone latency plus the per-frame
-    /// postprocess cost — fits the group's **earliest** deadline, i.e. the
-    /// budget left for its oldest member. Batching must never sacrifice the
-    /// most urgent frame for amortization. Otherwise the verdict falls back
-    /// to per-frame admission of the head frame ([`GroupAdmission::Single`]
-    /// / [`GroupAdmission::Drop`]) and the caller re-offers the remainder
-    /// as a smaller group — which is how mixed-deadline queues split.
-    ///
-    /// A single-frame group degenerates exactly to [`admit`][Self::admit]:
-    /// `predict(1)` is the per-frame prediction.
-    pub fn admit_group(&self, ages_s: &[f64]) -> GroupAdmission {
-        let budgets: Vec<f64> = ages_s.iter().map(|a| self.config.deadline_s - a).collect();
-        self.admit_group_budgets(&budgets)
-    }
-
-    /// [`admit_group`][Self::admit_group] over explicit remaining-budget
-    /// seconds instead of ages against one shared deadline. Streams with
-    /// heterogeneous deadlines mix in one group: the batch must fit the
-    /// **smallest** budget in the group, whichever stream it came from.
-    pub fn admit_group_budgets(&self, remaining_s: &[f64]) -> GroupAdmission {
-        let k = remaining_s.len();
-        if k > 1 {
-            // Earliest deadline = smallest remaining budget.
-            let tightest = remaining_s.iter().copied().fold(f64::INFINITY, f64::min);
-            if tightest > 0.0 {
-                let post = self.predicted_post_s();
-                let costs = self.costs.lock().unwrap();
-                for (level, c) in costs.iter().enumerate() {
-                    if (c.predict_s(k) + post) * self.config.headroom <= tightest {
-                        return GroupAdmission::Batch { level };
-                    }
-                }
-            }
-        }
-        match self.admit_budget(remaining_s.first().copied().unwrap_or(f64::NEG_INFINITY)) {
-            Admission::Run { level } => GroupAdmission::Single { level },
-            Admission::Drop => GroupAdmission::Drop,
-        }
-    }
-
-    /// The cross-stream batcher's primitive: given a group in
+    /// The admission primitive: given a group in
     /// earliest-deadline-first order (`budgets_sorted[0]` is the tightest
     /// remaining budget, in seconds), returns the largest admissible prefix
     /// `(k, level)` — `k` frames runnable as one batched invocation on
@@ -284,24 +180,27 @@ mod tests {
         VariantLadder::build(det, &DeviceProfile::jetson_orin_nano(), 3).unwrap()
     }
 
+    fn frozen() -> SchedulerConfig {
+        SchedulerConfig {
+            ema_alpha: 0.0,
+            headroom: 1.0,
+        }
+    }
+
     #[test]
     fn fresh_frame_runs_full_model() {
         let l = ladder();
-        let s = DeadlineScheduler::new(
-            &l,
-            SchedulerConfig {
-                deadline_s: 10.0,
-                ..SchedulerConfig::default()
-            },
-        );
-        assert_eq!(s.admit(0.0), Admission::Run { level: 0 });
+        let s = DeadlineScheduler::new(&l, SchedulerConfig::default());
+        assert_eq!(s.admit_prefix(&[10.0]), Some((1, 0)));
     }
 
     #[test]
     fn stale_frame_is_dropped() {
         let l = ladder();
         let s = DeadlineScheduler::new(&l, SchedulerConfig::default());
-        assert_eq!(s.admit(0.2), Admission::Drop);
+        // A 100 ms deadline 200 ms after arrival: 100 ms overdue.
+        assert_eq!(s.admit_prefix(&[0.1 - 0.2]), None);
+        assert_eq!(s.admit_prefix(&[0.0]), None);
     }
 
     #[test]
@@ -309,19 +208,12 @@ mod tests {
         let l = ladder();
         let base = l.level(0).estimate.latency_s;
         let cheapest = l.level(l.len() - 1).estimate.latency_s;
-        // Deadline sits between the cheapest and the full variant: the
+        // The budget sits between the cheapest and the full variant: the
         // scheduler must pick a degraded level, not drop.
-        let s = DeadlineScheduler::new(
-            &l,
-            SchedulerConfig {
-                deadline_s: (cheapest + base) / 2.0,
-                ema_alpha: 0.0,
-                headroom: 1.0,
-            },
-        );
-        match s.admit(0.0) {
-            Admission::Run { level } => assert!(level > 0, "expected a degraded level"),
-            Admission::Drop => panic!("should degrade, not drop"),
+        let s = DeadlineScheduler::new(&l, frozen());
+        match s.admit_prefix(&[(cheapest + base) / 2.0]) {
+            Some((1, level)) => assert!(level > 0, "expected a degraded level"),
+            other => panic!("should degrade, not {other:?}"),
         }
     }
 
@@ -353,7 +245,7 @@ mod tests {
         s.observe(l.len() + 5, 123.0);
         // In-range predictions are untouched by the ignored observation.
         assert_eq!(s.predicted_s(0), before);
-        assert_eq!(s.admit(0.0), Admission::Run { level: 0 });
+        assert_eq!(s.admit_prefix(&[0.100]), Some((1, 0)));
     }
 
     #[test]
@@ -361,102 +253,48 @@ mod tests {
         let l = ladder();
         let base = l.level(0).estimate.latency_s;
         let cheapest = l.level(l.len() - 1).estimate.latency_s;
-        // Deadline fits the full backbone exactly (with margin smaller than
-        // the postprocess cost we are about to observe).
+        // The budget fits the full backbone exactly (with margin smaller
+        // than the postprocess cost we are about to observe).
         let post = (base - cheapest) / 2.0;
+        let budget = base + post / 4.0;
         let s = DeadlineScheduler::new(
             &l,
             SchedulerConfig {
-                deadline_s: base + post / 4.0,
                 ema_alpha: 0.5,
                 headroom: 1.0,
             },
         );
         // Without postprocess knowledge the full model fits…
-        assert_eq!(s.admit(0.0), Admission::Run { level: 0 });
+        assert_eq!(s.admit_prefix(&[budget]), Some((1, 0)));
         // …but once postprocess is observed, the *remaining work* no longer
         // does: the scheduler must degrade instead of admitting a frame
         // that is guaranteed to miss its deadline in postprocess.
         s.observe_post(post);
         assert!((s.predicted_post_s() - post).abs() < 1e-12);
-        match s.admit(0.0) {
-            Admission::Run { level } => assert!(level > 0, "must degrade once post cost is known"),
-            Admission::Drop => panic!("cheaper variants still fit"),
+        match s.admit_prefix(&[budget]) {
+            Some((1, level)) => assert!(level > 0, "must degrade once post cost is known"),
+            other => panic!("cheaper variants still fit, got {other:?}"),
         }
     }
 
     #[test]
-    fn group_of_one_degenerates_exactly_to_per_frame_admission() {
+    fn near_expired_head_drops_instead_of_batching_with_fresh_frames() {
         let l = ladder();
         let s = DeadlineScheduler::new(&l, SchedulerConfig::default());
-        // Across fresh, mid-life, and stale ages, K=1 group admission must
-        // agree with the per-frame policy verdict-for-verdict.
-        for age in [0.0, 0.02, 0.05, 0.09, 0.099, 0.15, 1.0] {
-            let single = s.admit(age);
-            let group = s.admit_group(&[age]);
-            match (single, group) {
-                (Admission::Run { level: a }, GroupAdmission::Single { level: b }) => {
-                    assert_eq!(a, b, "age {age}")
-                }
-                (Admission::Drop, GroupAdmission::Drop) => {}
-                other => panic!("age {age}: K=1 diverged from per-frame policy: {other:?}"),
-            }
-        }
-        // An empty group has no head frame to admit.
-        assert_eq!(s.admit_group(&[]), GroupAdmission::Drop);
-    }
-
-    #[test]
-    fn batch_admission_never_violates_earliest_deadline() {
-        let l = ladder();
-        let s = DeadlineScheduler::new(&l, SchedulerConfig::default());
-        s.observe_post(0.001);
-        let cfg = s.config();
-        // Sweep group shapes, oldest frame in any position; every admitted
-        // batch must fit the budget left for its oldest member.
-        let groups: Vec<Vec<f64>> = vec![
-            vec![0.0, 0.0],
-            vec![0.01, 0.03, 0.02],
-            vec![0.08, 0.0, 0.0, 0.0],
-            vec![0.0, 0.0, 0.0, 0.09],
-            vec![0.02; 7],
-        ];
-        for ages in groups {
-            if let GroupAdmission::Batch { level } = s.admit_group(&ages) {
-                let oldest = ages.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let total = s.predicted_batch_s(level, ages.len()) + s.predicted_post_s();
-                assert!(
-                    total * cfg.headroom <= cfg.deadline_s - oldest,
-                    "ages {ages:?}: batch at level {level} overruns the earliest deadline"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_deadline_group_splits_instead_of_batching() {
-        let l = ladder();
-        let s = DeadlineScheduler::new(&l, SchedulerConfig::default());
-        // Make the learned cost concrete: batch-1 at 30 ms, so a batch of 3
-        // (~90 ms) cannot fit a near-expired member but singles can run.
+        // Make the learned cost concrete: 30 ms per single-frame run on
+        // every rung, so a 5 ms head budget fits nowhere.
         for _ in 0..200 {
             for level in 0..l.len() {
                 s.observe_batch(level, 1, 0.030);
             }
         }
-        // One member is 95 ms old (5 ms budget left) — the whole group must
-        // not batch on its deadline.
-        let verdict = s.admit_group(&[0.095, 0.0, 0.0]);
+        // The stale head cannot run anywhere — batching it with the fresh
+        // frames would blow its budget — so it is dropped…
+        assert_eq!(s.admit_prefix(&[0.005, 0.100, 0.100]), None);
+        // …and the caller re-offers the two fresh frames, which batch.
+        let fresh = s.admit_prefix(&[0.100, 0.100]);
         assert!(
-            !matches!(verdict, GroupAdmission::Batch { .. }),
-            "batching would blow the 5 ms budget of the oldest member"
-        );
-        // The stale head itself cannot run anywhere → dropped, and the
-        // caller re-offers the two fresh frames, which then do batch.
-        assert_eq!(s.admit_group(&[0.095]), GroupAdmission::Drop);
-        let fresh = s.admit_group(&[0.0, 0.0]);
-        assert!(
-            matches!(fresh, GroupAdmission::Batch { .. }),
+            matches!(fresh, Some((2, _))),
             "two fresh frames fit one batched pass (got {fresh:?})"
         );
     }
@@ -477,32 +315,10 @@ mod tests {
         // A batch of 4 on the full model misses the 100 ms deadline, but a
         // degraded rung fits: the group batches at a shared cheaper level
         // rather than splitting.
-        match s.admit_group(&[0.0; 4]) {
-            GroupAdmission::Batch { level } => assert!(level > 0, "expected a degraded rung"),
-            other => panic!("expected a degraded batched admission, got {other:?}"),
+        match s.admit_prefix(&[0.100; 4]) {
+            Some((4, level)) => assert!(level > 0, "expected a degraded rung"),
+            other => panic!("expected a degraded 4-frame batch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn budget_admission_agrees_with_age_admission() {
-        let l = ladder();
-        let s = DeadlineScheduler::new(&l, SchedulerConfig::default());
-        s.observe_post(0.002);
-        let deadline = s.config().deadline_s;
-        for age in [0.0, 0.02, 0.05, 0.09, 0.099, 0.15, 1.0] {
-            assert_eq!(s.admit(age), s.admit_budget(deadline - age), "age {age}");
-        }
-        // Heterogeneous deadlines: the same frame age admits under a
-        // generous stream budget and drops under an exhausted one.
-        assert!(matches!(s.admit_budget(10.0), Admission::Run { .. }));
-        assert_eq!(s.admit_budget(0.0), Admission::Drop);
-        assert_eq!(s.admit_budget(-0.5), Admission::Drop);
-        // Group form: ages and explicit budgets give the same verdicts.
-        for ages in [vec![0.0, 0.01], vec![0.09, 0.0, 0.02], vec![0.15]] {
-            let budgets: Vec<f64> = ages.iter().map(|a| deadline - a).collect();
-            assert_eq!(s.admit_group(&ages), s.admit_group_budgets(&budgets));
-        }
-        assert_eq!(s.admit_group_budgets(&[]), GroupAdmission::Drop);
     }
 
     #[test]
@@ -558,11 +374,8 @@ mod tests {
         assert!(k >= 2, "expected a multi-frame batch, got k={k}");
         assert!(level > 0, "the 40 ms full model cannot fit a 30 ms budget");
         // When only one frame is offered, the most accurate fitting rung
-        // wins the tie — per-frame admission and the prefix agree.
-        match (s.admit_budget(0.100), s.admit_prefix(&[0.100])) {
-            (Admission::Run { level: a }, Some((1, b))) => assert_eq!(a, b),
-            other => panic!("divergent single-frame verdicts: {other:?}"),
-        }
+        // wins: the 40 ms full model fits a 100 ms budget.
+        assert_eq!(s.admit_prefix(&[0.100]), Some((1, 0)));
     }
 
     #[test]
@@ -591,21 +404,20 @@ mod tests {
         let s = DeadlineScheduler::new(
             &l,
             SchedulerConfig {
-                deadline_s: 0.050,
                 ema_alpha: 0.5,
                 headroom: 1.0,
             },
         );
-        // Nominal predictions fit the deadline at level 0.
-        assert_eq!(s.admit(0.0), Admission::Run { level: 0 });
-        // A run of slow level-0 measurements (injected slow stage) makes
-        // the full model unattractive; the scheduler degrades.
+        // Nominal predictions fit a 50 ms budget at level 0.
+        assert_eq!(s.admit_prefix(&[0.050]), Some((1, 0)));
+        // A run of slow level-0 measurements (injected latency spikes)
+        // makes the full model unattractive; the scheduler degrades.
         for _ in 0..20 {
             s.observe(0, 0.200);
         }
-        match s.admit(0.0) {
-            Admission::Run { level } => assert!(level > 0),
-            Admission::Drop => panic!("cheaper variants still fit"),
+        match s.admit_prefix(&[0.050]) {
+            Some((1, level)) => assert!(level > 0),
+            other => panic!("cheaper variants still fit, got {other:?}"),
         }
     }
 }

@@ -1,17 +1,21 @@
 //! Property tests for the proactive policy's hard safety invariants.
 //!
 //! Across random scheduler states (arbitrary latency observations),
-//! random frame features, random budgets and random detection histories:
+//! random budgets and random detection histories, the rung
+//! [`ProactivePolicy::clamp_prefix`] picks for an admitted prefix:
 //!
-//! 1. **VRU floor** — a frame admitted while the policy predicts a
-//!    vulnerable road user never runs below
-//!    [`ProactiveConfig::vru_floor_level`], no matter what the complexity
-//!    predictor suggests or how the scheduler's EMAs are poisoned.
-//! 2. **Drop parity** — the proactive policy drops a frame (or group)
-//!    exactly when the reactive scheduler would have: proactive steering
-//!    never admits a frame the reactive path would have rejected for
-//!    deadline reasons, and never sheds one it would have served.
-//! 3. Every admitted rung is a real ladder level.
+//! 1. **VRU floor** — while the policy predicts a vulnerable road user,
+//!    never runs below [`ProactiveConfig::vru_floor_level`], no matter
+//!    what the detection-history score suggests or how the scheduler's
+//!    EMAs are poisoned;
+//! 2. **Fit check** — otherwise either is the scheduler's own rung or is
+//!    predicted to fit the head budget at the prefix's batch size (per-rung
+//!    EMAs are independent, so a cheaper rung is not automatically faster);
+//! 3. is a real ladder level.
+//!
+//! Admission itself — how many frames run, and whether the head frame
+//! drops — is `DeadlineScheduler::admit_prefix`'s alone; the policy
+//! cannot change it, by construction of its signature.
 //!
 //! The ladder is built once (compression is the expensive part); each
 //! case builds a fresh scheduler + policy, so EMA state never leaks
@@ -19,12 +23,12 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use upaq_det3d::{Box3d, FrameComplexity};
+use upaq_det3d::Box3d;
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::ObjectClass;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::LidarDetector;
-use upaq_runtime::scheduler::{Admission, DeadlineScheduler, GroupAdmission, SchedulerConfig};
+use upaq_runtime::scheduler::{DeadlineScheduler, SchedulerConfig};
 use upaq_runtime::{ProactiveConfig, ProactivePolicy, VariantLadder};
 use upaq_tensor::ops::TensorParallel;
 
@@ -54,21 +58,6 @@ fn arb_history() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
 /// may be taught to look arbitrarily slow or fast.
 fn arb_observations() -> impl Strategy<Value = Vec<(usize, f64)>> {
     prop::collection::vec((0usize..3, 1e-4f64..0.2), 0..20)
-}
-
-fn arb_features() -> impl Strategy<Value = FrameComplexity> {
-    (0u32..6000, 0.0f32..1.0).prop_map(|(points, occupancy)| FrameComplexity { points, occupancy })
-}
-
-/// Budgets spanning the interesting regimes: already late, too tight for
-/// anything, tight, and roomy.
-fn arb_budget() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        -0.050f64..0.0,
-        0.0f64..0.004,
-        0.004f64..0.200,
-        Just(10.0f64),
-    ]
 }
 
 fn arb_config() -> impl Strategy<Value = ProactiveConfig> {
@@ -106,13 +95,7 @@ fn build(
     history: &[(usize, usize, usize)],
 ) -> (DeadlineScheduler, ProactivePolicy) {
     let l = ladder();
-    let scheduler = DeadlineScheduler::new(
-        l,
-        SchedulerConfig {
-            deadline_s: 0.100,
-            ..SchedulerConfig::default()
-        },
-    );
+    let scheduler = DeadlineScheduler::new(l, SchedulerConfig::default());
     for &(level, s) in observations {
         scheduler.observe(level.min(l.len() - 1), s);
     }
@@ -124,78 +107,11 @@ fn build(
 }
 
 proptest! {
-    /// Per-frame admission: drop parity with the reactive scheduler, a
-    /// real ladder rung, and the VRU floor whenever a VRU is predicted.
+    /// The rung re-picked for an admitted prefix is a real ladder level,
+    /// honors the VRU floor, and otherwise either stays on the
+    /// scheduler's rung or is fit-checked against the head budget.
     #[test]
-    fn admit_budget_holds_the_safety_invariants(
-        config in arb_config(),
-        observations in arb_observations(),
-        history in arb_history(),
-        features in arb_features(),
-        budget in arb_budget(),
-    ) {
-        let (scheduler, policy) = build(&config, &observations, &history);
-        let vru = policy.vru_predicted();
-        let reactive = scheduler.admit_budget(budget);
-        let proactive = policy.admit_budget(&scheduler, &features, budget);
-        match (reactive, proactive) {
-            (Admission::Drop, Admission::Drop) => {}
-            (Admission::Run { .. }, Admission::Run { level }) => {
-                prop_assert!(level < ladder().len(), "rung {level} outside the ladder");
-                if vru {
-                    prop_assert!(
-                        level <= config.vru_floor_level,
-                        "predicted VRU ran below the floor: level {level} > {}",
-                        config.vru_floor_level
-                    );
-                }
-            }
-            (r, p) => prop_assert!(false, "drop parity violated: reactive {r:?}, proactive {p:?}"),
-        }
-    }
-
-    /// Group admission preserves the reactive verdict's structure exactly
-    /// (batch stays batch, single stays single, drop stays drop) and the
-    /// VRU floor binds the shared batch rung too.
-    #[test]
-    fn group_admission_preserves_structure_and_the_floor(
-        config in arb_config(),
-        observations in arb_observations(),
-        history in arb_history(),
-        features in prop::collection::vec(arb_features(), 1..5),
-        budgets_extra in prop::collection::vec(arb_budget(), 1..5),
-    ) {
-        let (scheduler, policy) = build(&config, &observations, &history);
-        let n = features.len().min(budgets_extra.len());
-        let (features, mut budgets) = (&features[..n], budgets_extra[..n].to_vec());
-        // The pipeline offers groups head-first (oldest frame first, the
-        // tightest budget leading); mirror that ordering here.
-        budgets.sort_by(f64::total_cmp);
-        let vru = policy.vru_predicted();
-        let reactive = scheduler.admit_group_budgets(&budgets);
-        let proactive = policy.admit_group_budgets(&scheduler, features, &budgets);
-        let check = |level: usize| {
-            prop_assert!(level < ladder().len(), "rung {level} outside the ladder");
-            if vru {
-                prop_assert!(
-                    level <= config.vru_floor_level,
-                    "predicted VRU batch below the floor: level {level}"
-                );
-            }
-        };
-        match (reactive, proactive) {
-            (GroupAdmission::Drop, GroupAdmission::Drop) => {}
-            (GroupAdmission::Batch { .. }, GroupAdmission::Batch { level }) => check(level),
-            (GroupAdmission::Single { .. }, GroupAdmission::Single { level }) => check(level),
-            (r, p) => prop_assert!(false, "structure changed: reactive {r:?}, proactive {p:?}"),
-        }
-    }
-
-    /// The serve-side prefix hook never changes the admitted prefix size
-    /// (that is fixed by `admit_prefix` upstream) and still honors the
-    /// VRU floor on the re-picked rung.
-    #[test]
-    fn clamp_prefix_respects_the_floor(
+    fn clamp_prefix_respects_the_floor_and_the_budget(
         config in arb_config(),
         observations in arb_observations(),
         history in arb_history(),
@@ -212,6 +128,15 @@ proptest! {
                 prop_assert!(
                     steered <= config.vru_floor_level,
                     "predicted VRU prefix below the floor: level {steered}"
+                );
+            } else if steered != level {
+                let cost = (scheduler.predicted_batch_s(steered, k)
+                    + scheduler.predicted_post_s())
+                    * scheduler.config().headroom;
+                prop_assert!(
+                    cost <= budgets[0],
+                    "steered rung {steered} overruns the head budget: {cost} > {}",
+                    budgets[0]
                 );
             }
         }

@@ -25,16 +25,23 @@
 //!   downstream) self-heals: after a further backoff the breaker allows
 //!   the next probe rather than sticking half-open forever.
 //!
-//! All methods take the current time as `now_s` (seconds on the caller's
-//! run clock) — the breaker never reads a clock itself, which keeps its
-//! unit tests exact and lets the fleet drive every breaker off one epoch.
+//! Outcomes arrive in completion order, not admission order, so a success
+//! only counts for a frame admitted after the latest fault: a straggler
+//! admitted before a fault and delivered after it says nothing about the
+//! stream since, and must not reset the streak (or reclose a half-open
+//! breaker) under the poison that followed it.
+//!
+//! All methods take times as seconds on the caller's run clock — the
+//! breaker never reads a clock itself, which keeps its unit tests exact
+//! and lets the fleet drive every breaker off one epoch.
 
 use upaq_json::{json, ToJson, Value};
 
 /// Breaker tuning knobs.
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
-    /// Consecutive faults (no intervening success) that trip Closed → Open.
+    /// Consecutive faults (no success from a frame admitted in between)
+    /// that trip Closed → Open.
     pub fault_threshold: u32,
     /// First open window, seconds; doubles on every failed probe.
     pub open_backoff_s: f64,
@@ -119,6 +126,8 @@ pub struct CircuitBreaker {
     open_until_s: f64,
     /// When the outstanding half-open probe was admitted.
     probe_sent_s: f64,
+    /// When the latest fault was recorded (run-clock seconds).
+    last_fault_s: f64,
     transitions: BreakerTransitions,
 }
 
@@ -133,6 +142,7 @@ impl CircuitBreaker {
             backoff_s,
             open_until_s: 0.0,
             probe_sent_s: 0.0,
+            last_fault_s: f64::NEG_INFINITY,
             transitions: BreakerTransitions::default(),
         }
     }
@@ -185,8 +195,13 @@ impl CircuitBreaker {
         }
     }
 
-    /// Records a successfully served frame for this stream.
-    pub fn record_success(&mut self, _now_s: f64) {
+    /// Records a successfully served frame for this stream, admitted at
+    /// `admitted_s`. A frame admitted before the latest fault is a
+    /// straggler and leaves the breaker untouched.
+    pub fn record_success(&mut self, admitted_s: f64) {
+        if admitted_s <= self.last_fault_s {
+            return;
+        }
         match self.state {
             BreakerState::Closed => self.consecutive_faults = 0,
             BreakerState::HalfOpen => {
@@ -202,8 +217,9 @@ impl CircuitBreaker {
     }
 
     /// Records a faulted frame (quarantined at the firewall, panicked,
-    /// failed, or watchdog-cancelled) for this stream.
+    /// or failed) for this stream.
     pub fn record_fault(&mut self, now_s: f64) {
+        self.last_fault_s = self.last_fault_s.max(now_s);
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_faults += 1;
@@ -327,6 +343,54 @@ mod tests {
         assert_eq!(v.get("state").and_then(|x| x.as_str()), Some("open"));
         assert_eq!(v.get("opened").and_then(|x| x.as_f64()), Some(1.0));
         assert_eq!(v.get("reclosed").and_then(|x| x.as_f64()), Some(0.0));
+    }
+
+    /// Successes complete out of admission order: each clean frame is
+    /// delivered after the next frame's fault was recorded. Those late
+    /// successes were admitted before the fault, so they must not reset
+    /// the streak — two faults trip a threshold-2 breaker.
+    #[test]
+    fn late_successes_admitted_before_a_fault_do_not_reset_the_streak() {
+        let mut b = CircuitBreaker::new(BreakerConfig {
+            fault_threshold: 2,
+            open_backoff_s: 0.050,
+            max_backoff_s: 0.400,
+        });
+        // Frame 0 admitted clean at 0.00; frame 1 rejected at 0.10.
+        assert!(b.admit(0.00));
+        b.record_fault(0.10);
+        // Frame 0 is delivered at 0.15: a straggler.
+        b.record_success(0.00);
+        // Frame 2 admitted clean at 0.20; frame 3 rejected at 0.30 trips.
+        assert!(b.admit(0.20));
+        b.record_fault(0.30);
+        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.transitions().opened, 1);
+        // Frame 2 is delivered after the trip; frame 4 faults while open.
+        b.record_success(0.20);
+        assert!(!b.admit(0.32), "inside the open window: shed");
+        b.record_fault(0.33);
+        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.transitions().opened, 1);
+        // A frame admitted after the faults still recloses a probe.
+        assert!(b.admit(0.40));
+        b.record_success(0.40);
+        assert_eq!(b.state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn stale_success_never_recloses_a_half_open_breaker() {
+        let mut b = breaker();
+        for t in 0..3 {
+            b.record_fault(t as f64 * 1e-3);
+        }
+        assert!(b.admit(0.060), "probe admitted");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        // A frame admitted before the trip completes now: not the probe.
+        b.record_success(0.0015);
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        b.record_success(0.060);
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -33,8 +33,12 @@
 //!
 //! Preprocessing runs inside the worker (it is variant-independent, so
 //! level 0's detector serves every rung), which parallelizes the
-//! pillarize/render stage across the pool instead of serializing it in
-//! one pipeline stage.
+//! pillarize/render stage across the pool.
+//!
+//! A single sensor stream is a fleet of one
+//! ([`FleetScenario::single`](upaq_kitti::fleet::FleetScenario::single)):
+//! `bin/stream` serves it in Realtime mode, and a one-stream Saturate run
+//! is the lossless reference whose detections equal per-frame `detect`.
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::ready::{FleetJob, PushVerdict, ReadyQueue};
@@ -91,9 +95,8 @@ pub struct FleetConfig {
     pub per_stream_queue: usize,
     /// Global ready-queue capacity.
     pub ready_capacity: usize,
-    /// Scheduler knobs. `deadline_s` is ignored — each frame's budget
-    /// comes from its own stream's deadline; `ema_alpha`/`headroom`
-    /// apply as usual.
+    /// Scheduler knobs (latency EMA weight, headroom). Each frame's
+    /// budget comes from its own stream's deadline.
     pub scheduler: SchedulerConfig,
     /// Time/loss regime.
     pub mode: FleetMode,
@@ -102,7 +105,7 @@ pub struct FleetConfig {
     pub boost_age_s: f64,
     /// Saturate mode: the ladder rung every frame runs at (default 0).
     pub force_level: Option<usize>,
-    /// Proactive complexity-aware rung steering layered over the
+    /// Proactive detection-history rung steering layered over the
     /// reactive scheduler (Realtime only): after `admit_prefix` fixes the
     /// batch size, the policy may re-pick the rung from the
     /// detection-history score, subject to the VRU-floor and
@@ -813,9 +816,10 @@ fn run_group<D: StreamingDetector>(
         }
         if let Some(breaker) = &ctx.breakers[job.stream] {
             // A delivered frame is the success signal that resets the
-            // streak or recloses a half-open breaker.
-            let now_s = ctx.epoch.elapsed().as_secs_f64();
-            breaker.lock().unwrap().record_success(now_s);
+            // streak or recloses a half-open breaker — unless a fault was
+            // recorded after it was admitted.
+            let admitted_s = job.arrived.duration_since(ctx.epoch).as_secs_f64();
+            breaker.lock().unwrap().record_success(admitted_s);
         }
         ctx.meter
             .lock()

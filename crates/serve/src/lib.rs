@@ -1,8 +1,9 @@
-//! `upaq-serve` — the fleet serving layer: multiplex hundreds of sensor
+//! `upaq-serve` — the serving engine: multiplex one to hundreds of sensor
 //! streams over one shared worker pool with cross-stream batching.
 //!
-//! `upaq-runtime` serves *one* stream through a staged pipeline; this
-//! crate serves a *population*. Every stream in a
+//! `upaq-runtime` holds the serving policy (degrade ladder, deadline
+//! scheduler, proactive steering); this crate runs it. A single stream is
+//! a fleet of one. Every stream in a
 //! [`FleetScenario`](upaq_kitti::fleet::FleetScenario) — its own frame
 //! rate, phase and deadline — feeds one global ready queue, and a fixed
 //! pool of workers drains it in earliest-deadline-first order with

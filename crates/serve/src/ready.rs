@@ -11,7 +11,7 @@
 //! older than the boost age jumps to the front regardless of deadline and
 //! is marked [`FleetJob::boosted`] for the fairness report.
 //!
-//! Producers get two pushes mirroring the runtime's two loss policies:
+//! Producers get two pushes, one per serving mode's loss policy:
 //! [`push_wait`][ReadyQueue::push_wait] blocks (lossless, for saturate /
 //! bit-identity runs) and [`push_bounded`][ReadyQueue::push_bounded]
 //! bounds each *stream's* backlog by evicting that stream's own oldest
@@ -79,9 +79,9 @@ struct Inner<T> {
 }
 
 /// Bounded multi-producer multi-consumer ready queue with EDF + aging
-/// group pops. Close semantics follow `upaq_runtime::queue::BoundedQueue`:
-/// a push either lands before close (and will be drained) or is handed
-/// back to the producer — never silently lost.
+/// group pops. Close is lossless: a push either lands before close (and
+/// will be drained) or is handed back to the producer — never silently
+/// lost — and consumers drain what remains before seeing the end.
 pub struct ReadyQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,

@@ -3,9 +3,8 @@
 //! served, who got degraded, and who got shed — per stream, not just in
 //! aggregate.
 //!
-//! The counter classes are disjoint and exhaustive, mirroring
-//! `upaq_runtime::metrics::Counters` but split per tenant and by
-//! delivered level: a frame the stream offered to the server
+//! The counter classes are disjoint and exhaustive, split by delivered
+//! level: a frame the stream offered to the server
 //! (`admitted`) ends up in exactly one of `completed` (delivered at
 //! level 0), `degraded` (delivered at a cheaper rung),
 //! `dropped_backpressure`, `dropped_deadline`, `failed`, or `faulted`
@@ -229,6 +228,7 @@ mod tests {
             phase_s: 0.01,
             frames: 8,
             deadline_s: 0.150,
+            gaps_s: Vec::new(),
         }
     }
 

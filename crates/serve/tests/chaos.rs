@@ -6,8 +6,15 @@
 //! circuit breaker is the mechanism: consecutive faults trip the stream
 //! open (admission sheds it), exponential backoff paces the half-open
 //! probes, and a clean probe re-closes it.
+//!
+//! Every fleet here runs on the wall clock, and the fairness bound only
+//! means something on an otherwise idle pool: in a debug build a tiny
+//! frame costs ~120 ms, so two of these 2-worker fleets running at once
+//! would saturate each other. The file therefore serves its fleets one
+//! at a time under the `FLEETS` lock, whatever the test harness's thread
+//! count.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::faults::{self, FaultPlan};
 use upaq_kitti::fleet::{FleetScenario, FleetScenarioConfig, StreamClass};
@@ -18,6 +25,16 @@ use upaq_serve::{BreakerConfig, FleetConfig, FleetMode, FleetReport, FleetServer
 
 const STREAMS: usize = 4;
 const FRAMES: u64 = 6;
+
+/// Serializes this file's fleet runs (see the module docs).
+static FLEETS: Mutex<()> = Mutex::new(());
+
+/// Runs one fleet with no other fleet of this file in flight. A failed
+/// test poisons the lock; the next run still gets it.
+fn serve(server: FleetServer<LidarDetector>) -> FleetReport {
+    let _alone = FLEETS.lock().unwrap_or_else(|poison| poison.into_inner());
+    server.run().report
+}
 
 fn ladder() -> VariantLadder<LidarDetector> {
     static LADDER: OnceLock<VariantLadder<LidarDetector>> = OnceLock::new();
@@ -62,7 +79,7 @@ fn run_realtime(faults: Option<FaultPlan>, breaker: BreakerConfig) -> FleetRepor
             ..FleetConfig::default()
         },
     );
-    server.run().report
+    serve(server)
 }
 
 /// Jain fairness over a set of per-stream delivered fractions.
@@ -195,7 +212,7 @@ fn saturate_mode_ignores_fault_plans_and_stays_lossless() {
             ..FleetConfig::default()
         },
     );
-    let r = server.run().report;
+    let r = serve(server);
     assert!(r.accounted());
     assert_eq!(
         r.delivered(),

@@ -8,7 +8,6 @@ use upaq_kitti::fleet::{FleetScenario, FleetScenarioConfig, StreamClass};
 use upaq_kitti::lidar::PointCloud;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::LidarDetector;
-use upaq_runtime::pipeline::{Pipeline, PipelineConfig};
 use upaq_runtime::scheduler::SchedulerConfig;
 use upaq_runtime::variant::VariantLadder;
 use upaq_serve::{FleetConfig, FleetMode, FleetServer};
@@ -37,8 +36,7 @@ fn scenario(streams: usize, frames: u64, classes: Vec<StreamClass>) -> FleetScen
 }
 
 /// A frame batched with frames from *other* streams must decode raw-bits
-/// identical to the same frame run alone through the single-stream
-/// pipeline (`bin/stream`'s deterministic mode).
+/// identical to the same frame run alone through per-frame `detect`.
 #[test]
 fn cross_stream_batches_are_bit_identical_to_solo_runs() {
     let streams = 6;
@@ -74,30 +72,16 @@ fn cross_stream_batches_are_bit_identical_to_solo_runs() {
     );
     assert!(r.cross_batched_frames >= 2 * r.cross_stream_batches);
 
-    // Reference: each stream alone through the deterministic pipeline.
-    let mut solo: HashMap<(usize, u64), Vec<upaq_det3d::Box3d>> = HashMap::new();
-    for id in 0..streams {
-        let pipeline = Pipeline::new(
-            ladder(),
-            PipelineConfig {
-                frames,
-                deterministic: true,
-                ..PipelineConfig::default()
-            },
-        );
-        let reference = pipeline
-            .run(scen.stream::<PointCloud>(id))
-            .expect("pipeline run");
-        assert_eq!(reference.report.frames_completed, frames);
-        for (frame_id, boxes) in reference.detections {
-            solo.insert((id, frame_id), boxes);
-        }
-    }
+    // Reference: every frame alone through per-frame `detect` on the
+    // full-model rung.
+    let ladder = ladder();
+    let base = &ladder.level(0).detector;
     assert_eq!(outcome.detections.len(), (streams as u64 * frames) as usize);
     for (stream, frame_id, boxes) in &outcome.detections {
+        let frame = scen.stream::<PointCloud>(*stream).frame(*frame_id);
         assert_eq!(
             boxes,
-            &solo[&(*stream, *frame_id)],
+            &base.detect(&frame.data).unwrap(),
             "stream {stream} frame {frame_id}: batched result diverged from the solo run"
         );
     }
@@ -238,7 +222,6 @@ fn realtime_overload_accounts_every_frame_per_stream() {
             scheduler: SchedulerConfig {
                 ema_alpha: 0.2,
                 headroom: 1.0,
-                ..SchedulerConfig::default()
             },
             mode: FleetMode::Realtime,
             // Any queued frame counts as starving: exercises the boost

@@ -1,12 +1,12 @@
 //! Postprocess bit-identity across the degrade ladder, thread counts and
-//! pipeline worker counts.
+//! serving worker counts.
 //!
 //! The decode rewrite (logit-domain prefilter + pooled candidate scan +
 //! bucketed NMS) is gated the same way the conv kernels are: every rung of
 //! both detector ladders must produce raw-bits-identical candidates to the
-//! serial sigmoid-domain oracle at every thread count, and a deterministic
-//! pipeline run must not change a single bit when postprocess fans out
-//! over multiple workers.
+//! serial sigmoid-domain oracle at every thread count, and a lossless
+//! one-stream fleet must not change a single bit when its workers decode
+//! frames concurrently.
 
 use upaq_det3d::{
     decode_camera_candidates, decode_camera_candidates_reference, decode_candidates,
@@ -14,11 +14,13 @@ use upaq_det3d::{
 };
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::dataset::DatasetConfig;
+use upaq_kitti::fleet::FleetScenario;
 use upaq_kitti::stream::{CameraFrameStream, FrameStream};
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::{CameraDetector, LidarDetector};
-use upaq_runtime::{Pipeline, PipelineConfig, VariantLadder};
+use upaq_runtime::VariantLadder;
+use upaq_serve::{FleetConfig, FleetMode, FleetServer};
 use upaq_tensor::ops::TensorParallel;
 
 fn test_threads() -> usize {
@@ -53,10 +55,14 @@ fn lidar_ladder() -> VariantLadder<LidarDetector> {
     VariantLadder::build(det, &DeviceProfile::jetson_orin_nano(), 41).unwrap()
 }
 
-fn lidar_stream() -> FrameStream {
+fn lidar_dataset() -> DatasetConfig {
     let mut cfg = DatasetConfig::small();
     cfg.scenes = 2;
-    FrameStream::generate(&cfg, 41)
+    cfg
+}
+
+fn lidar_stream() -> FrameStream {
+    FrameStream::generate(&lidar_dataset(), 41)
 }
 
 fn camera_setup() -> (VariantLadder<CameraDetector>, CameraFrameStream) {
@@ -115,38 +121,39 @@ fn camera_decode_bit_identical_across_rungs_and_threads() {
     }
 }
 
-/// A deterministic run's detections must not change one bit when the
-/// postprocess stage fans out over multiple workers (and those workers
-/// race each other into the tensor pool's single-submitter guard).
+/// A lossless run's detections must not change one bit when postprocess
+/// fans out over multiple serving workers (and those workers race each
+/// other into the tensor pool's single-submitter guard).
 #[test]
 fn multi_worker_postprocess_matches_single_worker_bitwise() {
     TensorParallel::set_threads(test_threads());
+    let scenario = FleetScenario::single(lidar_dataset(), 41, 6, &[0.033], 0.100);
     let run = |workers: usize| {
-        let p = Pipeline::new(
+        FleetServer::new(
             lidar_ladder(),
-            PipelineConfig {
-                frames: 6,
-                deterministic: true,
-                backbone_workers: 2,
-                postprocess_workers: workers,
-                scenario: format!("post-workers-{workers}"),
-                ..PipelineConfig::default()
+            scenario.clone(),
+            FleetConfig {
+                workers,
+                max_batch: 1,
+                mode: FleetMode::Saturate,
+                collect_detections: true,
+                ..FleetConfig::default()
             },
-        );
-        p.run(lidar_stream()).expect("pipeline run")
+        )
+        .run()
     };
     let baseline = run(1);
-    assert_eq!(baseline.report.frames_completed, 6);
+    assert_eq!(baseline.report.completed, 6);
     for workers in [2, 4] {
         let outcome = run(workers);
-        assert_eq!(outcome.report.frames_completed, 6);
+        assert_eq!(outcome.report.completed, 6);
         assert_eq!(outcome.detections.len(), baseline.detections.len());
-        for ((id_a, a), (id_b, b)) in baseline.detections.iter().zip(&outcome.detections) {
+        for ((_, id_a, a), (_, id_b, b)) in baseline.detections.iter().zip(&outcome.detections) {
             assert_eq!(id_a, id_b);
             assert_eq!(
                 bits(a),
                 bits(b),
-                "frame {id_a} diverged with {workers} postprocess workers"
+                "frame {id_a} diverged with {workers} serving workers"
             );
         }
     }

@@ -2,22 +2,24 @@
 //! empty-scene edge case.
 //!
 //! The gather/scatter path must be invisible in the outputs: a sparse
-//! deterministic run produces detections raw-bits identical to the dense
-//! run at every ladder rung, thread count, `ExecMode` and batch size —
-//! the same firewall the kernel-level proptests pin, asserted here
-//! through the real PointPillars pipeline.
+//! lossless run produces detections raw-bits identical to the dense run
+//! at every ladder rung, thread count, `ExecMode` and batch size — the
+//! same firewall the kernel-level proptests pin, asserted here through a
+//! one-stream fleet serving the real PointPillars detector.
 
 use std::collections::HashMap;
 use upaq_det3d::Box3d;
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::dataset::DatasetConfig;
+use upaq_kitti::fleet::FleetScenario;
 use upaq_kitti::lidar::PointCloud;
 use upaq_kitti::stream::{Frame, FrameStream};
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::{LidarDetector, StreamingDetector};
 use upaq_nn::exec::{forward_into, Workspace};
 use upaq_nn::sparse::{forward_sparse_into, SparseExecConfig};
-use upaq_runtime::{Pipeline, PipelineConfig, SupervisionConfig, VariantLadder};
+use upaq_runtime::VariantLadder;
+use upaq_serve::{FleetConfig, FleetMode, FleetOutcome, FleetServer};
 use upaq_tensor::ops::{ExecMode, TensorParallel};
 
 fn test_threads() -> usize {
@@ -32,14 +34,18 @@ fn ladder() -> VariantLadder<LidarDetector> {
     VariantLadder::build(det, &DeviceProfile::jetson_orin_nano(), 17).unwrap()
 }
 
-fn stream() -> FrameStream {
+fn dataset() -> DatasetConfig {
     let mut cfg = DatasetConfig::small();
     cfg.scenes = 2;
-    FrameStream::generate(&cfg, 29)
+    cfg
 }
 
-/// A stream whose every scene produces zero LiDAR points.
-fn empty_stream() -> FrameStream {
+fn stream() -> FrameStream {
+    FrameStream::generate(&dataset(), 29)
+}
+
+/// A dataset whose every scene produces zero LiDAR points.
+fn empty_dataset() -> DatasetConfig {
     let mut cfg = DatasetConfig::small();
     cfg.scenes = 1;
     cfg.scene.cars = (0, 0);
@@ -47,23 +53,38 @@ fn empty_stream() -> FrameStream {
     cfg.scene.cyclists = (0, 0);
     cfg.lidar.ground_points = 0;
     cfg.lidar.clutter_points = 0;
-    FrameStream::generate(&cfg, 7)
+    cfg
+}
+
+/// One stream served losslessly (Saturate mode, full model) by a
+/// two-worker fleet.
+fn serve(
+    scenario: FleetScenario,
+    sparse: Option<SparseExecConfig>,
+    max_batch: usize,
+) -> FleetOutcome {
+    FleetServer::new(
+        ladder(),
+        scenario,
+        FleetConfig {
+            workers: 2,
+            max_batch,
+            mode: FleetMode::Saturate,
+            collect_detections: true,
+            sparse_act: sparse,
+            ..FleetConfig::default()
+        },
+    )
+    .run()
 }
 
 fn run(sparse: Option<SparseExecConfig>, max_batch: usize) -> Vec<(u64, Vec<Box3d>)> {
-    let p = Pipeline::new(
-        ladder(),
-        PipelineConfig {
-            frames: 6,
-            deterministic: true,
-            backbone_workers: 2,
-            max_batch,
-            sparse_act: sparse,
-            scenario: "sparse-identity".into(),
-            ..PipelineConfig::default()
-        },
-    );
-    p.run(stream()).expect("deterministic run").detections
+    let scenario = FleetScenario::single(dataset(), 29, 6, &[0.033], 0.100);
+    serve(scenario, sparse, max_batch)
+        .detections
+        .into_iter()
+        .map(|(_, id, boxes)| (id, boxes))
+        .collect()
 }
 
 /// Raw-bits equality between two detection sets.
@@ -88,10 +109,10 @@ fn assert_bits_equal(a: &[(u64, Vec<Box3d>)], b: &[(u64, Vec<Box3d>)]) {
     }
 }
 
-/// Sparse and dense pipeline runs deliver bit-identical detections, at
-/// every fallback threshold and with batching on and off.
+/// Sparse and dense runs deliver bit-identical detections, at every
+/// fallback threshold and with batching on and off.
 #[test]
-fn sparse_pipeline_matches_dense_bit_exact() {
+fn sparse_serving_matches_dense_bit_exact() {
     let dense = run(None, 1);
     assert!(!dense.is_empty());
     for threshold in [0.0, 0.5, 1.0] {
@@ -214,37 +235,23 @@ fn empty_scene_flows_through_both_paths() {
     assert_eq!(dets_dense.len(), dets_sparse.len());
 }
 
-/// Empty-scene frames inside a full pipeline run complete without
+/// Empty-scene frames inside a full serving run complete without
 /// panicking on both the dense and sparse configurations and detect
-/// nothing.
+/// nothing. Saturate mode bypasses the admission firewall (which would
+/// quarantine empty frames as defective), so the zero-point scene
+/// actually reaches the numeric stages this test covers.
 #[test]
-fn empty_scene_pipeline_run_never_panics() {
+fn empty_scene_serving_run_never_panics() {
     // The empty dataset really produces zero-point clouds.
-    let probe = empty_stream().next().unwrap();
+    let probe = FrameStream::<PointCloud>::generate(&empty_dataset(), 7)
+        .next()
+        .unwrap();
     assert_eq!(probe.data.len(), 0, "empty scenario must have no points");
     for sparse in [None, Some(SparseExecConfig::default())] {
-        let p = Pipeline::new(
-            ladder(),
-            PipelineConfig {
-                frames: 2,
-                deterministic: true,
-                sparse_act: sparse,
-                // The admission firewall deliberately quarantines empty
-                // frames as defective; disable it so the zero-point scene
-                // actually reaches the numeric stages this test covers.
-                supervision: Some(SupervisionConfig {
-                    firewall: false,
-                    ..SupervisionConfig::default()
-                }),
-                scenario: "empty-scene".into(),
-                ..PipelineConfig::default()
-            },
-        );
-        let outcome = p
-            .run(empty_stream())
-            .expect("empty scenes must not abort the run");
-        assert_eq!(outcome.report.frames_completed, 2);
-        for (_, dets) in &outcome.detections {
+        let scenario = FleetScenario::single(empty_dataset(), 7, 2, &[0.033], 0.100);
+        let outcome = serve(scenario, sparse, 1);
+        assert_eq!(outcome.report.completed, 2);
+        for (_, _, dets) in &outcome.detections {
             assert!(dets.is_empty(), "an empty scene must detect nothing");
         }
     }
@@ -254,17 +261,8 @@ fn empty_scene_pipeline_run_never_panics() {
 /// consume; the dense run's report omits the section entirely.
 #[test]
 fn report_carries_sparsity_section_only_when_enabled() {
-    let p = Pipeline::new(
-        ladder(),
-        PipelineConfig {
-            frames: 4,
-            deterministic: true,
-            sparse_act: Some(SparseExecConfig::default()),
-            scenario: "sparse-report".into(),
-            ..PipelineConfig::default()
-        },
-    );
-    let outcome = p.run(stream()).expect("deterministic run");
+    let scenario = |frames| FleetScenario::single(dataset(), 29, frames, &[0.033], 0.100);
+    let outcome = serve(scenario(4), Some(SparseExecConfig::default()), 1);
     let sp = outcome
         .report
         .sparse_activation
@@ -277,15 +275,6 @@ fn report_carries_sparsity_section_only_when_enabled() {
         assert_eq!(layer.frames, 4, "every layer executes on every frame");
     }
 
-    let dense = Pipeline::new(
-        ladder(),
-        PipelineConfig {
-            frames: 2,
-            deterministic: true,
-            scenario: "dense-report".into(),
-            ..PipelineConfig::default()
-        },
-    );
-    let outcome = dense.run(stream()).expect("deterministic run");
+    let outcome = serve(scenario(2), None, 1);
     assert!(outcome.report.sparse_activation.is_none());
 }

@@ -35,7 +35,7 @@ static THREADS: AtomicUsize = AtomicUsize::new(1);
 static MODE: AtomicU8 = AtomicU8::new(ExecMode::Pool as u8);
 
 /// `1` while some thread is fanned out on the pool. Concurrent submitters
-/// (pipeline stage threads racing each other) would otherwise fight over
+/// (serving worker threads racing each other) would otherwise fight over
 /// the same parked helpers — condvar wake churn and queue-lock contention
 /// with no extra cores to show for it — so the loser runs its chunks
 /// inline instead (see `run_on_pool`).

@@ -1,6 +1,6 @@
 //! Concurrent pool submitters must stay bit-identical to serial.
 //!
-//! Pipeline stage threads race each other into `run_on_pool`; the
+//! Serving worker threads race each other into `run_on_pool`; the
 //! single-submitter guard reroutes every loser's chunks inline on its own
 //! thread. Chunks are self-contained, so whichever path a submission
 //! takes — fanned out on the pool or executed inline — the output bits

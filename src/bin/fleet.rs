@@ -1,19 +1,18 @@
 //! Fleet-serving benchmark: multiplex hundreds of sensor streams over one
 //! shared worker pool with cross-stream batching, and compare against the
-//! same streams served by independent single-stream pipelines.
+//! same streams served by independent one-stream fleets.
 //!
 //! Three modes:
 //!
 //! * `--mode compare` (default) — runs the saturate-mode fleet (shared
 //!   pool, cross-stream batches up to `--max-batch`) and the independent
-//!   baseline (one dedicated single-stream pipeline per stream, all
-//!   running concurrently, each with its own stage threads, queues and
+//!   baseline (one dedicated one-stream fleet per stream, all running
+//!   concurrently, each with its own admission thread, worker, queue and
 //!   workspaces) over the same streams, and reports both aggregate
 //!   throughput numbers. The delta is the consolidation win: a handful of
 //!   shared workers with cross-stream batching replaces hundreds of
-//!   dedicated pipelines, while every frame's detections stay
-//!   bit-identical to its solo run (asserted by
-//!   `crates/serve/tests/fleet.rs`).
+//!   dedicated servers, while every frame's detections stay bit-identical
+//!   to per-frame `detect` (asserted by `crates/serve/tests/fleet.rs`).
 //! * `--mode realtime` — replays every stream's arrival schedule against
 //!   the wall clock with per-stream deadlines; the report shows per-tenant
 //!   accounting (admitted = completed + degraded + dropped + failed for
@@ -26,7 +25,7 @@
 //! [--scenario NAME] [--threads N]`.
 //! `--scenario` draws the fleet's traffic mix, per-stream deadline and
 //! arrival rate from the named [`upaq_kitti::scenario`] catalog profile;
-//! `--policy proactive` layers complexity-aware rung steering (with VRU
+//! `--policy proactive` layers detection-history rung steering (with VRU
 //! and deadline-headroom safety overrides) over realtime admission.
 //! `--sparse-act` runs the LiDAR backbone on the gather/scatter
 //! sparse-activation path (bit-identical to dense by construction; the
@@ -38,9 +37,8 @@
 //! `quarantined` counts and per-stream `breaker` sections of the report).
 //! The JSON report lands in `target/upaq-results/fleet.json`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 use upaq_bench::harness::save_result;
+use upaq_bench::serving::independent_fleets;
 use upaq_bench::table::print_table;
 use upaq_hwmodel::DeviceProfile;
 use upaq_json::{json, ToJson, Value};
@@ -48,12 +46,12 @@ use upaq_kitti::dataset::Dataset;
 use upaq_kitti::faults;
 use upaq_kitti::fleet::{FleetScenario, FleetScenarioConfig, StreamClass};
 use upaq_kitti::scenario;
-use upaq_kitti::stream::{FrameStream, SensorData};
+use upaq_kitti::stream::SensorData;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::pretrain::{fit_camera_head, fit_lidar_head};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
-use upaq_runtime::{Pipeline, PipelineConfig, ProactiveConfig, SparseExecConfig, VariantLadder};
+use upaq_runtime::{ProactiveConfig, SparseExecConfig, VariantLadder};
 use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
 
 const SEED: u64 = 2025;
@@ -167,56 +165,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(parsed)
-}
-
-/// The independent baseline: one dedicated single-stream [`Pipeline`] per
-/// stream, all running concurrently — the per-stream deployment model the
-/// fleet consolidates away. Each pipeline is deterministic (lossless, no
-/// pacing, full model on every frame), so it does exactly the work the
-/// saturate-mode fleet does; what it cannot do is share workers or batch
-/// across tenants, and every pipeline brings its own stage threads,
-/// queues, and workspaces. Frame streams are synthesized before the clock
-/// starts, symmetric with `FleetServer::run`.
-fn run_independent<D: StreamingDetector>(
-    ladder: &VariantLadder<D>,
-    scenario: &FleetScenario,
-) -> (u64, f64)
-where
-    D::Input: SensorData,
-{
-    let streams: Vec<FrameStream<D::Input>> = scenario
-        .profiles()
-        .iter()
-        .map(|p| scenario.stream::<D::Input>(p.id))
-        .collect();
-    let frames = scenario.config().frames_per_stream;
-    let delivered = AtomicU64::new(0);
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for stream in streams {
-            let ladder = ladder.clone();
-            let delivered = &delivered;
-            s.spawn(move || {
-                let pipeline = Pipeline::new(
-                    ladder,
-                    PipelineConfig {
-                        frames,
-                        backbone_workers: 1,
-                        max_batch: 1,
-                        deterministic: true,
-                        scenario: "independent".into(),
-                        ..PipelineConfig::default()
-                    },
-                );
-                let outcome = pipeline.run(stream).expect("pipeline run");
-                delivered.fetch_add(outcome.report.frames_completed, Ordering::Relaxed);
-            });
-        }
-    });
-    (
-        delivered.load(Ordering::Relaxed),
-        started.elapsed().as_secs_f64(),
-    )
 }
 
 fn summarize(
@@ -345,10 +293,10 @@ where
     } else {
         if args.mode == "compare" {
             println!(
-                "Independent baseline: {} dedicated single-stream pipelines, concurrently…",
+                "Independent baseline: {} dedicated one-stream fleets, concurrently…",
                 args.streams
             );
-            let (delivered, duration_s) = run_independent(&ladder, &scenario);
+            let (delivered, duration_s) = independent_fleets(&ladder, &scenario);
             let fps = delivered as f64 / duration_s.max(f64::MIN_POSITIVE);
             rows.push(summarize("independent", delivered, duration_s, None));
             doc.push((

@@ -1,41 +1,47 @@
-//! Streaming-runtime benchmark: runs the `upaq-runtime` pipeline through a
-//! nominal and an overload scenario per detector and emits the JSON run
-//! reports.
+//! Streaming-runtime benchmark: serves one sensor stream per run — a
+//! fleet of one on the `upaq-serve` engine — through a nominal and an
+//! overload scenario per detector and emits the JSON run reports.
 //!
 //! Each detector shares one degrade ladder (base / UPAQ LCK / UPAQ HCK
 //! variants on the Jetson Orin Nano cost model) — PointPillars over LiDAR
 //! sweeps, SMOKE over rendered camera frames. The nominal run paces the
-//! source so the deadline is comfortably met; the overload run injects a
-//! slow backbone stage well past the deadline, forcing the scheduler to
-//! degrade down the ladder and shed load — visible in the drop/degrade
-//! counters of the second report.
+//! stream so the deadline is comfortably met; the overload run stalls
+//! every backbone invocation well past the deadline (a latency spike on
+//! every frame), forcing the scheduler to degrade down the ladder and
+//! shed load — visible in the drop/degrade counters of the second report.
 //!
 //! Run with `cargo run --release --bin stream -- [--detector lidar|camera|both]
 //! [--frames N] [--batch K] [--threads N] [--policy reactive|proactive]
 //! [--scenario NAME]`. `--threads N` sets the persistent worker pool's
 //! claimant count for the convolution kernels (bit-identical output at any
-//! value). `--batch K` lets each backbone worker admit up to `K` queued
-//! frames as one batched forward pass when the predicted batched latency
-//! still meets the group's earliest deadline; `--batch 1` (the default) is
-//! the historical per-frame scheduling. Under overload the injected
-//! backbone stall is charged once per *invocation*, so batching amortizes
-//! it and completes measurably more frames.
+//! value). `--batch K` lets a worker admit up to `K` queued frames as one
+//! batched forward pass when the predicted batched latency still meets
+//! the earliest deadline among them; `--batch 1` (the default) schedules
+//! frame by frame. Under overload the injected stall is charged once per
+//! *invocation*, so batching amortizes it and delivers measurably more
+//! frames.
 //!
-//! `--policy proactive` layers complexity-aware admission over the
-//! reactive scheduler: easy frames steer to cheaper rungs ahead of time,
+//! `--policy proactive` layers detection-history rung steering over the
+//! reactive scheduler: quiet scenes steer to cheaper rungs ahead of time,
 //! with the VRU-safety and deadline-headroom overrides reported in the
 //! JSON `overrides` counters. `--scenario NAME` replaces the
 //! nominal+overload pair with one profile from the `upaq-kitti` scenario
-//! catalog (traffic mix, arrival pattern, deadline); in scenario mode the
-//! detector head is least-squares fitted on the scenario's own scenes
-//! first, so the detection feedback that drives the proactive policy is
-//! meaningful rather than random-head noise.
+//! catalog (traffic mix, arrival-gap cycle, deadline); in scenario mode
+//! the detector head is least-squares fitted on the scenario's own
+//! scenes first — the same scenes the stream serves — so the detection
+//! feedback that drives the proactive policy is meaningful rather than
+//! random-head noise.
 //!
 //! `--faults PLAN` overlays a deterministic fault plan from the
 //! `upaq-kitti` fault catalog (NaN bursts, truncated frames, sensor
 //! stalls, injected panics, latency spikes) on whichever scenario runs.
-//! The supervision layer quarantines or cancels the affected frames into
-//! the `faulted` accounting class; the run itself never aborts.
+//! The supervision layer (input firewall, panic isolation, circuit
+//! breaker) charges the affected frames to the `faulted` accounting
+//! class; the run itself never aborts.
+//!
+//! Every report is a fleet report (`upaq_serve::FleetReport`) whose
+//! `scenario` field names the run; the list lands in
+//! `target/upaq-results/stream.json`.
 
 use upaq_bench::harness::save_result;
 use upaq_bench::table::print_table;
@@ -43,16 +49,15 @@ use upaq_hwmodel::DeviceProfile;
 use upaq_json::ToJson;
 use upaq_kitti::dataset::{Dataset, DatasetConfig};
 use upaq_kitti::faults::{self, FaultPlan};
-use upaq_kitti::scenario::{self, ScenarioProfile};
-use upaq_kitti::stream::{FrameStream, SensorData};
+use upaq_kitti::fleet::FleetScenario;
+use upaq_kitti::scenario;
+use upaq_kitti::stream::SensorData;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::pretrain::{fit_camera_head, fit_lidar_head};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
-use upaq_runtime::{
-    Pipeline, PipelineConfig, ProactiveConfig, RuntimeReport, SchedulerConfig, SparseExecConfig,
-    VariantLadder,
-};
+use upaq_runtime::{ProactiveConfig, SparseExecConfig, VariantLadder};
+use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
 
 const SEED: u64 = 2025;
 
@@ -65,95 +70,72 @@ fn dataset_config(camera: Option<&SmokeConfig>) -> DatasetConfig {
     cfg
 }
 
-fn nominal(frames: u64, batch: usize, proactive: Option<ProactiveConfig>) -> PipelineConfig {
-    PipelineConfig {
-        frames,
-        queue_capacity: 4.max(batch),
-        backbone_workers: 2,
-        scheduler: SchedulerConfig::default(),
-        // ~30 FPS: inside the pipeline's measured service rate, so frames
-        // meet the 100 ms deadline on the full model.
-        source_interval_s: 0.033,
-        source_intervals: Vec::new(),
-        slow_backbone_s: 0.0,
-        max_batch: batch,
-        postprocess_workers: 2,
-        deterministic: false,
-        proactive,
-        scenario: "nominal".into(),
-        ..PipelineConfig::default()
-    }
-}
-
-fn overload(frames: u64, batch: usize, proactive: Option<ProactiveConfig>) -> PipelineConfig {
-    PipelineConfig {
-        frames: (frames * 2 / 3).max(1),
-        queue_capacity: 2.max(batch),
-        backbone_workers: 1,
-        scheduler: SchedulerConfig {
-            // Generous enough that batched service can fit (a group waits
-            // roughly one invocation in the queue), while per-frame
-            // service still sheds most of the 50 FPS arrivals.
-            deadline_s: 0.250,
-            ..SchedulerConfig::default()
-        },
-        source_interval_s: 0.020,
-        source_intervals: Vec::new(),
-        // Injected stall charged once per invocation: at `--batch 1` it
-        // caps service near 12 FPS against 50 FPS arrivals, so the
-        // scheduler degrades and sheds load; at `--batch 4` the stall
-        // amortizes 4× and the same stream mostly completes.
-        slow_backbone_s: 0.080,
-        max_batch: batch,
-        postprocess_workers: 2,
-        deterministic: false,
-        proactive,
-        scenario: "overload".into(),
-        ..PipelineConfig::default()
-    }
-}
-
-/// Pipeline configuration for one catalog scenario: the profile supplies
-/// the arrival-gap cycle and the deadline; worker shape follows the
-/// nominal run.
-fn scenario_config(
-    profile: &ScenarioProfile,
+/// One single-stream run: what the stream offers, and how it is served.
+struct Run {
+    label: String,
     frames: u64,
+    /// Repeating arrival-gap cycle, seconds.
+    gaps_s: Vec<f64>,
+    deadline_s: f64,
+    /// Invocation stall charged on every frame (0 = none).
+    slow_backbone_s: f64,
+    workers: usize,
+    per_stream_queue: usize,
+}
+
+fn nominal(frames: u64, batch: usize) -> Run {
+    Run {
+        label: "nominal".into(),
+        frames,
+        // ~30 FPS: inside the measured service rate, so frames meet the
+        // 100 ms deadline on the full model.
+        gaps_s: vec![0.033],
+        deadline_s: 0.100,
+        slow_backbone_s: 0.0,
+        workers: 2,
+        per_stream_queue: 4.max(batch),
+    }
+}
+
+fn overload(frames: u64, batch: usize) -> Run {
+    Run {
+        label: "overload".into(),
+        frames: (frames * 2 / 3).max(1),
+        // 50 FPS arrivals. The deadline is generous enough that batched
+        // service can fit (a group waits roughly one invocation in the
+        // queue), while per-frame service still sheds most arrivals.
+        gaps_s: vec![0.020],
+        deadline_s: 0.250,
+        // Stall charged once per invocation: at `--batch 1` it caps
+        // service near 12 FPS against 50 FPS arrivals, so the scheduler
+        // degrades and sheds load; at `--batch 4` the stall amortizes 4×
+        // and the same stream mostly completes.
+        slow_backbone_s: 0.080,
+        workers: 1,
+        per_stream_queue: 2.max(batch),
+    }
+}
+
+/// Serving knobs shared by every run of one invocation.
+struct Serving {
     batch: usize,
     proactive: Option<ProactiveConfig>,
-) -> PipelineConfig {
-    PipelineConfig {
-        frames,
-        queue_capacity: 4.max(batch),
-        backbone_workers: 2,
-        scheduler: SchedulerConfig {
-            deadline_s: profile.deadline_s,
-            ..SchedulerConfig::default()
-        },
-        source_interval_s: 0.0,
-        source_intervals: profile.arrival.cycle(),
-        slow_backbone_s: 0.0,
-        max_batch: batch,
-        postprocess_workers: 2,
-        deterministic: false,
-        proactive,
-        scenario: profile.name.into(),
-        ..PipelineConfig::default()
-    }
+    faults: Option<FaultPlan>,
+    sparse_act: Option<SparseExecConfig>,
 }
 
-fn summarize(r: &RuntimeReport) -> Vec<String> {
+fn summarize(r: &FleetReport) -> Vec<String> {
     vec![
         r.detector.clone(),
         r.scenario.clone(),
         r.policy.clone(),
-        format!("{}", r.frames_generated),
-        format!("{}", r.frames_completed),
+        format!("{}", r.admitted),
+        format!("{}", r.completed),
+        format!("{}", r.degraded),
         format!("{}", r.dropped_backpressure + r.dropped_deadline),
         format!("{}", r.failed),
         format!("{}", r.faulted),
-        format!("{}", r.degraded),
-        format!("{:.1}", r.fps),
+        format!("{:.1}", r.delivered_fps),
         format!("{:.2}", r.mean_batch_size),
         format!("{:.2}", r.e2e_latency.p50_s * 1e3),
         format!("{:.2}", r.e2e_latency.p99_s * 1e3),
@@ -188,62 +170,87 @@ fn print_ladder<D: StreamingDetector>(ladder: &VariantLadder<D>) {
     );
 }
 
+/// Serves `run` as a one-stream realtime fleet over the stream
+/// `FrameStream::generate(data_cfg, SEED)`.
 fn run_one<D: StreamingDetector>(
     ladder: VariantLadder<D>,
     data_cfg: &DatasetConfig,
-    config: PipelineConfig,
-    reports: &mut Vec<RuntimeReport>,
+    run: Run,
+    serving: &Serving,
+    reports: &mut Vec<FleetReport>,
 ) where
     D::Input: SensorData,
 {
     let modality = ladder.level(0).detector.modality();
     println!(
         "Running `{modality}/{}` ({} frames, max batch {}, policy {})…",
-        config.scenario,
-        config.frames,
-        config.max_batch,
-        if config.proactive.is_some() {
+        run.label,
+        run.frames,
+        serving.batch,
+        if serving.proactive.is_some() {
             "proactive"
         } else {
             "reactive"
         },
     );
-    let pipeline = Pipeline::new(ladder, config);
-    let outcome = pipeline
-        .run(FrameStream::<D::Input>::generate(data_cfg, SEED))
-        .expect("pipeline run");
-    if let Some(ov) = &outcome.report.overrides {
+    let faults = match (serving.faults.clone(), run.slow_backbone_s > 0.0) {
+        (plan, false) => plan,
+        (None, true) => Some(FaultPlan::slow_backbone(run.slow_backbone_s)),
+        (Some(mut plan), true) => {
+            plan.rules
+                .extend(FaultPlan::slow_backbone(run.slow_backbone_s).rules);
+            Some(plan)
+        }
+    };
+    let scenario = FleetScenario::single(
+        data_cfg.clone(),
+        SEED,
+        run.frames,
+        &run.gaps_s,
+        run.deadline_s,
+    );
+    let server = FleetServer::new(
+        ladder,
+        scenario,
+        FleetConfig {
+            workers: run.workers,
+            max_batch: serving.batch,
+            per_stream_queue: run.per_stream_queue,
+            mode: FleetMode::Realtime,
+            proactive: serving.proactive.clone(),
+            faults,
+            sparse_act: serving.sparse_act,
+            ..FleetConfig::default()
+        },
+    );
+    let mut report = server.run().report;
+    report.scenario = run.label;
+    if let Some(ov) = &report.overrides {
         println!(
             "  overrides: vru_floor {} deadline_clamp {} headroom_fallback {} vru_unfit {}",
             ov.vru_floor, ov.deadline_clamp, ov.headroom_fallback, ov.vru_unfit
         );
     }
-    reports.push(outcome.report);
+    reports.push(report);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_scenarios<D: StreamingDetector>(
     ladder: VariantLadder<D>,
     data_cfg: &DatasetConfig,
     frames: u64,
-    batch: usize,
-    proactive: Option<ProactiveConfig>,
-    faults: Option<FaultPlan>,
-    sparse_act: Option<SparseExecConfig>,
-    reports: &mut Vec<RuntimeReport>,
+    serving: &Serving,
+    reports: &mut Vec<FleetReport>,
 ) where
     D::Input: SensorData,
 {
     let modality = ladder.level(0).detector.modality();
     println!("\nDegrade ladder for `{modality}` (Jetson Orin Nano cost model):");
     print_ladder(&ladder);
-    for mut config in [
-        nominal(frames, batch, proactive.clone()),
-        overload(frames, batch, proactive.clone()),
+    for run in [
+        nominal(frames, serving.batch),
+        overload(frames, serving.batch),
     ] {
-        config.faults = faults.clone();
-        config.sparse_act = sparse_act;
-        run_one(ladder.clone(), data_cfg, config, reports);
+        run_one(ladder.clone(), data_cfg, run, serving, reports);
     }
 }
 
@@ -394,6 +401,12 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             plan.name, plan.description, plan.seed
         );
     }
+    let serving = Serving {
+        batch: args.batch,
+        proactive,
+        faults: fault_plan,
+        sparse_act: sparse_cfg,
+    };
     let mut reports = Vec::new();
 
     if let Some(name) = &args.scenario {
@@ -404,6 +417,15 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             profile.description,
             profile.deadline_s * 1e3
         );
+        let run = || Run {
+            label: profile.name.into(),
+            frames: args.frames,
+            gaps_s: profile.arrival.cycle(),
+            deadline_s: profile.deadline_s,
+            slow_backbone_s: 0.0,
+            workers: 2,
+            per_stream_queue: 4.max(args.batch),
+        };
         if args.detector == "lidar" || args.detector == "both" {
             // Fit the head on the scenario's own scenes: the proactive
             // policy steers on detection feedback, which an unfitted
@@ -417,10 +439,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             // backbones — a base-fit head decoding compressed features
             // emits false-positive spray instead of graded recall.
             ladder.calibrate_heads(&data, 1e-3)?;
-            let mut config = scenario_config(&profile, args.frames, args.batch, proactive.clone());
-            config.faults = fault_plan.clone();
-            config.sparse_act = sparse_cfg;
-            run_one(ladder, &profile.dataset, config, &mut reports);
+            run_one(ladder, &profile.dataset, run(), &serving, &mut reports);
         }
         if args.detector == "camera" || args.detector == "both" {
             let smoke_cfg = SmokeConfig::tiny();
@@ -432,10 +451,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             fit_camera_head(&mut det, &data, &scenes, 1e-3)?;
             let mut ladder = VariantLadder::build(det, &device, SEED)?;
             ladder.calibrate_heads(&data, 1e-3)?;
-            let mut config = scenario_config(&profile, args.frames, args.batch, proactive.clone());
-            config.faults = fault_plan.clone();
-            config.sparse_act = sparse_cfg;
-            run_one(ladder, &data_cfg, config, &mut reports);
+            run_one(ladder, &data_cfg, run(), &serving, &mut reports);
         }
     } else {
         if args.detector == "lidar" || args.detector == "both" {
@@ -448,10 +464,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 ladder,
                 &dataset_config(None),
                 args.frames,
-                args.batch,
-                proactive.clone(),
-                fault_plan.clone(),
-                sparse_cfg,
+                &serving,
                 &mut reports,
             );
         }
@@ -463,10 +476,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 ladder,
                 &dataset_config(Some(&smoke_cfg)),
                 args.frames,
-                args.batch,
-                proactive.clone(),
-                fault_plan.clone(),
-                sparse_cfg,
+                &serving,
                 &mut reports,
             );
         }
@@ -478,12 +488,12 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             "Detector",
             "Scenario",
             "Policy",
-            "Generated",
+            "Admitted",
             "Completed",
+            "Degraded",
             "Dropped",
             "Failed",
             "Faulted",
-            "Degraded",
             "FPS",
             "Avg batch",
             "p50 (ms)",

@@ -5,12 +5,56 @@ use upaq::compress::{CompressionContext, Compressor, Upaq};
 use upaq::config::UpaqConfig;
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::dataset::{Dataset, DatasetConfig};
-use upaq_kitti::stream::{CameraFrameStream, FrameStream};
+use upaq_kitti::fleet::FleetScenario;
+use upaq_kitti::stream::{CameraFrameStream, FrameStream, SensorData};
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::pretrain::fit_lidar_head;
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
-use upaq_runtime::{Pipeline, PipelineConfig, VariantLadder};
+use upaq_runtime::VariantLadder;
+use upaq_serve::{FleetConfig, FleetMode, FleetServer};
+
+/// Serves `frames` frames of `FrameStream::generate(dataset, seed)` as a
+/// lossless one-stream fleet (Saturate mode: no pacing, no scheduler,
+/// full model on every frame) and checks every delivered frame's
+/// detections equal per-frame `detect` on the same sample.
+fn assert_serving_matches_detect<D: StreamingDetector>(
+    base: &D,
+    dataset: &DatasetConfig,
+    seed: u64,
+    frames: u64,
+    workers: usize,
+    max_batch: usize,
+) where
+    D::Input: SensorData,
+{
+    let ladder =
+        VariantLadder::build(base.clone(), &DeviceProfile::jetson_orin_nano(), seed).unwrap();
+    let scenario = FleetScenario::single(dataset.clone(), seed, frames, &[0.033], 0.100);
+    let outcome = FleetServer::new(
+        ladder,
+        scenario,
+        FleetConfig {
+            workers,
+            max_batch,
+            mode: FleetMode::Saturate,
+            collect_detections: true,
+            ..FleetConfig::default()
+        },
+    )
+    .run();
+    assert_eq!(outcome.report.completed, frames);
+    assert_eq!(outcome.report.detector, base.modality());
+    assert_eq!(outcome.detections.len(), frames as usize);
+    let stream = FrameStream::<D::Input>::generate(dataset, seed);
+    for (_, id, served) in &outcome.detections {
+        let batch = base.detect(&stream.frame(*id).data).unwrap();
+        assert_eq!(
+            served, &batch,
+            "frame {id} diverged from batch detection (workers {workers}, max batch {max_batch})"
+        );
+    }
+}
 
 #[test]
 fn dataset_and_sensors_reproduce() {
@@ -63,72 +107,30 @@ fn full_compression_reproduces() {
 
 #[test]
 fn streaming_detections_match_batch_bitwise() {
-    // The streaming pipeline in deterministic mode (lossless queues, no
-    // scheduler, full model only) must produce exactly the detections a
-    // batch `detect` call produces on the same seeded frames — streaming
-    // shares `preprocess`/`postprocess` and the forward arithmetic with
-    // the batch path by construction.
+    // A one-stream fleet in Saturate mode (lossless queue, no scheduler,
+    // full model only) must produce exactly the detections a batch
+    // `detect` call produces on the same seeded frames — serving shares
+    // `preprocess`/`postprocess` and the forward arithmetic with the
+    // batch path by construction.
     let mut cfg = DatasetConfig::small();
     cfg.scenes = 3;
-    let stream = FrameStream::generate(&cfg, 31);
-
     let base = PointPillars::build(&PointPillarsConfig::tiny()).unwrap();
-    let ladder =
-        VariantLadder::build(base.clone(), &DeviceProfile::jetson_orin_nano(), 31).unwrap();
-    let frames = 7u64;
-    let pipeline = Pipeline::new(
-        ladder,
-        PipelineConfig {
-            frames,
-            deterministic: true,
-            backbone_workers: 3,
-            queue_capacity: 2,
-            ..PipelineConfig::default()
-        },
-    );
-    let outcome = pipeline.run(stream.clone()).expect("pipeline run");
-    assert_eq!(outcome.report.frames_completed, frames);
-    assert_eq!(outcome.detections.len(), frames as usize);
-
-    for (id, streamed) in &outcome.detections {
-        let batch = base.detect(&stream.frame(*id).data).unwrap();
-        assert_eq!(streamed, &batch, "frame {id} diverged from batch detection");
-    }
+    assert_serving_matches_detect(&base, &cfg, 31, 7, 3, 1);
 }
 
 #[test]
 fn camera_streaming_detections_match_batch_bitwise() {
-    // Same bit-identity guarantee for the SMOKE/camera path: the streaming
-    // engine is generic over the detector, so deterministic mode must be
-    // exactly the batch `detect` on rendered camera frames too.
+    // Same bit-identity guarantee for the SMOKE/camera path: the serving
+    // engine is generic over the detector, so a lossless one-stream fleet
+    // must be exactly the batch `detect` on rendered camera frames too,
+    // one frame per invocation or four.
     let smoke_cfg = SmokeConfig::tiny();
     let mut cfg = DatasetConfig::small();
     cfg.scenes = 3;
     cfg.camera = smoke_cfg.calib.clone();
-    let stream = CameraFrameStream::generate(&cfg, 31);
-
     let base = Smoke::build(&smoke_cfg).unwrap();
-    let ladder =
-        VariantLadder::build(base.clone(), &DeviceProfile::jetson_orin_nano(), 31).unwrap();
-    let frames = 6u64;
-    let pipeline = Pipeline::new(
-        ladder,
-        PipelineConfig {
-            frames,
-            deterministic: true,
-            backbone_workers: 2,
-            queue_capacity: 2,
-            ..PipelineConfig::default()
-        },
-    );
-    let outcome = pipeline.run(stream.clone()).expect("pipeline run");
-    assert_eq!(outcome.report.frames_completed, frames);
-    assert_eq!(outcome.report.detector, "camera");
-    assert_eq!(outcome.detections.len(), frames as usize);
-
-    for (id, streamed) in &outcome.detections {
-        let batch = base.detect(&stream.frame(*id).data).unwrap();
-        assert_eq!(streamed, &batch, "frame {id} diverged from batch detection");
+    for max_batch in [1, 4] {
+        assert_serving_matches_detect(&base, &cfg, 31, 6, 2, max_batch);
     }
 }
 
@@ -209,38 +211,15 @@ fn camera_batched_detection_is_bit_identical_across_rungs() {
     }
 }
 
-/// A *batched* deterministic streaming run must still be bit-identical to
-/// per-frame batch `detect` — batching changes the execution grouping, not
-/// the arithmetic.
+/// A *batched* lossless one-stream run must still be bit-identical to
+/// per-frame batch `detect` — batching changes the execution grouping,
+/// not the arithmetic.
 #[test]
 fn batched_streaming_detections_match_batch_bitwise() {
     let mut cfg = DatasetConfig::small();
     cfg.scenes = 3;
-    let stream = FrameStream::generate(&cfg, 31);
-
     let base = PointPillars::build(&PointPillarsConfig::tiny()).unwrap();
-    let ladder =
-        VariantLadder::build(base.clone(), &DeviceProfile::jetson_orin_nano(), 31).unwrap();
-    let frames = 7u64;
-    let pipeline = Pipeline::new(
-        ladder,
-        PipelineConfig {
-            frames,
-            deterministic: true,
-            backbone_workers: 1,
-            queue_capacity: 4,
-            max_batch: 4,
-            ..PipelineConfig::default()
-        },
-    );
-    let outcome = pipeline.run(stream.clone()).expect("pipeline run");
-    assert_eq!(outcome.report.frames_completed, frames);
-    assert_eq!(outcome.detections.len(), frames as usize);
-
-    for (id, streamed) in &outcome.detections {
-        let batch = base.detect(&stream.frame(*id).data).unwrap();
-        assert_eq!(streamed, &batch, "frame {id} diverged from batch detection");
-    }
+    assert_serving_matches_detect(&base, &cfg, 31, 7, 2, 4);
 }
 
 #[test]

@@ -1,13 +1,13 @@
-//! Scenario-matrix integration suite: every catalog profile through the
-//! streaming pipeline under both scheduling policies.
+//! Scenario-matrix integration suite: every catalog profile through a
+//! one-stream fleet under both scheduling policies.
 //!
 //! Three layers of assertion:
 //!
 //! 1. **Zero silent loss** — on every profile × policy the accounting
-//!    identity `completed + dropped_backpressure + dropped_deadline +
-//!    failed == generated` holds exactly, and the per-variant frame
-//!    charges sum to the completed count (every completed frame was
-//!    billed to exactly one rung).
+//!    identity `completed + degraded + dropped_backpressure +
+//!    dropped_deadline + failed + faulted == admitted` holds exactly,
+//!    and the per-rung frame charges sum to the delivered count (every
+//!    delivered frame was billed to exactly one rung).
 //! 2. **Energy ordering** — in a deterministic virtual-time replay of
 //!    each profile, the proactive policy's modeled energy never exceeds
 //!    the always-base policy's, while its ground-truth VRU recall is
@@ -17,29 +17,31 @@
 //!    profile and stays exactly zero on empty-highway, the profile that
 //!    provably has no vulnerable road users to predict.
 //!
-//! The pipeline runs use wall-clock pacing, so their drop/degrade splits
-//! vary run to run — only identities that hold for *any* interleaving
-//! are asserted there. The energy/recall comparison instead replays
-//! frames in virtual time (budgets and latency observations come from
-//! the modeled estimates, never the wall clock), which makes it exactly
-//! reproducible at any thread count.
+//! The serving runs replay each profile's arrival-gap cycle on the wall
+//! clock, so their drop/degrade splits vary run to run — only identities
+//! that hold for *any* interleaving are asserted there. The energy/recall
+//! comparison instead replays frames in virtual time (budgets and latency
+//! observations come from the modeled estimates, never the wall clock)
+//! through the engine's own admission rule — `admit_prefix`, then
+//! `clamp_prefix` — which makes it exactly reproducible at any thread
+//! count.
 
 use std::sync::OnceLock;
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::dataset::Dataset;
+use upaq_kitti::fleet::FleetScenario;
 use upaq_kitti::scenario::{self, ScenarioProfile};
-use upaq_kitti::stream::FrameStream;
 use upaq_kitti::Scene;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::pretrain::fit_lidar_head;
-use upaq_models::{LidarDetector, StreamingDetector};
-use upaq_runtime::pipeline::{Pipeline, PipelineConfig};
-use upaq_runtime::scheduler::{Admission, DeadlineScheduler, SchedulerConfig};
+use upaq_models::LidarDetector;
+use upaq_runtime::scheduler::{DeadlineScheduler, SchedulerConfig};
 use upaq_runtime::{OverrideSnapshot, ProactiveConfig, ProactivePolicy, VariantLadder};
+use upaq_serve::{FleetConfig, FleetMode, FleetServer};
 use upaq_tensor::ops::TensorParallel;
 
 const SEED: u64 = 2025;
-const PIPELINE_FRAMES: u64 = 10;
+const SERVED_FRAMES: u64 = 10;
 const SIM_FRAMES: u64 = 24;
 
 fn test_threads() -> usize {
@@ -86,44 +88,44 @@ fn fitted_ladder(profile: &ScenarioProfile) -> VariantLadder<LidarDetector> {
 fn every_profile_accounts_every_frame_under_both_policies() {
     for profile in scenario::catalog() {
         let ladder = fitted_ladder(&profile);
+        let scenario = FleetScenario::single(
+            profile.dataset.clone(),
+            SEED,
+            SERVED_FRAMES,
+            &profile.arrival.cycle(),
+            profile.deadline_s,
+        );
         for proactive in [None, Some(ProactiveConfig::default())] {
-            let config = PipelineConfig {
-                frames: PIPELINE_FRAMES,
-                source_intervals: profile.arrival.cycle(),
-                scheduler: SchedulerConfig {
-                    deadline_s: profile.deadline_s,
-                    ..SchedulerConfig::default()
+            let outcome = FleetServer::new(
+                ladder.clone(),
+                scenario.clone(),
+                FleetConfig {
+                    workers: 2,
+                    max_batch: 2,
+                    per_stream_queue: 4,
+                    mode: FleetMode::Realtime,
+                    proactive: proactive.clone(),
+                    collect_detections: true,
+                    ..FleetConfig::default()
                 },
-                max_batch: 2,
-                proactive: proactive.clone(),
-                scenario: profile.name.into(),
-                ..PipelineConfig::default()
-            };
-            let pipeline = Pipeline::new(ladder.clone(), config);
-            let outcome = pipeline
-                .run(FrameStream::generate(&profile.dataset, SEED))
-                .expect("pipeline run");
+            )
+            .run();
             let r = &outcome.report;
             let label = format!("{} / {}", profile.name, r.policy);
 
-            assert_eq!(r.frames_generated, PIPELINE_FRAMES, "{label}");
-            assert_eq!(
-                r.frames_completed + r.dropped_backpressure + r.dropped_deadline + r.failed,
-                r.frames_generated,
-                "{label}: silent frame loss"
-            );
+            assert_eq!(r.admitted, SERVED_FRAMES, "{label}");
+            assert!(r.accounted(), "{label}: silent frame loss");
             // A healthy forward path never fails: shed load must be filed
-            // under the drop counters, not `failed`.
-            assert_eq!(r.failed, 0, "{label}");
+            // under the drop counters, not `failed` or `faulted`.
+            assert_eq!(r.failed + r.faulted, 0, "{label}");
             assert_eq!(
-                outcome.detections.len(),
-                r.frames_completed as usize,
-                "{label}: detections must match completions"
+                outcome.detections.len() as u64,
+                r.delivered(),
+                "{label}: detections must match deliveries"
             );
-            // Every completed frame was billed to exactly one rung.
-            let billed: u64 = r.variants.iter().map(|v| v.frames).sum();
-            assert_eq!(billed, r.frames_completed, "{label}: energy billing leak");
-            assert_eq!(r.scenario, profile.name, "{label}");
+            // Every delivered frame was billed to exactly one rung.
+            let billed: u64 = r.rungs.iter().map(|v| v.frames).sum();
+            assert_eq!(billed, r.delivered(), "{label}: energy billing leak");
             assert_eq!(
                 r.policy,
                 if proactive.is_some() {
@@ -138,9 +140,6 @@ fn every_profile_accounts_every_frame_under_both_policies() {
                 proactive.is_some(),
                 "{label}: override counters reported iff the policy ran"
             );
-            for stage in &r.stages {
-                assert!(stage.queue_max_depth <= stage.queue_capacity, "{label}");
-            }
         }
     }
 }
@@ -181,10 +180,12 @@ fn vru_matches(scene: &Scene, dets: &[upaq_det3d::Box3d], radius_m: f32) -> (u64
 }
 
 /// Replays `SIM_FRAMES` frames of a profile in virtual time: every frame
-/// arrives with its full deadline budget, the scheduler's latency EMAs
-/// are fed the *modeled* rung latencies instead of wall-clock samples,
-/// and detections feed the proactive EMAs in frame order. Pure arithmetic
-/// end to end, so two replays agree exactly at any thread count.
+/// arrives alone with its full deadline budget and is admitted by the
+/// serving engine's rule (`admit_prefix`, then `clamp_prefix` under the
+/// proactive policy), the scheduler's latency EMAs are fed the *modeled*
+/// rung latencies instead of wall-clock samples, and detections feed the
+/// proactive EMAs in frame order. Pure arithmetic end to end, so two
+/// replays agree exactly at any thread count.
 ///
 /// The first two scene cycles are a warmup: frames are admitted and
 /// observed (EMAs warm exactly as they would streaming) but not scored —
@@ -197,15 +198,8 @@ fn simulate(
     proactive: Option<ProactiveConfig>,
 ) -> SimOutcome {
     let data = Dataset::generate(&profile.dataset, SEED);
-    let scheduler = DeadlineScheduler::new(
-        ladder,
-        SchedulerConfig {
-            deadline_s: profile.deadline_s,
-            ..SchedulerConfig::default()
-        },
-    );
+    let scheduler = DeadlineScheduler::new(ladder, SchedulerConfig::default());
     let policy = proactive.map(ProactivePolicy::new);
-    let base = &ladder.level(0).detector;
 
     // Two full scene cycles: the detection EMA needs one cycle to see
     // every scene and a second for the rung choices those sightings
@@ -219,12 +213,10 @@ fn simulate(
         let cloud = data.lidar(scene_index);
         let level = match &policy {
             Some(p) => {
-                let input = base.preprocess(&cloud);
-                let features = base.complexity(&cloud, &input);
-                match p.admit_budget(&scheduler, &features, profile.deadline_s) {
-                    Admission::Run { level } => level,
-                    Admission::Drop => panic!("full-budget frame must never drop"),
-                }
+                let (k, reactive) = scheduler
+                    .admit_prefix(&[profile.deadline_s])
+                    .expect("full-budget frame must never drop");
+                p.clamp_prefix(&scheduler, k, reactive, profile.deadline_s)
             }
             None => 0,
         };
