@@ -2,7 +2,7 @@
 //! end-to-end throughput for both detectors, written to
 //! `BENCH_streaming.json` so perf regressions show up as diffs.
 //!
-//! Three measurement tiers:
+//! Four measurement tiers:
 //!
 //! 1. **Kernel**: one representative pruned convolution timed under the
 //!    pre-PR spawn-per-call dispatch, the persistent worker pool, and the
@@ -18,11 +18,6 @@
 //!    LiDAR; candidate suppression for SMOKE) — on the steady-state packed
 //!    level-0 detector, after asserting the composed stages reproduce
 //!    `postprocess` bit for bit.
-//! 5. **Sparse backbone**: gather/scatter sparse-activation forward vs
-//!    the dense executor over every scenario catalog profile (empty
-//!    highway is the headline win; rush hour exercises the
-//!    density-threshold dense fallback), with full activation-map
-//!    bit-identity asserted per frame.
 //!
 //! Every configuration is also checked for bit-identical detections
 //! against a serial single-frame reference before any timing is trusted.
@@ -43,14 +38,12 @@ use upaq_kitti::camera::CameraImage;
 use upaq_kitti::dataset::{Dataset, DatasetConfig};
 use upaq_kitti::fleet::FleetScenario;
 use upaq_kitti::lidar::PointCloud;
-use upaq_kitti::scenario;
 use upaq_kitti::stream::SensorData;
 use upaq_models::detector::{CameraDetector, LidarDetector};
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
 use upaq_nn::exec::{forward_into, Workspace};
-use upaq_nn::sparse::{forward_sparse_into, SparseExecConfig};
 use upaq_nn::Model;
 use upaq_runtime::VariantLadder;
 use upaq_serve::{FleetConfig, FleetMode, FleetServer};
@@ -382,121 +375,6 @@ where
     Ok(speedup_at_4)
 }
 
-/// A preprocessed sparse-bench frame: named model inputs plus the
-/// matching active-site lists.
-type SparseFrame = (HashMap<String, Tensor>, HashMap<String, Vec<u32>>);
-
-/// Tier 5: gather/scatter sparse-activation backbone vs the dense
-/// executor, across the scenario catalog's traffic profiles. Empty
-/// highway is the headline win (a handful of active pillars); rush hour
-/// is the stress arm where the density-threshold fallback must keep the
-/// sparse path from losing ground. Every frame's full activation map is
-/// asserted raw-bits identical between the two executors before any
-/// timing is trusted.
-fn sparse_backbone_bench(frames_per_scenario: usize) -> BenchResult<Vec<Value>> {
-    // The paper-scale forward is ~half a second per frame; two dozen
-    // frames per arm bounds the tier at a couple of minutes while staying
-    // well clear of timer noise.
-    let frames_per_scenario = frames_per_scenario.min(24);
-    // Paper-scale backbone: the 32×32 pillar grid leaves the active set
-    // real dilation headroom (the tiny test grid saturates after one 3×3),
-    // and the 4.8 M-parameter stages are what sparsity actually has to
-    // speed up on device.
-    let mut det = PointPillars::build(&PointPillarsConfig::paper())?;
-    // Steady-state serving runs packed weights on both executors; without
-    // this the sparse path would re-pack every convolution per frame.
-    det.model.pack_weights();
-    let det = &det;
-    let cfg = SparseExecConfig::default();
-    TensorParallel::set_threads(4);
-    TensorParallel::set_exec_mode(ExecMode::Pool);
-    let mut rows = Vec::new();
-    for profile in scenario::catalog() {
-        let dataset = Dataset::generate(&profile.dataset, SEED);
-        let prepped: Vec<SparseFrame> = (0..dataset.scenes().len().min(4))
-            .map(|i| {
-                let cloud = <PointCloud as SensorData>::sample(&dataset, i);
-                let (tensor, sites) = det.preprocess_sparse(&cloud);
-                let mut inputs = HashMap::new();
-                inputs.insert(det.input_name.clone(), tensor);
-                let mut active = HashMap::new();
-                active.insert(
-                    det.input_name.clone(),
-                    sites.expect("lidar path always produces an active list"),
-                );
-                (inputs, active)
-            })
-            .collect();
-
-        // Identity gate + per-frame sparsity telemetry.
-        let mut mean_frac = 0.0;
-        let mut sparse_layers = 0usize;
-        let mut dense_ws = Workspace::new();
-        let mut sparse_ws = Workspace::new();
-        for (inputs, active) in &prepped {
-            forward_into(&det.model, inputs, &mut dense_ws)?;
-            let stats = forward_sparse_into(&det.model, inputs, active, &mut sparse_ws, &cfg)?;
-            mean_frac += stats.mean_active_frac();
-            sparse_layers = sparse_layers.max(stats.sparse_layers());
-            for (id, want) in dense_ws.activations() {
-                let got = &sparse_ws.activations()[id];
-                if want
-                    .as_slice()
-                    .iter()
-                    .zip(got.as_slice())
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    return Err(format!(
-                        "sparse backbone diverged from dense on scenario `{}` layer {id:?}",
-                        profile.name
-                    )
-                    .into());
-                }
-            }
-        }
-        mean_frac /= prepped.len() as f64;
-
-        let time_fps = |sparse: bool, ws: &mut Workspace| -> BenchResult<f64> {
-            for (inputs, active) in prepped.iter().cycle().take(WARMUP_FRAMES) {
-                if sparse {
-                    forward_sparse_into(&det.model, inputs, active, ws, &cfg)?;
-                } else {
-                    forward_into(&det.model, inputs, ws)?;
-                }
-            }
-            let start = Instant::now();
-            for i in 0..frames_per_scenario {
-                let (inputs, active) = &prepped[i % prepped.len()];
-                if sparse {
-                    forward_sparse_into(&det.model, inputs, active, ws, &cfg)?;
-                } else {
-                    forward_into(&det.model, inputs, ws)?;
-                }
-            }
-            Ok(frames_per_scenario as f64 / start.elapsed().as_secs_f64())
-        };
-        let dense_fps = time_fps(false, &mut dense_ws)?;
-        let sparse_fps = time_fps(true, &mut sparse_ws)?;
-        let speedup = sparse_fps / dense_fps;
-        println!(
-            "  [{}] backbone: dense {dense_fps:.1} fps, sparse {sparse_fps:.1} fps \
-             ({speedup:.2}×, mean active {:.1}%, {sparse_layers} sparse layers)",
-            profile.name,
-            mean_frac * 100.0
-        );
-        rows.push(json!({
-            "scenario": profile.name,
-            "dense_fps": dense_fps,
-            "sparse_fps": sparse_fps,
-            "speedup": speedup,
-            "mean_active_frac": mean_frac,
-            "sparse_layers": sparse_layers,
-        }));
-    }
-    TensorParallel::set_threads(1);
-    Ok(rows)
-}
-
 /// Times one stage closure over `iters` passes and returns mean ms/call.
 fn time_stage_ms(iters: usize, mut f: impl FnMut()) -> f64 {
     f(); // warm caches before timing
@@ -740,19 +618,6 @@ fn main() -> BenchResult<()> {
         camera_stage_breakdown(&ladder.level(0).detector, &images, budget.stream_frames)?
     });
 
-    println!("Sparse-activation backbone vs dense across scenario profiles…");
-    let sparse_rows = sparse_backbone_bench(budget.stream_frames)?;
-    let sparse_speedup = |name: &str| {
-        sparse_rows
-            .iter()
-            .find(|r| r.get("scenario").and_then(Value::as_str) == Some(name))
-            .and_then(|r| r.get("speedup"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
-    };
-    let empty_highway_speedup = sparse_speedup("empty-highway");
-    let rush_hour_speedup = sparse_speedup("rush-hour");
-
     let report = json!({
         "schema": "upaq-bench-streaming/v1",
         "budget": json!({
@@ -764,7 +629,6 @@ fn main() -> BenchResult<()> {
         "single_stream": Value::Arr(single_rows),
         "e2e": Value::Arr(e2e_rows),
         "stage_breakdown": Value::Arr(stage_rows),
-        "sparse_backbone": Value::Arr(sparse_rows),
         "bit_identity": json!({
             "checked_configs": identity_checks,
             "identical": true,
@@ -773,8 +637,6 @@ fn main() -> BenchResult<()> {
             "threads4_speedup_lidar": lidar_speedup,
             "threads4_speedup_camera": camera_speedup,
             "meets_1_5x": lidar_speedup >= 1.5 && camera_speedup >= 1.5,
-            "sparse_speedup_empty_highway": empty_highway_speedup,
-            "sparse_speedup_rush_hour": rush_hour_speedup,
         }),
     });
     std::fs::write(&out_path, report.pretty())?;

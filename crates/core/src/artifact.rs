@@ -36,6 +36,10 @@ const VERSION: u32 = 1;
 /// Kernel granule for pattern-packed layers (the 3×3 virtual kernel of
 /// Algorithms 4/5).
 const GRANULE: usize = 9;
+/// Bitwidths of integer-coded payloads.
+const CODED_BITS: std::ops::RangeInclusive<u8> = 2..=16;
+/// The bits byte of a raw-f32 payload.
+const RAW_BITS: u8 = 32;
 
 /// A serialized compressed model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,7 +200,7 @@ pub fn pack(
         let weights = layer.weights().expect("weighted layer");
         let layer_bits = bits.get(&id).copied().unwrap_or(32);
         let kind = kinds.get(&id).copied().unwrap_or(SparsityKind::Dense);
-        if layer_bits < 32 && !(2..=16).contains(&layer_bits) {
+        if layer_bits != RAW_BITS && !CODED_BITS.contains(&layer_bits) {
             return Err(UpaqError::BadConfig(format!(
                 "unsupported bits {layer_bits}"
             )));
@@ -289,7 +293,9 @@ pub fn pack(
 ///
 /// # Errors
 ///
-/// Returns [`UpaqError::BadConfig`] for corrupt artifacts or layer-shape
+/// Returns [`UpaqError::BadConfig`] for corrupt artifacts — truncated
+/// input, a bits byte [`pack`] never writes for the layer's kind, or a
+/// decoded weight that is NaN or infinite — and for layer-shape
 /// mismatches.
 pub fn unpack(packed: &PackedModel, template: &Model) -> Result<Model> {
     let mut r = Reader::new(&packed.bytes);
@@ -305,6 +311,16 @@ pub fn unpack(packed: &PackedModel, template: &Model) -> Result<Model> {
         let id = r.u32()? as usize;
         let kind = r.u8()?;
         let bits = r.u8()?;
+        let bits_ok = match kind {
+            0 => bits == RAW_BITS,
+            1 | 2 => CODED_BITS.contains(&bits),
+            _ => bits == RAW_BITS || CODED_BITS.contains(&bits),
+        };
+        if !bits_ok {
+            return Err(UpaqError::BadConfig(format!(
+                "layer {id}: kind {kind} has no {bits}-bit encoding"
+            )));
+        }
         let len = r.u32()? as usize;
         let current_shape = {
             let layer = model.layer(id)?;
@@ -373,6 +389,14 @@ pub fn unpack(packed: &PackedModel, template: &Model) -> Result<Model> {
                 }
             }
             other => return Err(UpaqError::BadConfig(format!("unknown layer kind {other}"))),
+        }
+        // A corrupt scale or raw value would hand the model weights no
+        // compression produced (`0 × inf` even revives pruned taps as NaN).
+        if let Some(i) = data.iter().position(|v| !v.is_finite()) {
+            return Err(UpaqError::BadConfig(format!(
+                "layer {id}: weight {i} decodes to {}",
+                data[i]
+            )));
         }
         let tensor = Tensor::from_vec(current_shape, data)?;
         model.layer_mut(id)?.set_weights(tensor);
@@ -500,6 +524,74 @@ mod tests {
         let mut short = packed.clone();
         short.bytes.truncate(packed.len() / 2);
         assert!(unpack(&short, &m).is_err());
+    }
+
+    /// Offset of the first layer record's bits byte: magic, version and
+    /// layer count, then its id and kind.
+    const FIRST_BITS: usize = 12 + 4 + 1;
+    /// Offset of the first layer's payload.
+    const FIRST_PAYLOAD: usize = 12 + 4 + 1 + 1 + 4;
+
+    /// `m` packed with every layer at `bits` under `kind`.
+    fn packed_as(m: &Model, bits: u8, kind: SparsityKind) -> PackedModel {
+        let ids = m.weighted_layers();
+        let alloc: BitAllocation = ids.iter().map(|&id| (id, bits)).collect();
+        let kinds = ids.iter().map(|&id| (id, kind)).collect();
+        pack(m, &alloc, &kinds).unwrap()
+    }
+
+    fn set_f32(packed: &mut PackedModel, at: usize, v: f32) {
+        packed.bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn bits_byte_pack_never_writes_is_rejected() {
+        let (m, _) = model();
+        let coded = packed_as(&m, 8, SparsityKind::Dense);
+        assert_eq!(coded.bytes[FIRST_BITS - 1], 1, "dense-quant layer");
+        for bits in [0u8, 1, 17, 31, 32, 40, 200] {
+            let mut bad = coded.clone();
+            bad.bytes[FIRST_BITS] = bits;
+            assert!(unpack(&bad, &m).is_err(), "coded layer with {bits} bits");
+        }
+        let raw = pack(&m, &BitAllocation::new(), &HashMap::new()).unwrap();
+        assert_eq!(raw.bytes[FIRST_BITS - 1], 0, "dense fp32 layer");
+        for bits in [0u8, 8, 16, 200] {
+            let mut bad = raw.clone();
+            bad.bytes[FIRST_BITS] = bits;
+            assert!(unpack(&bad, &m).is_err(), "raw layer with {bits} bits");
+        }
+    }
+
+    #[test]
+    fn non_finite_scale_is_rejected() {
+        let (m, _) = model();
+        // The first kernel's scale of a pattern-packed layer (after its
+        // u16 mask), and the per-layer scale of a dense-quant one, where
+        // an infinite scale turns zero codes into NaN.
+        for (kind, at) in [
+            (SparsityKind::SemiStructured, FIRST_PAYLOAD + 2),
+            (SparsityKind::Dense, FIRST_PAYLOAD),
+        ] {
+            let packed = packed_as(&m, 8, kind);
+            assert!(unpack(&packed, &m).is_ok());
+            for scale in [f32::INFINITY, f32::NAN] {
+                let mut bad = packed.clone();
+                set_f32(&mut bad, at, scale);
+                assert!(unpack(&bad, &m).is_err(), "{kind:?} scale {scale}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_raw_weight_is_rejected() {
+        let (m, _) = model();
+        let packed = pack(&m, &BitAllocation::new(), &HashMap::new()).unwrap();
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut bad = packed.clone();
+            set_f32(&mut bad, FIRST_PAYLOAD, v);
+            assert!(unpack(&bad, &m).is_err(), "raw weight {v}");
+        }
     }
 
     #[test]

@@ -118,53 +118,13 @@ impl PillarConfig {
 /// head regress heading.
 ///
 /// Every channel is exactly `0.0` at unpopulated cells — including the
-/// range channel, which is gated by occupancy — so the pseudo-image's
-/// active set is precisely the occupied-cell set and the sparse-activation
-/// execution path can treat everything else as constant background.
+/// range channel, which is gated by occupancy.
 ///
 /// Signed quantities (channels 5/6 offsets and 11 covariance) are remapped
 /// into `[0, 1]` (0.5 = zero): the networks downstream start with a
 /// ReLU-ing 1×1 PFN, and signed features would lose their negative half at
 /// the first activation — destroying exactly the sub-cell localization
 /// signal the box regressor needs.
-pub fn pillarize(cloud: &PointCloud, config: &PillarConfig) -> Tensor {
-    pillarize_active(cloud, config).0
-}
-
-/// Per-point accumulation addends, precomputed in the parallel classify
-/// pass: `[z, z², intensity, dx, dy, dx², dy², dx·dy]`. The serial merge
-/// pass adds them to the per-cell accumulators in original point order, so
-/// the sums are bit-identical to the single-pass serial encoder at any
-/// thread count.
-type PointAddends = [f32; 8];
-
-/// Sentinel for points filtered out by the height/range gates.
-const SKIP_CELL: u32 = u32::MAX;
-
-/// Points per chunk of the parallel classify pass.
-const POINT_CHUNK: usize = 2048;
-
-/// Cells per chunk of the parallel finalize pass.
-const CELL_CHUNK: usize = 512;
-
-/// Raw-pointer handoff for the disjoint per-chunk writes of the parallel
-/// passes (same pattern as the tensor crate's conv dispatch).
-#[derive(Clone, Copy)]
-struct SendMut<T>(*mut T);
-unsafe impl<T> Send for SendMut<T> {}
-unsafe impl<T> Sync for SendMut<T> {}
-
-impl<T> SendMut<T> {
-    // Accessor (rather than field access) so closures capture the Sync
-    // wrapper, not the raw pointer, under 2021 disjoint capture.
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-/// [`pillarize`] plus the sorted active-site list (`cx * cells_y + cy`
-/// row-major linear indices of occupied cells) — the coordinate list the
-/// sparse-activation execution path threads through the backbone.
 ///
 /// Work is distributed over the persistent tensor worker pool in three
 /// passes: a parallel per-point classify (cell index + accumulation
@@ -173,7 +133,7 @@ impl<T> SendMut<T> {
 /// deterministic order. Each pass either preserves the serial operation
 /// order or touches disjoint data, so the output is bit-identical to the
 /// serial encoder ([`pillarize_reference`]) at any thread count.
-pub fn pillarize_active(cloud: &PointCloud, config: &PillarConfig) -> (Tensor, Vec<u32>) {
+pub fn pillarize(cloud: &PointCloud, config: &PillarConfig) -> Tensor {
     let grid = &config.grid;
     let (h, w) = (grid.cells_x, grid.cells_y);
     let n_cells = h * w;
@@ -289,18 +249,43 @@ pub fn pillarize_active(cloud: &PointCloud, config: &PillarConfig) -> (Tensor, V
         }
     });
 
-    let active = count
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, &n)| (n > 0).then_some(idx as u32))
-        .collect();
-    let img = Tensor::from_vec(Shape::nchw(1, PILLAR_CHANNELS, h, w), data)
-        .expect("pillar buffer matches declared shape");
-    (img, active)
+    Tensor::from_vec(Shape::nchw(1, PILLAR_CHANNELS, h, w), data)
+        .expect("pillar buffer matches declared shape")
+}
+
+/// Per-point accumulation addends, precomputed in the parallel classify
+/// pass: `[z, z², intensity, dx, dy, dx², dy², dx·dy]`. The serial merge
+/// pass adds them to the per-cell accumulators in original point order, so
+/// the sums are bit-identical to the single-pass serial encoder at any
+/// thread count.
+type PointAddends = [f32; 8];
+
+/// Sentinel for points filtered out by the height/range gates.
+const SKIP_CELL: u32 = u32::MAX;
+
+/// Points per chunk of the parallel classify pass.
+const POINT_CHUNK: usize = 2048;
+
+/// Cells per chunk of the parallel finalize pass.
+const CELL_CHUNK: usize = 512;
+
+/// Raw-pointer handoff for the disjoint per-chunk writes of the parallel
+/// passes (same pattern as the tensor crate's conv dispatch).
+#[derive(Clone, Copy)]
+struct SendMut<T>(*mut T);
+unsafe impl<T> Send for SendMut<T> {}
+unsafe impl<T> Sync for SendMut<T> {}
+
+impl<T> SendMut<T> {
+    // Accessor (rather than field access) so closures capture the Sync
+    // wrapper, not the raw pointer, under 2021 disjoint capture.
+    fn get(self) -> *mut T {
+        self.0
+    }
 }
 
 /// The single-pass serial pillar encoder, preserved verbatim as the
-/// bit-identity oracle for [`pillarize_active`]'s parallel passes.
+/// bit-identity oracle for [`pillarize`]'s parallel passes.
 #[doc(hidden)]
 pub fn pillarize_reference(cloud: &PointCloud, config: &PillarConfig) -> Tensor {
     let grid = &config.grid;
@@ -439,13 +424,12 @@ mod tests {
     #[test]
     fn empty_cells_have_zero_features() {
         let cfg = PillarConfig::kitti(8, 8);
-        let (img, active) = pillarize_active(&cloud_of(vec![]), &cfg);
+        let img = pillarize(&cloud_of(vec![]), &cfg);
         // Every channel — including range (8) — is exactly zero at empty
-        // cells, so the active set is precisely the occupied-cell set.
+        // cells.
         for v in img.as_slice() {
             assert_eq!(v.to_bits(), 0.0f32.to_bits());
         }
-        assert!(active.is_empty());
     }
 
     #[test]
@@ -460,21 +444,6 @@ mod tests {
         assert!(img.get(&[0, 8, cx, cy]).unwrap() > 0.0);
         // A far empty cell carries no range signal.
         assert_eq!(img.get(&[0, 8, 7, 7]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn active_sites_match_occupancy_channel() {
-        let dataset = Dataset::generate(&DatasetConfig::small(), 9);
-        let cfg = PillarConfig::kitti(32, 32);
-        for frame in 0..3 {
-            let (img, active) = pillarize_active(&dataset.lidar(frame), &cfg);
-            let expected: Vec<u32> = (0..32 * 32)
-                .filter(|&i| img.get(&[0, OCCUPANCY_CHANNEL, i / 32, i % 32]).unwrap() == 1.0)
-                .map(|i| i as u32)
-                .collect();
-            assert_eq!(active, expected);
-            assert!(active.windows(2).all(|p| p[0] < p[1]), "sorted");
-        }
     }
 
     #[test]

@@ -116,9 +116,7 @@ fn small_lidar() -> LidarConfig {
 fn highway_lidar() -> LidarConfig {
     // Open road at speed: the sweep is dominated by long-range misses —
     // a handful of ground returns and almost no clutter, so the active
-    // pillar set stays small. This is the regime where the
-    // sparse-activation backbone's gather/scatter path pays off
-    // (`bench_streaming`'s headline sparse row).
+    // pillar set stays small: the catalog's cheapest scenes.
     LidarConfig {
         ground_points: 24,
         clutter_points: 4,

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use upaq_det3d::camera_head::{decode_camera, CameraHeadSpec};
 use upaq_det3d::head::{decode, HeadSpec};
 use upaq_det3d::nms::nms;
-use upaq_det3d::pillars::{pillarize, pillarize_active, PillarConfig};
+use upaq_det3d::pillars::{pillarize, PillarConfig};
 use upaq_det3d::refine::{refine_all, RefineConfig};
 use upaq_det3d::Box3d;
 use upaq_kitti::camera::CameraImage;
@@ -64,16 +64,6 @@ pub trait StreamingDetector: Clone + Send + Sync + 'static {
 
     /// Stage 1: sensor sample → network input tensor.
     fn preprocess(&self, input: &Self::Input) -> Tensor;
-
-    /// Stage 1 plus the input's active-site list for sparse-activation
-    /// execution: sorted row-major linear indices (`y * w + x`) of the
-    /// sites that differ from the all-zero background. `None` means the
-    /// modality has no sparse encoding and the runtime executes dense
-    /// even when `--sparse-act` is on. The tensor must be bit-identical
-    /// to [`preprocess`][Self::preprocess].
-    fn preprocess_sparse(&self, input: &Self::Input) -> (Tensor, Option<Vec<u32>>) {
-        (self.preprocess(input), None)
-    }
 
     /// Stage 3: raw head output (+ the original sample, for refinement) →
     /// final 3D boxes.
@@ -303,14 +293,6 @@ impl StreamingDetector for LidarDetector {
 
     fn preprocess(&self, input: &PointCloud) -> Tensor {
         LidarDetector::preprocess(self, input)
-    }
-
-    fn preprocess_sparse(&self, input: &PointCloud) -> (Tensor, Option<Vec<u32>>) {
-        // The pillarizer knows exactly which BEV cells are occupied, and
-        // every pillar channel is zero at unoccupied cells, so the
-        // occupied-cell list *is* the active set.
-        let (tensor, active) = pillarize_active(input, &self.pillar_config);
-        (tensor, Some(active))
     }
 
     fn postprocess(&self, output: &Tensor, input: &PointCloud) -> Vec<Box3d> {

@@ -11,10 +11,10 @@ use upaq_tensor::{Shape, Tensor};
 /// The cached execution order for one model wiring: the derived graph and
 /// its topological order, keyed by [`Model::wiring_fingerprint`].
 #[derive(Debug)]
-pub(crate) struct Plan {
+struct Plan {
     fingerprint: u64,
-    pub(crate) graph: Graph,
-    pub(crate) order: Vec<LayerId>,
+    graph: Graph,
+    order: Vec<LayerId>,
 }
 
 impl Plan {
@@ -40,8 +40,8 @@ impl Plan {
 /// overwritten and the arithmetic path is shared.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    pub(crate) acts: HashMap<LayerId, Tensor>,
-    pub(crate) plan: Option<Plan>,
+    acts: HashMap<LayerId, Tensor>,
+    plan: Option<Plan>,
     last_fp: Option<u64>,
 }
 
@@ -65,7 +65,7 @@ impl Workspace {
     /// Drops buffers recycled from a different wiring — layer ids would
     /// otherwise alias across models and stale entries would linger in
     /// [`Workspace::activations`].
-    pub(crate) fn reset_if_rewired(&mut self, fingerprint: u64) {
+    fn reset_if_rewired(&mut self, fingerprint: u64) {
         if self.last_fp != Some(fingerprint) {
             self.acts.clear();
             self.last_fp = Some(fingerprint);
@@ -74,7 +74,7 @@ impl Workspace {
 
     /// The cached plan for `fingerprint`, moved out of the workspace so the
     /// caller can hold it while mutating `acts`. Put it back when done.
-    pub(crate) fn plan_for(&mut self, model: &Model, fingerprint: u64) -> Result<Plan> {
+    fn plan_for(&mut self, model: &Model, fingerprint: u64) -> Result<Plan> {
         match self.plan.take() {
             Some(p) if p.fingerprint == fingerprint => Ok(p),
             _ => Plan::build(model, fingerprint),
@@ -82,7 +82,7 @@ impl Workspace {
     }
 }
 
-pub(crate) fn missing(layer: &Layer, what: &'static str) -> NnError {
+fn missing(layer: &Layer, what: &'static str) -> NnError {
     NnError::MissingParams {
         layer: layer.name().to_string(),
         what,
@@ -165,7 +165,7 @@ fn reuse_or_zeros(recycled: Option<Tensor>, shape: &Shape) -> Tensor {
 /// the single arithmetic path shared by [`forward_into`] and
 /// [`forward_batch_into`], which is what makes serial and batched
 /// execution bit-identical per frame.
-pub(crate) fn eval_layer(
+fn eval_layer(
     layer: &Layer,
     in_ids: &[LayerId],
     acts: &HashMap<LayerId, Tensor>,
@@ -566,6 +566,24 @@ mod tests {
         let x = Tensor::from_vec(Shape::nchw(1, 1, 1, 2), vec![-3.0, 5.0]).unwrap();
         let out = forward_single(&m, "in", &x).unwrap();
         assert_eq!(out.as_slice(), &[0.0, 5.0]);
+    }
+
+    #[test]
+    fn non_finite_conv_weights_fail_forward() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut m = Model::new("m");
+            let input = m.add_input("in", 2);
+            let w = Tensor::from_vec(Shape::nchw(1, 2, 1, 1), vec![1.0, bad]).unwrap();
+            let b = Tensor::zeros(Shape::vector(1));
+            m.add_layer(Layer::conv2d_with_weights("c", 1, 0, w, b), &[input])
+                .unwrap();
+            m.pack_weights();
+            let x = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
+            let inputs = make_inputs("in", x);
+            assert!(forward(&m, &inputs).is_err(), "{bad} forward");
+            let batch = [inputs.clone(), inputs];
+            assert!(forward_batch(&m, &batch).is_err(), "{bad} forward_batch");
+        }
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod model;
 pub mod exec;
 pub mod group;
 pub mod init;
-pub mod sparse;
 pub mod stats;
 
 pub use error::NnError;

@@ -18,8 +18,7 @@
 //! * [`scheduler`] — deadline-aware prefix admission over the ladder;
 //! * [`proactive`] — detection-history rung steering with VRU-safety and
 //!   deadline-headroom overrides layered over the scheduler;
-//! * [`metrics`] — latency percentiles, batch statistics and
-//!   sparse-activation telemetry.
+//! * [`metrics`] — latency percentiles and batch statistics.
 
 pub mod metrics;
 pub mod proactive;
@@ -27,10 +26,8 @@ pub mod scheduler;
 pub mod variant;
 
 pub use metrics::{
-    BatchBucket, BatchStats, LatencyRecorder, LatencySummary, LayerSparsityReport, SparsityAgg,
-    SparsityReport,
+    BatchBucket, BatchStats, LatencyRecorder, LatencySummary, LayerSparsityReport, SparsityReport,
 };
 pub use proactive::{OverrideCounters, OverrideSnapshot, ProactiveConfig, ProactivePolicy};
 pub use scheduler::{DeadlineScheduler, SchedulerConfig};
-pub use upaq_nn::sparse::SparseExecConfig;
 pub use variant::{VariantLadder, VariantSpec};

@@ -1,12 +1,10 @@
 //! Observability building blocks for the serving engine: latency
-//! percentiles, batch statistics and sparse-activation telemetry. The run
-//! report that assembles them is `upaq_serve::FleetReport`.
+//! percentiles and batch statistics. The run report that assembles them
+//! is `upaq_serve::FleetReport`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use upaq_json::{json, ToJson, Value};
-use upaq_nn::sparse::SparseStats;
 
 /// Collects latency samples and answers percentile queries.
 ///
@@ -166,91 +164,9 @@ impl BatchStats {
     }
 }
 
-/// Aggregates per-layer sparse-activation telemetry across a run's
-/// frames: how often each layer retained its sparse representation and
-/// at what mean active fraction — the observability half of the
-/// gather/scatter backbone.
-#[derive(Debug, Default)]
-pub struct SparsityAgg {
-    layers: Mutex<BTreeMap<String, LayerSparsityAgg>>,
-    /// Frames where at least one layer ran the gather kernel.
-    frames_sparse: AtomicU64,
-    /// Frames that fell back to dense on every layer (or carried no
-    /// active-site list at all).
-    frames_dense: AtomicU64,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct LayerSparsityAgg {
-    sum_frac: f64,
-    frames: u64,
-    sparse_frames: u64,
-}
-
-impl SparsityAgg {
-    /// An empty aggregator.
-    pub fn new() -> Self {
-        SparsityAgg::default()
-    }
-
-    /// Folds one frame's per-layer stats into the aggregate.
-    pub fn record(&self, stats: &SparseStats) {
-        let frames = if stats.sparse_layers() > 0 {
-            &self.frames_sparse
-        } else {
-            &self.frames_dense
-        };
-        frames.fetch_add(1, Ordering::Relaxed);
-        let mut layers = self.layers.lock().unwrap();
-        for l in &stats.layers {
-            let agg = layers.entry(l.layer.clone()).or_default();
-            agg.sum_frac += l.active_frac;
-            agg.frames += 1;
-            if l.sparse {
-                agg.sparse_frames += 1;
-            }
-        }
-    }
-
-    /// Charges one frame that ran the purely-dense path (no active-site
-    /// list reached the backbone).
-    pub fn record_dense_frame(&self) {
-        self.frames_dense.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot for the run report.
-    pub fn report(&self) -> SparsityReport {
-        let layers: Vec<LayerSparsityReport> = self
-            .layers
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, agg)| LayerSparsityReport {
-                layer: name.clone(),
-                mean_active_frac: if agg.frames == 0 {
-                    0.0
-                } else {
-                    agg.sum_frac / agg.frames as f64
-                },
-                sparse_frames: agg.sparse_frames,
-                frames: agg.frames,
-            })
-            .collect();
-        let mean = if layers.is_empty() {
-            0.0
-        } else {
-            layers.iter().map(|l| l.mean_active_frac).sum::<f64>() / layers.len() as f64
-        };
-        SparsityReport {
-            frames_sparse: self.frames_sparse.load(Ordering::Relaxed),
-            frames_dense: self.frames_dense.load(Ordering::Relaxed),
-            mean_active_frac: mean,
-            layers,
-        }
-    }
-}
-
-/// Sparse-activation section of the run report.
+/// Sparse-activation section of the run report. Nothing fills it
+/// (serving leaves `FleetReport::sparse_activation` as `None`); the type
+/// stays while report consumers still name the field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparsityReport {
     /// Frames where at least one layer ran the gather kernel.
@@ -341,53 +257,6 @@ mod tests {
         let s = LatencyRecorder::new().summary();
         assert_eq!(s.count, 0);
         assert_eq!(s.p99_s, 0.0);
-    }
-
-    #[test]
-    fn sparsity_agg_folds_frames_per_layer() {
-        use upaq_nn::sparse::LayerSparsity;
-        let agg = SparsityAgg::new();
-        agg.record(&SparseStats {
-            layers: vec![
-                LayerSparsity {
-                    layer: "c1".into(),
-                    active_frac: 0.2,
-                    sparse: true,
-                },
-                LayerSparsity {
-                    layer: "c2".into(),
-                    active_frac: 1.0,
-                    sparse: false,
-                },
-            ],
-        });
-        agg.record(&SparseStats {
-            layers: vec![
-                LayerSparsity {
-                    layer: "c1".into(),
-                    active_frac: 0.4,
-                    sparse: true,
-                },
-                LayerSparsity {
-                    layer: "c2".into(),
-                    active_frac: 1.0,
-                    sparse: false,
-                },
-            ],
-        });
-        // A frame whose every layer fell back to dense.
-        agg.record(&SparseStats { layers: Vec::new() });
-        agg.record_dense_frame();
-        let r = agg.report();
-        assert_eq!(r.frames_sparse, 2);
-        assert_eq!(r.frames_dense, 2);
-        assert_eq!(r.layers.len(), 2);
-        let c1 = &r.layers[0];
-        assert_eq!(c1.layer, "c1");
-        assert!((c1.mean_active_frac - 0.3).abs() < 1e-12);
-        assert_eq!(c1.sparse_frames, 2);
-        assert_eq!(c1.frames, 2);
-        assert!((r.mean_active_frac - (0.3 + 1.0) / 2.0).abs() < 1e-12);
     }
 
     #[test]

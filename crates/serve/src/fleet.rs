@@ -56,8 +56,7 @@ use upaq_kitti::fleet::FleetScenario;
 use upaq_kitti::stream::{Frame, SensorData};
 use upaq_models::StreamingDetector;
 use upaq_nn::exec::{forward_batch_into, forward_into, Workspace};
-use upaq_nn::sparse::{forward_sparse_batch_into, forward_sparse_into, SparseExecConfig};
-use upaq_runtime::metrics::{BatchStats, LatencyRecorder, SparsityAgg};
+use upaq_runtime::metrics::{BatchStats, LatencyRecorder};
 use upaq_runtime::proactive::{ProactiveConfig, ProactivePolicy};
 use upaq_runtime::scheduler::{DeadlineScheduler, SchedulerConfig};
 use upaq_runtime::variant::VariantLadder;
@@ -126,12 +125,6 @@ pub struct FleetConfig {
     /// its backoff expires, isolating the poison from healthy tenants.
     /// `None` disables breaker gating.
     pub breaker: Option<BreakerConfig>,
-    /// Sparse-activation execution ([`upaq_nn::sparse`]): workers thread
-    /// each frame's active-pillar list into the forward plan, falling
-    /// back to the dense kernels per layer above the configured
-    /// active-fraction threshold. Bit-identical to dense by construction;
-    /// `None` keeps the historical always-dense execution.
-    pub sparse_act: Option<SparseExecConfig>,
 }
 
 impl Default for FleetConfig {
@@ -150,7 +143,6 @@ impl Default for FleetConfig {
             faults: None,
             fault_streams: Vec::new(),
             breaker: Some(BreakerConfig::default()),
-            sparse_act: None,
         }
     }
 }
@@ -188,10 +180,6 @@ struct WorkerCtx<'a, D: StreamingDetector> {
     fault_streams: &'a [usize],
     /// The run clock every breaker timestamp is measured on.
     epoch: Instant,
-    /// Sparse-activation config, when the gather/scatter backbone is on.
-    sparse: Option<SparseExecConfig>,
-    /// Per-layer sparsity aggregation across the whole fleet.
-    sparsity: &'a SparsityAgg,
 }
 
 /// Whether the fault plan targets `stream`.
@@ -279,7 +267,6 @@ where
             None
         };
         let batch_stats = BatchStats::new();
-        let sparsity = SparsityAgg::new();
         let e2e = LatencyRecorder::new();
         let meter = Mutex::new(EnergyMeter::for_modality(modality));
         let results: Mutex<Vec<(usize, u64, Vec<Box3d>)>> = Mutex::new(Vec::new());
@@ -321,8 +308,6 @@ where
             faults,
             fault_streams: &cfg.fault_streams,
             epoch: started,
-            sparse: cfg.sparse_act,
-            sparsity: &sparsity,
         };
 
         std::thread::scope(|s| {
@@ -487,7 +472,7 @@ where
                 - meter.total_energy_j(),
             energy_saved_vs_base_frac: meter.savings_vs(base_energy_j),
             overrides: policy.as_ref().map(|p| p.overrides()),
-            sparse_activation: cfg.sparse_act.map(|_| sparsity.report()),
+            sparse_activation: None,
             rungs: ladder
                 .levels()
                 .iter()
@@ -683,23 +668,14 @@ fn run_group<D: StreamingDetector>(
     // detector's input geometry), so level 0's detector serves it.
     let base = &ctx.ladder.level(0).detector;
     let t0 = Instant::now();
-    let mut actives: Vec<HashMap<String, Vec<u32>>> = Vec::with_capacity(k);
     let inputs: Vec<HashMap<String, Tensor>> = jobs
         .iter()
         .map(|job| {
-            let name = variant.detector.input_name().to_string();
-            let (tensor, sites) = if ctx.sparse.is_some() {
-                base.preprocess_sparse(&job.frame.data)
-            } else {
-                (base.preprocess(&job.frame.data), None)
-            };
-            let mut act = HashMap::new();
-            if let Some(sites) = sites {
-                act.insert(name.clone(), sites);
-            }
-            actives.push(act);
             let mut map = HashMap::new();
-            map.insert(name, tensor);
+            map.insert(
+                variant.detector.input_name().to_string(),
+                base.preprocess(&job.frame.data),
+            );
             map
         })
         .collect();
@@ -708,27 +684,13 @@ fn run_group<D: StreamingDetector>(
             panic!("injected backbone fault (fleet group of {k})");
         }
         let model = variant.detector.model();
-        match &ctx.sparse {
-            Some(scfg) => {
-                if k == 1 {
-                    forward_sparse_into(model, &inputs[0], &actives[0], ws, scfg)
-                        .map(|st| vec![st])
-                        .ok()
-                } else {
-                    forward_sparse_batch_into(model, &inputs, &actives, wss, scfg).ok()
-                }
-            }
-            None => {
-                let ok = if k == 1 {
-                    forward_into(model, &inputs[0], ws).is_ok()
-                } else {
-                    forward_batch_into(model, &inputs, wss).is_ok()
-                };
-                ok.then(Vec::new)
-            }
+        if k == 1 {
+            forward_into(model, &inputs[0], ws).is_ok()
+        } else {
+            forward_batch_into(model, &inputs, wss).is_ok()
         }
     }));
-    let stats = match fwd {
+    let ok = match fwd {
         Err(_panic) => {
             // The unwound workspaces may hold torn activations: respawn
             // them, charge every member once, feed the breakers.
@@ -743,9 +705,9 @@ fn run_group<D: StreamingDetector>(
             }
             return;
         }
-        Ok(stats) => stats,
+        Ok(ok) => ok,
     };
-    let Some(stats) = stats else {
+    if !ok {
         let now_s = ctx.epoch.elapsed().as_secs_f64();
         for job in &jobs {
             StreamCounters::bump(&ctx.streams[job.stream].counters.failed);
@@ -754,11 +716,6 @@ fn run_group<D: StreamingDetector>(
             }
         }
         return;
-    };
-    if ctx.sparse.is_some() {
-        for st in &stats {
-            ctx.sparsity.record(st);
-        }
     }
     if spike_s > 0.0 {
         // Injected latency spike: the invocation really takes longer, so

@@ -104,8 +104,9 @@ pub struct FleetReport {
     pub energy_saved_vs_base_frac: f64,
     /// Override-rule counters when the proactive policy was active.
     pub overrides: Option<upaq_runtime::proactive::OverrideSnapshot>,
-    /// Sparse-activation telemetry when the gather/scatter backbone was
-    /// enabled (`--sparse-act`); `None` on dense runs.
+    /// Sparse-activation telemetry: always `None`, since no executor
+    /// produces it. It stays while report consumers still build a
+    /// `FleetReport` that names it.
     pub sparse_activation: Option<upaq_runtime::SparsityReport>,
     /// Frames delivered per ladder rung, in ladder order.
     pub rungs: Vec<RungFrames>,

@@ -1,7 +1,6 @@
 //! Fleet-server integration tests: cross-stream bit-identity, per-stream
 //! accounting under overload, and starvation-boost wiring.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::fleet::{FleetScenario, FleetScenarioConfig, StreamClass};
@@ -131,64 +130,6 @@ fn forced_degraded_rung_stays_bit_identical_under_batching() {
             "stream {stream} frame {frame_id}: degraded batch diverged from detect()"
         );
     }
-}
-
-/// The sparse-activation backbone is invisible at fleet scale: a sparse
-/// saturate run delivers detections raw-bits identical to the dense run,
-/// and its report carries the per-layer sparsity telemetry.
-#[test]
-fn sparse_fleet_is_bit_identical_to_dense_and_reports_telemetry() {
-    let scen = scenario(
-        4,
-        2,
-        vec![StreamClass {
-            rate_hz: 10.0,
-            deadline_s: 0.150,
-        }],
-    );
-    let run = |sparse| {
-        FleetServer::new(
-            ladder(),
-            scen.clone(),
-            FleetConfig {
-                workers: 2,
-                max_batch: 4,
-                mode: FleetMode::Saturate,
-                collect_detections: true,
-                sparse_act: sparse,
-                ..FleetConfig::default()
-            },
-        )
-        .run()
-    };
-    let dense = run(None);
-    let sparse = run(Some(upaq_runtime::SparseExecConfig::default()));
-    assert!(dense.report.accounted() && sparse.report.accounted());
-    assert_eq!(dense.report.delivered(), 8);
-    assert_eq!(sparse.report.delivered(), 8);
-
-    let mut reference: HashMap<(usize, u64), &Vec<upaq_det3d::Box3d>> = HashMap::new();
-    for (stream, frame_id, boxes) in &dense.detections {
-        reference.insert((*stream, *frame_id), boxes);
-    }
-    assert_eq!(sparse.detections.len(), dense.detections.len());
-    for (stream, frame_id, boxes) in &sparse.detections {
-        assert_eq!(
-            &boxes,
-            &reference[&(*stream, *frame_id)],
-            "stream {stream} frame {frame_id}: sparse fleet diverged from dense"
-        );
-    }
-
-    assert!(dense.report.sparse_activation.is_none());
-    let sp = sparse
-        .report
-        .sparse_activation
-        .as_ref()
-        .expect("sparse fleet run must report telemetry");
-    assert_eq!(sp.frames_sparse + sp.frames_dense, 8);
-    assert!(!sp.layers.is_empty());
-    assert!(sp.mean_active_frac > 0.0);
 }
 
 /// Realtime overload: arrivals far outpace the pool, so frames are shed —

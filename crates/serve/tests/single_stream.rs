@@ -13,6 +13,8 @@ use upaq_hwmodel::DeviceProfile;
 use upaq_kitti::dataset::DatasetConfig;
 use upaq_kitti::faults::FaultPlan;
 use upaq_kitti::fleet::FleetScenario;
+use upaq_kitti::lidar::PointCloud;
+use upaq_kitti::stream::FrameStream;
 use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::{CameraDetector, LidarDetector, StreamingDetector};
@@ -41,6 +43,18 @@ fn camera_ladder() -> (VariantLadder<CameraDetector>, DatasetConfig) {
 fn small() -> DatasetConfig {
     let mut cfg = DatasetConfig::small();
     cfg.scenes = 2;
+    cfg
+}
+
+/// A dataset whose every scene produces zero LiDAR points.
+fn empty_dataset() -> DatasetConfig {
+    let mut cfg = DatasetConfig::small();
+    cfg.scenes = 1;
+    cfg.scene.cars = (0, 0);
+    cfg.scene.pedestrians = (0, 0);
+    cfg.scene.cyclists = (0, 0);
+    cfg.lidar.ground_points = 0;
+    cfg.lidar.clutter_points = 0;
     cfg
 }
 
@@ -127,6 +141,38 @@ fn assert_nominal_reports_the_ladder(r: &FleetReport, frames: u64) {
         r.energy_saved_vs_base_j.abs() < 1e-9,
         "the full model saves nothing"
     );
+}
+
+/// Empty-scene frames inside a full serving run complete without
+/// panicking and detect nothing: `LidarDetector::postprocess` gates
+/// zero-point clouds, whatever constant the head's biases put on the
+/// all-zero BEV. Saturate mode bypasses the admission firewall (which
+/// would quarantine empty frames as defective), so the zero-point scene
+/// actually reaches the numeric stages.
+#[test]
+fn empty_scene_serving_run_never_panics() {
+    // The empty dataset really produces zero-point clouds.
+    let probe = FrameStream::<PointCloud>::generate(&empty_dataset(), 7)
+        .next()
+        .unwrap();
+    assert_eq!(probe.data.len(), 0, "empty scenario must have no points");
+    let scenario = FleetScenario::single(empty_dataset(), 7, 2, &[0.033], 0.100);
+    let outcome = FleetServer::new(
+        lidar_ladder(),
+        scenario,
+        FleetConfig {
+            workers: 2,
+            max_batch: 1,
+            mode: FleetMode::Saturate,
+            collect_detections: true,
+            ..FleetConfig::default()
+        },
+    )
+    .run();
+    assert_eq!(outcome.report.completed, 2);
+    for (_, _, dets) in &outcome.detections {
+        assert!(dets.is_empty(), "an empty scene must detect nothing");
+    }
 }
 
 #[test]

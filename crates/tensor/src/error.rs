@@ -38,6 +38,14 @@ pub enum TensorError {
     /// The requested quantization bitwidth is outside the supported 2..=16
     /// range.
     UnsupportedBitwidth(u8),
+    /// A conv weight is NaN or infinite, which the packed conv kernels
+    /// cannot execute exactly (see [`crate::packed::PackedConv::pack`]).
+    NonFiniteWeight {
+        /// Flat index of the first offending weight.
+        index: usize,
+        /// Its value.
+        value: f32,
+    },
     /// An operation-specific invariant was violated (message explains which).
     Invalid(String),
 }
@@ -65,6 +73,9 @@ impl fmt::Display for TensorError {
                     f,
                     "unsupported quantization bitwidth {bits} (supported: 2..=16)"
                 )
+            }
+            TensorError::NonFiniteWeight { index, value } => {
+                write!(f, "conv weight {index} is {value}, not finite")
             }
             TensorError::Invalid(msg) => write!(f, "{msg}"),
         }

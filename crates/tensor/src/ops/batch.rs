@@ -13,7 +13,7 @@
 //! for the backbone pass, then splits them again for per-frame decode, so
 //! per-frame buffers avoid a gather/scatter copy on both ends.
 
-use crate::ops::conv::{conv2d_channel, conv2d_packed_dims, Conv2dParams};
+use crate::ops::conv::{conv2d_frame, conv2d_packed_dims, Conv2dParams};
 use crate::ops::parallel::{parallel_for_chunks, SendPtr};
 use crate::packed::{PackedConv, PackedQuantConv, PackedTaps};
 use crate::quant::QuantizedTensor;
@@ -177,22 +177,22 @@ pub fn conv2d_packed_batch_into(
     }
     let ishape = inputs[0].shape();
     let space = (ishape.dim(2), ishape.dim(3), oh, ow);
-    // No pre-zeroing: `conv2d_channel` writes every output element.
-    let chan = oh * ow;
-    if chan == 0 {
-        return Ok(());
-    }
+    // No pre-zeroing: the kernel writes every output element.
     let base = SendPtr(outs.as_mut_ptr());
     parallel_for_chunks(inputs.len(), move |f| {
         // SAFETY: frame `f` exclusively owns `outs[f]`; the slice outlives
         // the call because `parallel_for_chunks` blocks until done.
         let out = unsafe { &mut *base.get().add(f) };
-        let idata = inputs[f].as_slice();
         let odata = out.as_mut_slice();
-        for oc in 0..out_c {
-            let ochan = &mut odata[oc * chan..(oc + 1) * chan];
-            conv2d_channel(oc, idata, packed, bias, params, space, ochan);
-        }
+        conv2d_frame(
+            inputs[f].as_slice(),
+            packed,
+            bias,
+            params,
+            space,
+            odata,
+            false,
+        );
     });
     Ok(())
 }

@@ -1,9 +1,11 @@
-//! 2-D convolution with sparsity-aware inner loops.
+//! 2-D convolution: one tap-run kernel over packed sparse weights.
 
 use super::parallel::{parallel_for_chunks, ExecMode, SendPtr, TensorParallel};
-use crate::packed::PackedConv;
+use crate::packed::{PackedConv, Tap};
 use crate::{Result, Shape, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// Hyper-parameters of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -74,13 +76,14 @@ pub fn conv2d(
         return Ok(out);
     }
     let packed = PackedConv::pack(weights)?;
-    conv2d_accumulate(
+    conv2d_frame(
         input.as_slice(),
         &packed,
         bias,
         params,
         (ishape.dim(2), ishape.dim(3), oh, ow),
         out.as_mut_slice(),
+        true,
     );
     Ok(out)
 }
@@ -130,189 +133,251 @@ fn conv2d_out_dims(
     Ok((out_c, params.out_size(h, kh), params.out_size(w, kw)))
 }
 
-/// One output channel of the convolution, written into its `oh*ow` slice.
-/// The per-element arithmetic (tap order, accumulation order, bias add)
-/// is identical whether channels run serially or on worker threads, so
-/// parallel and single-threaded execution are bit-identical — and packed
-/// taps replay the dense scan's row-major order exactly, so packed and
-/// dense execution are too.
-pub(super) fn conv2d_channel(
+thread_local! {
+    /// This thread's zero-guarded input grid (see [`TapGrid`]).
+    static GRID: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// This thread's run accumulators (see [`conv2d_channel`]).
+    static RUNS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's buffer in `key`. The buffer is taken out for
+/// the call and put back after it, so it grows once per thread and every
+/// later call reuses it; a nested call would find it empty and grow its
+/// own rather than alias it.
+fn with_buffer<R>(key: &'static LocalKey<Cell<Vec<f32>>>, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    let mut buf = key.take();
+    let out = f(&mut buf);
+    key.set(buf);
+    out
+}
+
+/// A conv input laid out so that every packed tap reads one contiguous
+/// run.
+///
+/// Padded row `y`, column `x` of input channel `ic` sits in phase plane
+/// `(y % s, x % s)` of that channel at `(y / s, x / s)`; each plane is
+/// `rows × pitch` and zero wherever the padded input is padding. Output
+/// `(oy, ox)` of tap `(r, c)` reads padded `(oy·s + r, ox·s + c)`, which
+/// is plane `(r % s, c % s)` at `(oy + r / s, ox + c / s)` — so over the
+/// flattened output grid `q = oy·pitch + ox` each tap reads the run of
+/// the plane that starts at its own offset. Columns `ow..pitch` of the
+/// flattened grid are scratch the kernel never writes out.
+struct TapGrid<'a> {
+    data: &'a [f32],
+    stride: usize,
+    rows: usize,
+    pitch: usize,
+}
+
+impl TapGrid<'_> {
+    /// The `len` values tap `(r, c)` of input channel `ic` multiplies,
+    /// one per flattened output position.
+    fn run(&self, ic: usize, r: u16, c: u16, len: usize) -> &[f32] {
+        let (s, r, c) = (self.stride, r as usize, c as usize);
+        let plane = (ic * s + r % s) * s + c % s;
+        let start = (plane * self.rows + r / s) * self.pitch + c / s;
+        &self.data[start..start + len]
+    }
+}
+
+/// Lays `idata` (`in_c × h × w`) out as a [`TapGrid`] for `params` and
+/// hands it to `f`. An unpadded stride-1 conv reads `idata` in place;
+/// any other copies it once into this thread's grid buffer.
+fn with_tap_grid<R>(
+    idata: &[f32],
+    in_c: usize,
+    hw: (usize, usize),
+    params: Conv2dParams,
+    f: impl FnOnce(&TapGrid) -> R,
+) -> R {
+    let (h, w) = hw;
+    let (s, p) = (params.stride, params.padding);
+    if s == 1 && p == 0 {
+        return f(&TapGrid {
+            data: idata,
+            stride: 1,
+            rows: h,
+            pitch: w,
+        });
+    }
+    let (rows, pitch) = ((h + 2 * p).div_ceil(s), (w + 2 * p).div_ceil(s));
+    with_buffer(&GRID, |buf| {
+        buf.clear();
+        buf.resize(in_c * s * s * rows * pitch, 0.0);
+        for ic in 0..in_c {
+            for iy in 0..h {
+                let src = &idata[(ic * h + iy) * w..][..w];
+                let y = iy + p;
+                for cp in 0..s {
+                    // Input columns `ix ≡ cp - p (mod s)` land in phase
+                    // column `cp`, at consecutive plane columns.
+                    let ix0 = (cp + s - p % s) % s;
+                    let plane = (ic * s + y % s) * s + cp;
+                    let row = (plane * rows + y / s) * pitch;
+                    let dst = &mut buf[row + (ix0 + p) / s..row + pitch];
+                    for (d, &v) in dst.iter_mut().zip(src.iter().skip(ix0).step_by(s)) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+        f(&TapGrid {
+            data: buf,
+            stride: s,
+            rows,
+            pitch,
+        })
+    })
+}
+
+/// `acc[q] = v · x[q]`: the first tap of a local sum. The oracle's
+/// `+0 + v · x` differs only when the product is `−0`, a sign the join
+/// into the total absorbs.
+fn set_products(acc: &mut [f32], v: f32, x: &[f32]) {
+    for (a, &x) in acc.iter_mut().zip(x) {
+        *a = v * x;
+    }
+}
+
+/// `acc[q] += v · x[q]`: one more tap of a local sum (or a one-tap local
+/// sum joining the total).
+fn add_products(acc: &mut [f32], v: f32, x: &[f32]) {
+    for (a, &x) in acc.iter_mut().zip(x) {
+        *a += v * x;
+    }
+}
+
+/// `acc[q] = (acc[q] + v0 · x0[q]) + v1 · x1[q]`: two more taps in one
+/// pass over `acc`.
+fn add_pair(acc: &mut [f32], v0: f32, x0: &[f32], v1: f32, x1: &[f32]) {
+    for ((a, &x0), &x1) in acc.iter_mut().zip(x0).zip(x1) {
+        *a = (*a + v0 * x0) + v1 * x1;
+    }
+}
+
+/// `total[q] += acc[q] + v · x[q]`: the last tap of a local sum, and the
+/// local sum joining the total.
+fn join_products(total: &mut [f32], acc: &[f32], v: f32, x: &[f32]) {
+    for ((t, &a), &x) in total.iter_mut().zip(acc).zip(x) {
+        *t += a + v * x;
+    }
+}
+
+/// Accumulates output channel `oc` over the flattened output grid:
+/// `total` (zeroed here) receives, in `ic` order, each input channel's
+/// local sum of its packed taps in row-major order, built in `acc`.
+fn accumulate_runs(
     oc: usize,
+    grid: &TapGrid,
+    packed: &PackedConv,
+    acc: &mut [f32],
+    total: &mut [f32],
+) {
+    let len = total.len();
+    total.fill(0.0);
+    for ic in 0..packed.in_c() {
+        let run = |t: &Tap<f32>| grid.run(ic, t.r, t.c, len);
+        match packed.group(oc, ic) {
+            [] => {}
+            [t] => add_products(total, t.v, run(t)),
+            [first, mid @ .., last] => {
+                set_products(acc, first.v, run(first));
+                let mut pairs = mid.chunks_exact(2);
+                for pair in &mut pairs {
+                    let (a, b) = (&pair[0], &pair[1]);
+                    add_pair(acc, a.v, run(a), b.v, run(b));
+                }
+                for t in pairs.remainder() {
+                    add_products(acc, t.v, run(t));
+                }
+                join_products(total, acc, last.v, run(last));
+            }
+        }
+    }
+}
+
+/// One output channel of the convolution, written into its `oh*ow`
+/// slice: every packed tap of `(oc, ic)` is one contiguous run over the
+/// flattened output grid of `grid` (see [`TapGrid`]).
+///
+/// Per output element the arithmetic is the oracle's — per-`ic` local
+/// sums over the taps in row-major order, joined in `ic` order, bias last
+/// — with one difference: a tap that lands in the zero guard adds
+/// `v · 0 = ±0` where the oracle skips it. The total starts at `+0.0`
+/// and so is never `−0.0`, which makes adding a `±0` (or a local sum
+/// that differs from the oracle's only in the sign of a zero) leave it
+/// unchanged; finite weights (an invariant of [`PackedConv::pack`]) keep
+/// `v · 0` a zero. Channels are independent, so serial, pooled and
+/// batched execution are bit-identical at any thread count.
+fn conv2d_channel(
+    oc: usize,
+    grid: &TapGrid,
+    packed: &PackedConv,
+    bias: Option<&Tensor>,
+    out_hw: (usize, usize),
+    ochan: &mut [f32],
+) {
+    let (oh, ow) = out_hw;
+    let pitch = grid.pitch;
+    let len = (oh - 1) * pitch + ow;
+    let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
+    with_buffer(&RUNS, |buf| {
+        if buf.len() < 2 * len {
+            buf.resize(2 * len, 0.0);
+        }
+        let (acc, total) = buf[..2 * len].split_at_mut(len);
+        accumulate_runs(oc, grid, packed, acc, total);
+        for (orow, trow) in ochan.chunks_exact_mut(ow).zip(total.chunks(pitch)) {
+            for (o, &t) in orow.iter_mut().zip(trow) {
+                *o = finish_bias(t, bias_v);
+            }
+        }
+    });
+}
+
+/// Runs every output channel of one frame: lays the frame out as a
+/// [`TapGrid`] once, then runs [`conv2d_channel`] per channel — over the
+/// worker pool when `parallel`, else in order on this thread.
+pub(super) fn conv2d_frame(
     idata: &[f32],
     packed: &PackedConv,
     bias: Option<&Tensor>,
     params: Conv2dParams,
     space: (usize, usize, usize, usize),
-    ochan: &mut [f32],
+    odata: &mut [f32],
+    parallel: bool,
 ) {
     let (h, w, oh, ow) = space;
-    let (stride, pad) = (params.stride, params.padding);
-    let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
-    // Interior output range: every tap of a `kh × kw` kernel lands inside
-    // the unpadded input, so the per-tap boundary checks are provably
-    // dead there and the inner loop drops them. Border pixels take the
-    // checked loop. The pixel-outer traversal writes each output exactly
-    // once (so callers need not pre-zero the buffer) and accumulates in
-    // the same sequence the pre-pool kernel used — per-`ic` local sums
-    // added in channel order, bias last — so no bits change.
-    let (oy_lo, oy_hi) = interior_range(oh, h, packed.kh(), stride, pad);
-    let (ox_lo, ox_hi) = interior_range(ow, w, packed.kw(), stride, pad);
-    let in_c = packed.in_c();
-    let finish = |total: f32| finish_bias(total, bias_v);
-    // Boundary-checked fallback for border pixels.
-    let checked =
-        |oy: usize, ox: usize| -> f32 { conv2d_site(oc, idata, packed, params, (h, w), oy, ox) };
-    // Interior pixels are register-blocked `LANES` wide: the per-pixel
-    // accumulators are fully independent, so blocking amortizes group
-    // lookups and loop control without touching any pixel's own
-    // floating-point sequence.
-    const LANES: usize = 4;
-    for oy in 0..oh {
-        let orow = oy * ow;
-        if oy < oy_lo || oy >= oy_hi {
-            for ox in 0..ow {
-                ochan[orow + ox] = finish(checked(oy, ox));
-            }
-            continue;
-        }
-        for ox in 0..ox_lo {
-            ochan[orow + ox] = finish(checked(oy, ox));
-        }
-        let row_in = (oy * stride - pad) * w;
-        let mut ox = ox_lo;
-        while ox + LANES <= ox_hi {
-            let pixel = row_in + ox * stride - pad;
-            let mut total = [0.0f32; LANES];
-            for ic in 0..in_c {
-                let taps = packed.group(oc, ic);
-                if taps.is_empty() {
-                    continue;
-                }
-                let p = ic * h * w + pixel;
-                let mut acc = [0.0f32; LANES];
-                for t in taps {
-                    let off = p + t.r as usize * w + t.c as usize;
-                    for (k, a) in acc.iter_mut().enumerate() {
-                        // SAFETY: all `LANES` pixels lie in the interior
-                        // (`ox + LANES <= ox_hi`), where `interior_range`
-                        // bounds `iy < h`, `ix < w` for every tap (tap
-                        // coords are `< kh × kw` by `PackedConv`
-                        // construction) and the caller validated
-                        // `idata.len() == in_c * h * w`.
-                        *a += t.v * unsafe { *idata.get_unchecked(off + k * stride) };
-                    }
-                }
-                for (t, a) in total.iter_mut().zip(acc) {
-                    *t += a;
-                }
-            }
-            for (k, t) in total.into_iter().enumerate() {
-                ochan[orow + ox + k] = finish(t);
-            }
-            ox += LANES;
-        }
-        while ox < ox_hi {
-            let p = row_in + ox * stride - pad;
-            let mut total = 0.0f32;
-            for ic in 0..in_c {
-                let taps = packed.group(oc, ic);
-                if taps.is_empty() {
-                    continue;
-                }
-                let base = ic * h * w + p;
-                let mut acc = 0.0f32;
-                for t in taps {
-                    // SAFETY: interior pixel — same invariant as the
-                    // blocked loop above.
-                    acc += t.v
-                        * unsafe { *idata.get_unchecked(base + t.r as usize * w + t.c as usize) };
-                }
-                total += acc;
-            }
-            ochan[orow + ox] = finish(total);
-            ox += 1;
-        }
-        for ox in ox_hi..ow {
-            ochan[orow + ox] = finish(checked(oy, ox));
-        }
+    let chan = oh * ow;
+    if chan == 0 {
+        return;
     }
+    with_tap_grid(idata, packed.in_c(), (h, w), params, |grid| {
+        if !parallel {
+            for (oc, ochan) in odata.chunks_exact_mut(chan).enumerate() {
+                conv2d_channel(oc, grid, packed, bias, (oh, ow), ochan);
+            }
+            return;
+        }
+        let base = SendPtr(odata.as_mut_ptr());
+        parallel_for_chunks(packed.out_c(), move |oc| {
+            // SAFETY: chunk `oc` derives the disjoint per-channel slice
+            // `odata[oc*chan .. (oc+1)*chan]`; the buffer outlives the call
+            // because `parallel_for_chunks` blocks until all chunks finish.
+            let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
+            conv2d_channel(oc, grid, packed, bias, (oh, ow), ochan);
+        });
+    });
 }
 
-/// One output site of the convolution, boundary-checked: per input
-/// channel, the packed taps accumulate in row-major kernel order into a
-/// local sum, and the per-channel sums join in channel order — the exact
-/// sequence every dense path (reference, border, interior fast path)
-/// uses. The sparse-activation gather kernel calls this for each active
-/// output site, which is what makes sparse and dense execution
-/// bit-identical. Bias is excluded; callers apply [`finish_bias`].
-pub(super) fn conv2d_site(
-    oc: usize,
-    idata: &[f32],
-    packed: &PackedConv,
-    params: Conv2dParams,
-    hw: (usize, usize),
-    oy: usize,
-    ox: usize,
-) -> f32 {
-    let (h, w) = hw;
-    let (stride, pad) = (params.stride, params.padding);
-    let (iy0, ix0) = (oy * stride, ox * stride);
-    let mut total = 0.0f32;
-    for ic in 0..packed.in_c() {
-        let taps = packed.group(oc, ic);
-        if taps.is_empty() {
-            continue;
-        }
-        let ibase = ic * h * w;
-        let mut acc = 0.0f32;
-        for t in taps {
-            let iy = iy0 + t.r as usize;
-            let ix = ix0 + t.c as usize;
-            // Padding: translate to unpadded coordinates.
-            if iy < pad || ix < pad {
-                continue;
-            }
-            let iy = iy - pad;
-            let ix = ix - pad;
-            if iy >= h || ix >= w {
-                continue;
-            }
-            acc += t.v * idata[ibase + iy * w + ix];
-        }
-        total += acc;
-    }
-    total
-}
-
-/// Matching the historical order exactly: bias joins the sum last, and a
-/// zero bias performs no add at all (preserving even the sign of a
-/// negative-zero total).
+/// Bias joins the sum last, and a zero bias performs no add at all —
+/// the oracle's order exactly.
 pub(super) fn finish_bias(total: f32, bias_v: f32) -> f32 {
     if bias_v != 0.0 {
         total + bias_v
     } else {
         total
     }
-}
-
-/// Half-open output range `[lo, hi)` along one axis where a kernel of
-/// size `k` stays fully inside the unpadded input of size `i` — i.e.
-/// `o * stride - pad >= 0` and `o * stride - pad + k <= i` for every
-/// output coordinate `o` in the range.
-pub(super) fn interior_range(
-    out: usize,
-    i: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> (usize, usize) {
-    let lo = pad.div_ceil(stride).min(out);
-    let hi = if i + pad >= k {
-        ((i + pad - k) / stride + 1).min(out)
-    } else {
-        lo
-    };
-    (lo, hi.max(lo))
 }
 
 /// The pre-pool convolution, preserved verbatim: per-call tap extraction
@@ -408,36 +473,9 @@ fn conv2d_reference_accumulate(
     let (idata, wdata) = (input.as_slice(), weights.as_slice());
     let base = SendPtr(odata.as_mut_ptr());
     parallel_for_chunks(wshape.dim(0), move |oc| {
-        // SAFETY: identical disjoint-slice argument as `conv2d_accumulate`.
+        // SAFETY: identical disjoint-slice argument as `conv2d_frame`.
         let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
         conv2d_reference_channel(oc, idata, wdata, bias, params, dims, ochan);
-    });
-}
-
-/// Accumulates the convolution of `idata` with `packed` into `odata`
-/// (which the caller has already zeroed or freshly allocated),
-/// distributing output channels over worker threads via
-/// [`parallel_for_chunks`].
-fn conv2d_accumulate(
-    idata: &[f32],
-    packed: &PackedConv,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    space: (usize, usize, usize, usize),
-    odata: &mut [f32],
-) {
-    let (_, _, oh, ow) = space;
-    let chan = oh * ow;
-    if chan == 0 {
-        return;
-    }
-    let base = SendPtr(odata.as_mut_ptr());
-    parallel_for_chunks(packed.out_c(), move |oc| {
-        // SAFETY: chunk `oc` derives the disjoint per-channel slice
-        // `odata[oc*chan .. (oc+1)*chan]`; the buffer outlives the call
-        // because `parallel_for_chunks` blocks until all chunks finish.
-        let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
-        conv2d_channel(oc, idata, packed, bias, params, space, ochan);
     });
 }
 
@@ -547,13 +585,14 @@ pub fn conv2d_packed_into(
     let ishape = input.shape();
     let space = (ishape.dim(2), ishape.dim(3), oh, ow);
     // No pre-zeroing: `conv2d_channel` writes every output element.
-    conv2d_accumulate(
+    conv2d_frame(
         input.as_slice(),
         packed,
         bias,
         params,
         space,
         out.as_mut_slice(),
+        true,
     );
     Ok(())
 }

@@ -30,6 +30,4 @@ pub use norm::{batch_norm, batch_norm_into, BatchNormParams};
 pub use parallel::{parallel_for_chunks, ChunkPanic, ExecMode, TensorParallel};
 pub use pool::{avg_pool2d, max_pool2d, max_pool2d_into};
 pub use quantized::{quantized_conv2d, quantized_linear};
-pub use sparse_conv::{
-    conv2d_sparse_act, conv2d_sparse_act_gather_into, conv2d_sparse_act_packed, dilate_active,
-};
+pub use sparse_conv::{conv2d_sparse_act, dilate_active};

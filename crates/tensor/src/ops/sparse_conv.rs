@@ -1,21 +1,24 @@
-//! Gather/scatter convolution over sparse activations.
+//! Gather convolution over sparse activations.
 //!
-//! The dense kernels in [`super::conv`] touch every output site even when
-//! the input map is almost entirely a constant background. These kernels
-//! instead compute only the output sites *reachable* from active input
-//! sites (the active set dilated by the kernel footprint, exactly as
-//! strided/padded dense conv would spread them) and fill the rest with a
-//! per-channel background propagated through the same arithmetic.
+//! [`conv2d_sparse_act`] computes only the output sites *reachable* from
+//! active input sites (the active set dilated by the kernel footprint,
+//! exactly as strided/padded dense conv would spread them —
+//! [`dilate_active`]) and fills the rest with a per-channel background
+//! propagated through the same arithmetic. No forward executor runs it:
+//! dilation makes a PointPillars backbone's maps dense within a stage or
+//! two, and the tap-run dense kernel outruns the gather on every catalog
+//! profile (DESIGN.md, "Sparse activation path"). It is kept as a tested
+//! library op, one site at a time on the calling thread.
 //!
 //! # Bit-identity argument
 //!
-//! Each computed site runs [`conv2d_site`] — the same per-site
-//! boundary-checked accumulation (row-major tap order per input channel,
-//! channel-order joins, bias last) every dense path uses — so active sites
-//! match the dense kernel by construction. Inactive sites hold the
-//! propagated background `bg_out[oc] = Σ_ic Σ_taps w·bg_in[ic] (+ bias)`,
-//! accumulated in the identical order. That equals the dense value at
-//! every non-dilated site because:
+//! Each computed site runs the dense oracle's arithmetic — per-`ic` local
+//! sums over the in-bounds taps in row-major order, joined in `ic` order,
+//! bias last — so active sites match [`super::conv2d`] for finite weights.
+//! Inactive sites hold the propagated background
+//! `bg_out[oc] = Σ_ic Σ_taps w·bg_in[ic] (+ bias)`, accumulated in the
+//! identical order. That equals the dense value at every non-dilated site
+//! because:
 //!
 //! * an **interior** site's receptive field is entirely in-bounds, so its
 //!   dense value over an all-background neighbourhood is exactly the
@@ -28,12 +31,11 @@
 //!   different, so [`dilate_active`] force-activates the whole border ring
 //!   and they are computed explicitly.
 
-use super::conv::{conv2d_packed_dims, conv2d_site, finish_bias, interior_range};
-use super::parallel::{parallel_for_chunks, SendPtr};
+use super::conv::{conv2d_packed_dims, finish_bias};
 use super::Conv2dParams;
 use crate::packed::PackedConv;
 use crate::sparse_act::SparseActivation;
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{Result, Shape, Tensor};
 
 /// Dilates an active input set through a conv: returns the sorted output
 /// sites whose receptive field overlaps at least one active input site,
@@ -80,14 +82,16 @@ pub fn dilate_active(
         }
     }
     if background_nonzero {
-        let (y_lo, y_hi) = interior_range(oh, h, kh, stride, pad);
-        let (x_lo, x_hi) = interior_range(ow, w, kw, stride, pad);
+        // Output `o` is interior along an axis of input size `n` when its
+        // whole receptive field `[o·stride − pad, o·stride − pad + k)`
+        // lies inside `[0, n)`.
+        let interior =
+            |o: usize, n: usize, k: usize| o * stride >= pad && o * stride + k <= n + pad;
         for oy in 0..oh {
-            if oy < y_lo || oy >= y_hi {
-                mask[oy * ow..(oy + 1) * ow].fill(true);
-            } else {
-                mask[oy * ow..oy * ow + x_lo].fill(true);
-                mask[oy * ow + x_hi..(oy + 1) * ow].fill(true);
+            for ox in 0..ow {
+                if !(interior(oy, h, kh) && interior(ox, w, kw)) {
+                    mask[oy * ow + ox] = true;
+                }
             }
         }
     }
@@ -102,11 +106,7 @@ pub fn dilate_active(
 /// Propagates a per-channel background through packed conv weights:
 /// `bg_out[oc] = Σ_ic Σ_taps w·bg_in[ic] (+ bias)`, accumulated in the
 /// exact tap/channel/bias order of the dense kernels.
-pub(crate) fn conv_background(
-    packed: &PackedConv,
-    bias: Option<&Tensor>,
-    background: &[f32],
-) -> Vec<f32> {
+fn conv_background(packed: &PackedConv, bias: Option<&Tensor>, background: &[f32]) -> Vec<f32> {
     (0..packed.out_c())
         .map(|oc| {
             let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
@@ -127,208 +127,49 @@ pub(crate) fn conv_background(
         .collect()
 }
 
-/// The sparse-activation gather kernel's workhorse: convolves a dense
-/// input whose inactive sites all hold `background`, computing only the
-/// listed `out_sites` (each via the dense per-site arithmetic) and filling
-/// every other output site with the propagated background. Writes the
-/// full dense output into `out` and returns the output background.
-///
-/// `out_sites` must be the result of [`dilate_active`] (or a superset of
-/// it, sorted and in-range) for the listed/unlisted split to reproduce the
-/// dense kernel bit-for-bit — see the module docs. Output channels are
-/// distributed over the worker pool; per-site arithmetic is unchanged by
-/// thread count.
-///
-/// # Errors
-///
-/// All `conv2d` validation errors, plus [`TensorError::Invalid`] for a
-/// wrong background length and [`TensorError::ShapeMismatch`] when `out`
-/// has the wrong shape.
-pub fn conv2d_sparse_act_gather_into(
-    input: &Tensor,
-    background: &[f32],
+/// Output site `(oy, ox)` of channel `oc` before bias, in the dense
+/// oracle's order: per-`ic` local sums over the in-bounds taps in
+/// row-major order, joined in `ic` order.
+fn site_sum(
+    oc: usize,
+    idata: &[f32],
     packed: &PackedConv,
-    bias: Option<&Tensor>,
     params: Conv2dParams,
-    out_sites: &[u32],
-    out: &mut Tensor,
-) -> Result<Vec<f32>> {
-    let (oh, ow) = conv2d_packed_dims(input, packed, bias, params)?;
-    if background.len() != packed.in_c() {
-        return Err(TensorError::Invalid(format!(
-            "background length {} does not match {} input channels",
-            background.len(),
-            packed.in_c()
-        )));
-    }
-    let expected = [1, packed.out_c(), oh, ow];
-    if out.shape().dims() != expected {
-        return Err(TensorError::ShapeMismatch {
-            left: expected.to_vec(),
-            right: out.shape().dims().to_vec(),
-        });
-    }
-    let bg_out = conv_background(packed, bias, background);
-    let chan = oh * ow;
-    if chan == 0 {
-        return Ok(bg_out);
-    }
-    if let Some(&last) = out_sites.last() {
-        if last as usize >= chan {
-            return Err(TensorError::Invalid(format!(
-                "output site {last} out of range for {oh}×{ow} map"
-            )));
-        }
-    }
-    let ishape = input.shape();
-    let hw = (ishape.dim(2), ishape.dim(3));
+    hw: (usize, usize),
+    (oy, ox): (usize, usize),
+) -> f32 {
     let (h, w) = hw;
-    let idata = input.as_slice();
-    let base = SendPtr(out.as_mut_slice().as_mut_ptr());
-    let bg_ref = &bg_out;
     let (stride, pad) = (params.stride, params.padding);
-    let (oy_lo, oy_hi) = interior_range(oh, h, packed.kh(), stride, pad);
-    let (ox_lo, ox_hi) = interior_range(ow, w, packed.kw(), stride, pad);
-    let in_c = packed.in_c();
-    // Register-block width of the interior fast path — matches the dense
-    // kernel's blocking, and like there the per-pixel accumulators are
-    // independent so blocking never changes any site's float sequence.
-    const LANES: usize = 4;
-    parallel_for_chunks(packed.out_c(), move |oc| {
-        // SAFETY: chunk `oc` derives the disjoint per-channel slice
-        // `odata[oc*chan .. (oc+1)*chan]`; the buffer outlives the call
-        // because `parallel_for_chunks` blocks until all chunks finish.
-        let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
-        ochan.fill(bg_ref[oc]);
-        let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
-        // Dilated active sets are unions of horizontal runs (dilate_active
-        // fills x-spans), so walk maximal runs of consecutive interior
-        // sites and give them the dense kernel's unchecked blocked loop;
-        // border sites and singletons take the boundary-checked site
-        // kernel. Per-site arithmetic (per-`ic` local sums over row-major
-        // taps, joined in channel order, bias last) is the same on every
-        // path, so the split is invisible in the output bits.
-        let n = out_sites.len();
-        let mut k = 0usize;
-        while k < n {
-            let site = out_sites[k] as usize;
-            let (oy, ox) = (site / ow, site % ow);
-            if oy < oy_lo || oy >= oy_hi || ox < ox_lo || ox >= ox_hi {
-                ochan[site] =
-                    finish_bias(conv2d_site(oc, idata, packed, params, hw, oy, ox), bias_v);
-                k += 1;
+    let mut total = 0.0f32;
+    for ic in 0..packed.in_c() {
+        let taps = packed.group(oc, ic);
+        if taps.is_empty() {
+            continue;
+        }
+        let mut acc = 0.0f32;
+        for t in taps {
+            // Padded coordinates, translated to the unpadded input.
+            let (iy, ix) = (oy * stride + t.r as usize, ox * stride + t.c as usize);
+            if iy < pad || ix < pad || iy - pad >= h || ix - pad >= w {
                 continue;
             }
-            // Maximal run of consecutive interior sites on this row.
-            let max_len = ox_hi - ox;
-            let mut len = 1usize;
-            while len < max_len && k + len < n && out_sites[k + len] as usize == site + len {
-                len += 1;
-            }
-            let row_in = (oy * stride - pad) * w;
-            let mut j = 0usize;
-            while j + LANES <= len {
-                let pixel = row_in + (ox + j) * stride - pad;
-                let mut total = [0.0f32; LANES];
-                for ic in 0..in_c {
-                    let taps = packed.group(oc, ic);
-                    if taps.is_empty() {
-                        continue;
-                    }
-                    let p = ic * h * w + pixel;
-                    let mut acc = [0.0f32; LANES];
-                    for t in taps {
-                        let off = p + t.r as usize * w + t.c as usize;
-                        for (l, a) in acc.iter_mut().enumerate() {
-                            // SAFETY: all `LANES` pixels lie in the
-                            // interior (`ox + j + LANES <= ox_hi`), where
-                            // `interior_range` bounds every tap in the
-                            // unpadded input, and the caller validated
-                            // `idata.len() == in_c * h * w`.
-                            *a += t.v * unsafe { *idata.get_unchecked(off + l * stride) };
-                        }
-                    }
-                    for (t, a) in total.iter_mut().zip(acc) {
-                        *t += a;
-                    }
-                }
-                for (l, t) in total.into_iter().enumerate() {
-                    ochan[site + j + l] = finish_bias(t, bias_v);
-                }
-                j += LANES;
-            }
-            while j < len {
-                let p = row_in + (ox + j) * stride - pad;
-                let mut total = 0.0f32;
-                for ic in 0..in_c {
-                    let taps = packed.group(oc, ic);
-                    if taps.is_empty() {
-                        continue;
-                    }
-                    let ibase = ic * h * w + p;
-                    let mut acc = 0.0f32;
-                    for t in taps {
-                        // SAFETY: interior pixel — same invariant as the
-                        // blocked loop above.
-                        acc += t.v
-                            * unsafe {
-                                *idata.get_unchecked(ibase + t.r as usize * w + t.c as usize)
-                            };
-                    }
-                    total += acc;
-                }
-                ochan[site + j] = finish_bias(total, bias_v);
-                j += 1;
-            }
-            k += len;
+            acc += t.v * idata[(ic * h + iy - pad) * w + ix - pad];
         }
-    });
-    Ok(bg_out)
+        total += acc;
+    }
+    total
 }
 
-/// Sparse-activation convolution over pre-packed weights: zero weights
-/// (absent taps) *and* background activations are both skipped. Returns
-/// the output as a [`SparseActivation`] whose active set is the dilation
-/// of the input's.
+/// Sparse-activation convolution: packs `weights`, computes the sites
+/// [`dilate_active`] reaches and background-fills the rest. Returns the
+/// output as a [`SparseActivation`] whose active set is the dilation of
+/// the input's; its dense form is raw-bits identical to [`super::conv2d`]
+/// over `input.to_dense()`.
 ///
 /// # Errors
 ///
-/// All [`conv2d_sparse_act_gather_into`] error conditions.
-pub fn conv2d_sparse_act_packed(
-    input: &SparseActivation,
-    packed: &PackedConv,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-) -> Result<SparseActivation> {
-    let dense_in = input.to_dense();
-    let (h, w) = (input.shape().dim(2), input.shape().dim(3));
-    let (out_sites, (oh, ow)) = dilate_active(
-        input.sites(),
-        (h, w),
-        (packed.kh(), packed.kw()),
-        params,
-        input.background_nonzero(),
-    );
-    let mut out = Tensor::zeros(Shape::nchw(1, packed.out_c(), oh, ow));
-    let bg_out = conv2d_sparse_act_gather_into(
-        &dense_in,
-        input.background(),
-        packed,
-        bias,
-        params,
-        &out_sites,
-        &mut out,
-    )?;
-    SparseActivation::from_dense_sites(&out, out_sites, bg_out)
-}
-
-/// [`conv2d_sparse_act_packed`] over raw weight tensors (packs them per
-/// call) — the convenience entry point mirroring [`super::conv2d`].
-///
-/// # Errors
-///
-/// All [`conv2d_sparse_act_packed`] error conditions, plus packing errors
-/// for malformed weight tensors.
+/// Packing errors for malformed or non-finite weights, and all `conv2d`
+/// validation errors.
 pub fn conv2d_sparse_act(
     input: &SparseActivation,
     weights: &Tensor,
@@ -336,7 +177,32 @@ pub fn conv2d_sparse_act(
     params: Conv2dParams,
 ) -> Result<SparseActivation> {
     let packed = PackedConv::pack(weights)?;
-    conv2d_sparse_act_packed(input, &packed, bias, params)
+    let dense_in = input.to_dense();
+    let (oh, ow) = conv2d_packed_dims(&dense_in, &packed, bias, params)?;
+    let hw = (input.shape().dim(2), input.shape().dim(3));
+    let (out_sites, _) = dilate_active(
+        input.sites(),
+        hw,
+        (packed.kh(), packed.kw()),
+        params,
+        input.background_nonzero(),
+    );
+    let bg_out = conv_background(&packed, bias, input.background());
+    let mut out = Tensor::zeros(Shape::nchw(1, packed.out_c(), oh, ow));
+    let chan = oh * ow;
+    if chan > 0 {
+        let idata = dense_in.as_slice();
+        for (oc, ochan) in out.as_mut_slice().chunks_exact_mut(chan).enumerate() {
+            ochan.fill(bg_out[oc]);
+            let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
+            for &site in &out_sites {
+                let (oy, ox) = (site as usize / ow, site as usize % ow);
+                let total = site_sum(oc, idata, &packed, params, hw, (oy, ox));
+                ochan[site as usize] = finish_bias(total, bias_v);
+            }
+        }
+    }
+    SparseActivation::from_dense_sites(&out, out_sites, bg_out)
 }
 
 #[cfg(test)]

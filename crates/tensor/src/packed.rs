@@ -140,12 +140,24 @@ pub type PackedConv = PackedTaps<f32>;
 impl PackedConv {
     /// Packs the non-zero taps of rank-4 weights `[out_c, in_c, kh, kw]`.
     ///
+    /// Every packed weight is finite: the conv kernels multiply a tap that
+    /// lands in the zero padding by `0.0` rather than skipping it, which
+    /// adds nothing only while `v · 0` is a zero.
+    ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for non-rank-4 weights and
-    /// [`TensorError::Invalid`] for kernels over 255 per spatial axis.
+    /// Returns [`TensorError::RankMismatch`] for non-rank-4 weights,
+    /// [`TensorError::Invalid`] for kernels over 65535 per spatial axis and
+    /// [`TensorError::NonFiniteWeight`] for a NaN or infinite weight.
     pub fn pack(weights: &crate::Tensor) -> Result<PackedConv> {
-        PackedTaps::from_dense(weights.shape(), weights.as_slice(), |v| v == 0.0, |v| v)
+        let data = weights.as_slice();
+        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+            return Err(TensorError::NonFiniteWeight {
+                index,
+                value: data[index],
+            });
+        }
+        PackedTaps::from_dense(weights.shape(), data, |v| v == 0.0, |v| v)
     }
 }
 
@@ -222,6 +234,20 @@ mod tests {
     #[test]
     fn rejects_bad_weights() {
         assert!(PackedConv::pack(&Tensor::zeros(Shape::matrix(2, 2))).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_weights() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let w = Tensor::from_vec(Shape::nchw(1, 1, 1, 3), vec![0.5, 0.0, bad]).unwrap();
+            match PackedConv::pack(&w) {
+                Err(TensorError::NonFiniteWeight { index, value }) => {
+                    assert_eq!(index, 2);
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("{bad} packed as {other:?}"),
+            }
+        }
     }
 
     #[test]

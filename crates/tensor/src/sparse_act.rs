@@ -9,8 +9,10 @@
 //! *background* value that every inactive site holds. The background is
 //! per-channel (not just zero) because convolution biases and batch-norm
 //! shifts turn the all-zero empty region into a nonzero constant; carrying
-//! it explicitly is what lets the sparse execution path stay raw-bits
-//! identical to dense execution layer after layer.
+//! it explicitly is what lets the gather conv
+//! ([`crate::ops::conv2d_sparse_act`]) stay raw-bits identical to the
+//! dense kernel. No forward executor uses either (DESIGN.md, "Sparse
+//! activation path").
 //!
 //! `from_dense`/`to_dense` round-trip exactly: site values and the
 //! background are stored verbatim, and activity is decided by *bit*
@@ -205,16 +207,6 @@ impl SparseActivation {
     /// Per-channel background value at inactive sites.
     pub fn background(&self) -> &[f32] {
         &self.background
-    }
-
-    /// Site-major channel values (`values()[s * channels + ch]`).
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
-    /// Number of channels.
-    pub fn channels(&self) -> usize {
-        self.shape.dim(1)
     }
 
     /// Number of active sites.

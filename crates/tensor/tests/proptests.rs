@@ -82,6 +82,57 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// [`bits`] with every NaN mapped to one canonical pattern: Rust leaves
+/// the sign and payload of a NaN an operation produces unspecified, so
+/// poisoned-input comparisons pin everything else raw bit for raw bit.
+fn canonical_bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice()
+        .iter()
+        .map(|v| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// Values that stress the exactness argument of the packed kernel: NaN,
+/// both infinities, negative zero and subnormals of both signs.
+const POISON: [f32; 6] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -0.0,
+    f32::MIN_POSITIVE / 8.0,
+    -f32::MIN_POSITIVE / 3.0,
+];
+
+/// `input` with roughly one value in four replaced by a [`POISON`] value,
+/// chosen by `seed`.
+fn poisoned(input: &Tensor, seed: u64) -> Tensor {
+    let mut state = seed | 1;
+    let data = input.as_slice();
+    Tensor::from_fn(input.shape().clone(), |i| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if state.is_multiple_of(4) {
+            POISON[(state >> 8) as usize % POISON.len()]
+        } else {
+            data[i]
+        }
+    })
+}
+
+/// Kernel sizes the identity tests draw: the 1×1 pfn, neck and head
+/// convs, the 3×3 backbone and a 5×5 that puts taps two cells deep into
+/// the padding.
+fn kernel_size() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(3), Just(5)]
+}
+
 fn small_vec() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, 1..64)
 }
@@ -328,47 +379,107 @@ proptest! {
 // whole binary under `UPAQ_TEST_THREADS` 1 and 4 to pin both regimes.
 // ---------------------------------------------------------------------------
 
+/// Runs every f32 conv entry point on one operand set at 1 and
+/// [`test_threads`] threads under both exec modes and checks each output
+/// against `oracle` through `key` (raw bits, or NaN-canonical bits for
+/// poisoned inputs).
+fn assert_every_conv_path(
+    input: &Tensor,
+    weights: &Tensor,
+    bias: Option<&Tensor>,
+    params: Conv2dParams,
+    oracle: &Tensor,
+    key: fn(&Tensor) -> Vec<u32>,
+) {
+    let want = key(oracle);
+    let packed = PackedConv::pack(weights).unwrap();
+    let geometry = format!(
+        "in {:?} w {:?} {params:?}",
+        input.shape().dims(),
+        weights.shape().dims()
+    );
+    for t in [1usize, test_threads()] {
+        TensorParallel::set_threads(t);
+        for mode in [ExecMode::Pool, ExecMode::SpawnPerCall] {
+            TensorParallel::set_exec_mode(mode);
+
+            let got = conv2d(input, weights, bias, params).unwrap();
+            assert_eq!(key(&got), want, "conv2d t={t} mode={mode:?} {geometry}");
+
+            let mut out = Tensor::zeros(got.shape().clone());
+            conv2d_into(input, weights, bias, params, &mut out).unwrap();
+            assert_eq!(
+                key(&out),
+                want,
+                "conv2d_into t={t} mode={mode:?} {geometry}"
+            );
+
+            out.as_mut_slice().fill(f32::NAN); // packed kernel must write every element
+            conv2d_packed_into(input, &packed, bias, params, &mut out).unwrap();
+            assert_eq!(
+                key(&out),
+                want,
+                "conv2d_packed_into t={t} mode={mode:?} {geometry}"
+            );
+
+            let frames = [input, input];
+            let batched = conv2d_batch(&frames, weights, bias, params).unwrap();
+            for got in &batched {
+                assert_eq!(
+                    key(got),
+                    want,
+                    "conv2d_batch t={t} mode={mode:?} {geometry}"
+                );
+            }
+        }
+    }
+    TensorParallel::set_exec_mode(ExecMode::Pool);
+    TensorParallel::set_threads(1);
+}
+
 proptest! {
     #[test]
     fn conv2d_bit_identical_across_modes_packing_and_threads(
         ic in 1usize..4,
         oc in 1usize..4,
-        h in 3usize..8,
-        w in 3usize..8,
-        pad in 0usize..3,
-        stride in 1usize..3,
+        k in kernel_size(),
+        h in 1usize..9,
+        w in 1usize..9,
+        pad in 0usize..4,
+        stride in 1usize..4,
         with_bias in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let input = random_frames(1, ic, h, w, seed).pop().unwrap();
-        let weights = masked_weights(oc, ic, 3, seed);
+        let weights = masked_weights(oc, ic, k, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
         let bias = with_bias.then(|| Tensor::uniform(Shape::vector(oc), -0.5, 0.5, &mut rng));
         let params = Conv2dParams { stride, padding: pad };
+        let oracle = naive_conv2d(&input, &weights, bias.as_ref(), params);
+        assert_every_conv_path(&input, &weights, bias.as_ref(), params, &oracle, bits);
+    }
 
-        let oracle = bits(&naive_conv2d(&input, &weights, bias.as_ref(), params));
-        let packed = PackedConv::pack(&weights).unwrap();
-        let threads = test_threads();
-
-        for t in [1usize, threads] {
-            TensorParallel::set_threads(t);
-            for mode in [ExecMode::Pool, ExecMode::SpawnPerCall] {
-                TensorParallel::set_exec_mode(mode);
-
-                let got = conv2d(&input, &weights, bias.as_ref(), params).unwrap();
-                prop_assert_eq!(&bits(&got), &oracle, "conv2d t={} mode={:?}", t, mode);
-
-                let mut out = Tensor::zeros(got.shape().clone());
-                conv2d_into(&input, &weights, bias.as_ref(), params, &mut out).unwrap();
-                prop_assert_eq!(&bits(&out), &oracle, "conv2d_into t={} mode={:?}", t, mode);
-
-                out.as_mut_slice().fill(f32::NAN); // packed kernel must write every element
-                conv2d_packed_into(&input, &packed, bias.as_ref(), params, &mut out).unwrap();
-                prop_assert_eq!(&bits(&out), &oracle, "conv2d_packed_into t={} mode={:?}", t, mode);
-            }
-        }
-        TensorParallel::set_exec_mode(ExecMode::Pool);
-        TensorParallel::set_threads(1);
+    #[test]
+    fn conv2d_on_poisoned_inputs_matches_oracle_up_to_nan_payloads(
+        ic in 1usize..4,
+        oc in 1usize..4,
+        k in kernel_size(),
+        h in 1usize..9,
+        w in 1usize..9,
+        pad in 0usize..4,
+        stride in 1usize..4,
+        with_bias in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let input = poisoned(&random_frames(1, ic, h, w, seed).pop().unwrap(), seed);
+        // Subnormal and negative-zero weights are finite, so they pack.
+        let weights = poisoned(&masked_weights(oc, ic, k, seed), seed ^ 0x2545_f491)
+            .map(|v| if v.is_finite() { v } else { f32::MIN_POSITIVE / 2.0 });
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
+        let bias = with_bias.then(|| Tensor::uniform(Shape::vector(oc), -0.5, 0.5, &mut rng));
+        let params = Conv2dParams { stride, padding: pad };
+        let oracle = naive_conv2d(&input, &weights, bias.as_ref(), params);
+        assert_every_conv_path(&input, &weights, bias.as_ref(), params, &oracle, canonical_bits);
     }
 
     #[test]
@@ -376,13 +487,16 @@ proptest! {
         n in 1usize..5,
         ic in 1usize..4,
         oc in 1usize..4,
-        h in 3usize..8,
-        w in 3usize..8,
+        k in kernel_size(),
+        h in 1usize..9,
+        w in 1usize..9,
+        pad in 0usize..4,
+        stride in 1usize..4,
         seed in any::<u64>(),
     ) {
         let inputs = random_frames(n, ic, h, w, seed);
-        let weights = masked_weights(oc, ic, 3, seed);
-        let params = Conv2dParams::same(3);
+        let weights = masked_weights(oc, ic, k, seed);
+        let params = Conv2dParams { stride, padding: pad };
         let oracles: Vec<Vec<u32>> = inputs
             .iter()
             .map(|x| bits(&naive_conv2d(x, &weights, None, params)))
@@ -439,5 +553,42 @@ proptest! {
         }
         TensorParallel::set_exec_mode(ExecMode::Pool);
         TensorParallel::set_threads(1);
+    }
+}
+
+/// Every geometry the property tests draw from, swept exhaustively on
+/// one seeded operand set each: k ∈ {1, 3, 5}, stride 1–3, padding 0–3
+/// and inputs from 1×1 to 7×7 (many with an empty output), clean and
+/// poisoned.
+#[test]
+fn conv2d_matches_oracle_on_every_small_geometry() {
+    let mut seed = 0u64;
+    for k in [1usize, 3, 5] {
+        for stride in 1..=3 {
+            for padding in 0..=3 {
+                for h in 1..=7 {
+                    for w in 1..=7 {
+                        seed += 1;
+                        let params = Conv2dParams { stride, padding };
+                        let input = random_frames(1, 2, h, w, seed).pop().unwrap();
+                        let weights = masked_weights(2, 2, k, seed.wrapping_mul(0x9e37_79b9));
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let bias = Tensor::uniform(Shape::vector(2), -0.5, 0.5, &mut rng);
+                        let oracle = naive_conv2d(&input, &weights, Some(&bias), params);
+                        let got = conv2d(&input, &weights, Some(&bias), params).unwrap();
+                        assert_eq!(bits(&got), bits(&oracle), "k {k} {params:?} {h}x{w}");
+
+                        let input = poisoned(&input, seed);
+                        let oracle = naive_conv2d(&input, &weights, None, params);
+                        let got = conv2d(&input, &weights, None, params).unwrap();
+                        assert_eq!(
+                            canonical_bits(&got),
+                            canonical_bits(&oracle),
+                            "poisoned k {k} {params:?} {h}x{w}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

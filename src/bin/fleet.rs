@@ -27,9 +27,6 @@
 //! arrival rate from the named [`upaq_kitti::scenario`] catalog profile;
 //! `--policy proactive` layers detection-history rung steering (with VRU
 //! and deadline-headroom safety overrides) over realtime admission.
-//! `--sparse-act` runs the LiDAR backbone on the gather/scatter
-//! sparse-activation path (bit-identical to dense by construction; the
-//! report gains a `sparse_activation` per-layer telemetry section).
 //! `--faults PLAN` (realtime mode) poisons stream 0 with the named
 //! deterministic fault plan from the `upaq-kitti` catalog; the admission
 //! firewall and per-stream circuit breaker quarantine the poison while
@@ -51,7 +48,7 @@ use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::pretrain::{fit_camera_head, fit_lidar_head};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
-use upaq_runtime::{ProactiveConfig, SparseExecConfig, VariantLadder};
+use upaq_runtime::{ProactiveConfig, VariantLadder};
 use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
 
 const SEED: u64 = 2025;
@@ -67,7 +64,6 @@ struct Args {
     scenario: Option<String>,
     faults: Option<String>,
     threads: usize,
-    sparse_act: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -82,7 +78,6 @@ fn parse_args() -> Result<Args, String> {
         scenario: None,
         faults: None,
         threads: 1,
-        sparse_act: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -103,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => parsed.workers = positive("--workers")?,
             "--max-batch" => parsed.max_batch = positive("--max-batch")?,
             "--threads" => parsed.threads = positive("--threads")?,
-            "--sparse-act" => parsed.sparse_act = true,
             "--detector" => {
                 parsed.detector = args
                     .next()
@@ -207,7 +201,6 @@ where
             "scenario": args.scenario,
             "faults": args.faults,
             "threads": args.threads,
-            "sparse_act": args.sparse_act,
         }),
     )];
     let mut rows = Vec::new();
@@ -245,7 +238,6 @@ where
                 proactive: (args.policy == "proactive").then(ProactiveConfig::default),
                 faults: fault_plan,
                 fault_streams,
-                sparse_act: args.sparse_act.then(SparseExecConfig::default),
                 ..FleetConfig::default()
             },
         );
@@ -319,7 +311,6 @@ where
                 workers: args.workers,
                 max_batch: args.max_batch,
                 mode: FleetMode::Saturate,
-                sparse_act: args.sparse_act.then(SparseExecConfig::default),
                 ..FleetConfig::default()
             },
         );
@@ -378,18 +369,11 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         format!(
             "{e}\nusage: fleet [--streams N] [--frames K] [--workers W] [--max-batch B] \
              [--detector lidar|camera] [--mode compare|realtime|saturate] \
-             [--policy reactive|proactive] [--scenario NAME] [--faults PLAN] [--threads N] \
-             [--sparse-act]"
+             [--policy reactive|proactive] [--scenario NAME] [--faults PLAN] [--threads N]"
         )
     })?;
     upaq_tensor::ops::TensorParallel::set_threads(args.threads);
     println!("Fleet serving: cross-stream batching over one shared worker pool");
-    if args.sparse_act {
-        println!(
-            "Sparse activation: gather/scatter backbone over active pillars \
-             (bit-identical to dense; camera streams run dense)"
-        );
-    }
 
     let device = DeviceProfile::jetson_orin_nano();
     let mut config = FleetScenarioConfig {

@@ -56,7 +56,7 @@ use upaq_models::pointpillars::{PointPillars, PointPillarsConfig};
 use upaq_models::pretrain::{fit_camera_head, fit_lidar_head};
 use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
-use upaq_runtime::{ProactiveConfig, SparseExecConfig, VariantLadder};
+use upaq_runtime::{ProactiveConfig, VariantLadder};
 use upaq_serve::{FleetConfig, FleetMode, FleetReport, FleetServer};
 
 const SEED: u64 = 2025;
@@ -121,7 +121,6 @@ struct Serving {
     batch: usize,
     proactive: Option<ProactiveConfig>,
     faults: Option<FaultPlan>,
-    sparse_act: Option<SparseExecConfig>,
 }
 
 fn summarize(r: &FleetReport) -> Vec<String> {
@@ -219,7 +218,6 @@ fn run_one<D: StreamingDetector>(
             mode: FleetMode::Realtime,
             proactive: serving.proactive.clone(),
             faults,
-            sparse_act: serving.sparse_act,
             ..FleetConfig::default()
         },
     );
@@ -262,7 +260,6 @@ struct Args {
     scenario: Option<String>,
     faults: Option<String>,
     proactive: bool,
-    sparse_act: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -274,7 +271,6 @@ fn parse_args() -> Result<Args, String> {
         scenario: None,
         faults: None,
         proactive: false,
-        sparse_act: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -344,7 +340,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 parsed.faults = Some(name);
             }
-            "--sparse-act" => parsed.sparse_act = true,
             "--policy" => {
                 let policy = args
                     .next()
@@ -369,8 +364,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     let args = parse_args().map_err(|e| {
         format!(
             "{e}\nusage: stream [--detector lidar|camera|both] [--frames N] [--batch K] \
-             [--threads N] [--policy reactive|proactive] [--scenario NAME] [--faults PLAN] \
-             [--sparse-act]"
+             [--threads N] [--policy reactive|proactive] [--scenario NAME] [--faults PLAN]"
         )
     })?;
     // Kernel-level parallelism: the persistent worker pool splits each
@@ -381,15 +375,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
 
     let device = DeviceProfile::jetson_orin_nano();
     let proactive = args.proactive.then(ProactiveConfig::default);
-    // Sparse-activation backbone: gather/scatter conv over the
-    // pillarizer's active sites, bit-identical to dense by construction.
-    let sparse_cfg = args.sparse_act.then(SparseExecConfig::default);
-    if let Some(cfg) = &sparse_cfg {
-        println!(
-            "Sparse-activation backbone enabled (dense fallback above {:.0}% active).",
-            cfg.dense_threshold * 100.0
-        );
-    }
     let fault_plan = args
         .faults
         .as_deref()
@@ -405,7 +390,6 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         batch: args.batch,
         proactive,
         faults: fault_plan,
-        sparse_act: sparse_cfg,
     };
     let mut reports = Vec::new();
 
