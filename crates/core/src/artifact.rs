@@ -26,7 +26,7 @@
 //! deployment pairs an engine definition with a weight blob.
 
 use crate::{Result, UpaqError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use upaq_hwmodel::exec::{BitAllocation, SparsityKind};
 use upaq_nn::{LayerId, Model};
 use upaq_tensor::Tensor;
@@ -294,9 +294,11 @@ pub fn pack(
 /// # Errors
 ///
 /// Returns [`UpaqError::BadConfig`] for corrupt artifacts — truncated
-/// input, a bits byte [`pack`] never writes for the layer's kind, or a
-/// decoded weight that is NaN or infinite — and for layer-shape
-/// mismatches.
+/// input, bytes after the last layer record, a bits byte [`pack`] never
+/// writes for the layer's kind, or a decoded weight that is NaN or
+/// infinite — and for artifacts that do not match the template: a layer
+/// count other than the template's weighted-layer count, a record that
+/// does not name a distinct weighted layer, or a layer-shape mismatch.
 pub fn unpack(packed: &PackedModel, template: &Model) -> Result<Model> {
     let mut r = Reader::new(&packed.bytes);
     if r.take(4)? != MAGIC {
@@ -305,10 +307,26 @@ pub fn unpack(packed: &PackedModel, template: &Model) -> Result<Model> {
     if r.u32()? != VERSION {
         return Err(UpaqError::BadConfig("unsupported artifact version".into()));
     }
+    // `pack` writes every weighted layer exactly once and nothing after
+    // the last record: any other shape would leave template weights the
+    // artifact does not carry in the returned model.
+    let weighted = template.weighted_layers();
     let layer_count = r.u32()? as usize;
+    if layer_count != weighted.len() {
+        return Err(UpaqError::BadConfig(format!(
+            "artifact has {layer_count} layer records, template {} weighted layers",
+            weighted.len()
+        )));
+    }
+    let mut seen = HashSet::with_capacity(layer_count);
     let mut model = template.deep_copy();
     for _ in 0..layer_count {
         let id = r.u32()? as usize;
+        if !weighted.contains(&id) || !seen.insert(id) {
+            return Err(UpaqError::BadConfig(format!(
+                "layer record {id} is not a distinct weighted layer of the template"
+            )));
+        }
         let kind = r.u8()?;
         let bits = r.u8()?;
         let bits_ok = match kind {
@@ -400,6 +418,12 @@ pub fn unpack(packed: &PackedModel, template: &Model) -> Result<Model> {
         }
         let tensor = Tensor::from_vec(current_shape, data)?;
         model.layer_mut(id)?.set_weights(tensor);
+    }
+    if r.pos != r.bytes.len() {
+        return Err(UpaqError::BadConfig(format!(
+            "{} trailing bytes after the last layer record",
+            r.bytes.len() - r.pos
+        )));
     }
     Ok(model)
 }
@@ -592,6 +616,43 @@ mod tests {
             set_f32(&mut bad, FIRST_PAYLOAD, v);
             assert!(unpack(&bad, &m).is_err(), "raw weight {v}");
         }
+    }
+
+    /// The dense artifact's first layer record: id, kind, bits and weight
+    /// count (10 bytes), then its raw f32 weights.
+    fn first_record(packed: &PackedModel) -> &[u8] {
+        let len = u32::from_le_bytes(packed.bytes[18..22].try_into().unwrap()) as usize;
+        &packed.bytes[12..22 + 4 * len]
+    }
+
+    #[test]
+    fn zero_layer_count_is_rejected() {
+        let (m, _) = model();
+        let mut bad = pack(&m, &BitAllocation::new(), &HashMap::new()).unwrap();
+        bad.bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
+        assert!(unpack(&bad, &m).is_err());
+    }
+
+    #[test]
+    fn repeated_layer_record_is_rejected() {
+        let (m, _) = model();
+        let packed = pack(&m, &BitAllocation::new(), &HashMap::new()).unwrap();
+        assert_eq!(packed.bytes[8..12], 3u32.to_le_bytes(), "three convs");
+        // The header, then the first layer's record three times: a count
+        // that matches, with two weighted layers the artifact never sets.
+        let mut bytes = packed.bytes[..12].to_vec();
+        for _ in 0..3 {
+            bytes.extend_from_slice(first_record(&packed));
+        }
+        assert!(unpack(&PackedModel { bytes }, &m).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let (m, _) = model();
+        let mut bad = pack(&m, &BitAllocation::new(), &HashMap::new()).unwrap();
+        bad.bytes.extend_from_slice(&[0; 4]);
+        assert!(unpack(&bad, &m).is_err());
     }
 
     #[test]

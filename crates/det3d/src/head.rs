@@ -149,8 +149,8 @@ pub fn decode_candidates(output: &Tensor, spec: &HeadSpec) -> Vec<Box3d> {
 }
 
 /// The naive serial sigmoid-domain scan — the oracle the optimized
-/// [`decode_candidates`] is tested against, mirroring how the tensor
-/// kernels keep their spawn-per-call baseline. Semantics are identical
+/// [`decode_candidates`] is tested against, as the tensor kernels are
+/// tested against naive oracles. Semantics are identical
 /// (same candidate set, same NaN rejection); only the shortcuts differ:
 /// no logit prefilter, no chunked parallelism.
 pub fn decode_candidates_reference(output: &Tensor, spec: &HeadSpec) -> Vec<Box3d> {

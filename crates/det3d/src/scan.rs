@@ -15,8 +15,7 @@
 //!   farmed over the persistent tensor worker pool
 //!   ([`parallel_for_chunks`]); each chunk fills its own candidate buffer
 //!   and the buffers are concatenated in chunk order, so the candidate
-//!   list is byte-identical to the serial scan at any thread count and in
-//!   either exec mode.
+//!   list is byte-identical to the serial scan at any thread count.
 
 use crate::box3d::Box3d;
 use std::sync::Mutex;

@@ -8,7 +8,8 @@
 //! * [`ToJson`] / [`FromJson`] — conversion traits with impls for the
 //!   primitives and containers the workspace persists;
 //! * [`json!`] — object/array literal macro mirroring `serde_json::json!`;
-//! * [`Value::parse`] — a recursive-descent parser;
+//! * [`Value::parse`] — a recursive-descent parser, nesting bounded by
+//!   [`MAX_DEPTH`];
 //! * [`Value::pretty`] / `Display` — pretty and compact writers.
 //!
 //! Round-trip guarantee: `Value::parse(&v.pretty())` reproduces `v` for
@@ -99,11 +100,14 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input, and on
+    /// arrays and objects nested more than [`MAX_DEPTH`] deep (at the
+    /// bracket that crosses the bound).
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -206,9 +210,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts: far
+/// above any report this workspace writes (a handful of levels), and far
+/// below the depth at which the recursive-descent parser would exhaust a
+/// thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -253,11 +265,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`]: `value`, `array` and `object` recurse, so unbounded
+    /// nesting would overflow the stack.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -585,6 +613,22 @@ mod tests {
         assert!(Value::parse("tru").is_err());
         assert!(Value::parse("{\"a\": 1} extra").is_err());
         assert!(Value::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, width) in [("[", 1), ("{\"a\":", 5)] {
+            let err = Value::parse(&open.repeat(100_000)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * width, "{open}");
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let mut v = Value::parse(&nest(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = v.as_arr().unwrap()[0].clone();
+        }
+        assert_eq!(v, Value::Arr(Vec::new()));
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

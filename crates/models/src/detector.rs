@@ -14,7 +14,7 @@ use upaq_det3d::refine::{refine_all, RefineConfig};
 use upaq_det3d::Box3d;
 use upaq_kitti::camera::CameraImage;
 use upaq_kitti::lidar::PointCloud;
-use upaq_nn::exec::forward;
+use upaq_nn::exec::{forward, forward_batch_into};
 use upaq_nn::{LayerId, Model, NnError, Result};
 use upaq_tensor::{Shape, Tensor};
 
@@ -84,53 +84,36 @@ pub trait StreamingDetector: Clone + Send + Sync + 'static {
         Ok(self.postprocess(output, input))
     }
 
-    /// Runs a batch of preprocessed frames through one shared backbone pass
-    /// and returns each frame's raw head output.
-    ///
-    /// Per-frame results are bit-identical to calling the single-frame
-    /// forward on each tensor — the batched kernels only amortize fixed
-    /// per-call work (see `upaq_nn::exec::forward_batch`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates network-execution errors; a failure anywhere in the
-    /// batch fails the whole call (no partial results).
-    fn forward_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        let maps: Vec<HashMap<String, Tensor>> = inputs
-            .iter()
-            .map(|t| {
-                let mut m = HashMap::new();
-                m.insert(self.input_name().to_string(), t.clone());
-                m
-            })
-            .collect();
-        let acts = upaq_nn::exec::forward_batch(self.model(), &maps)?;
-        let head = self.head_layer()?;
-        acts.into_iter()
-            .map(|mut frame| {
-                frame.remove(&head).ok_or_else(|| {
-                    NnError::BadWiring("head activation missing from batched forward".into())
-                })
-            })
-            .collect::<Result<_>>()
-    }
-
     /// The batched counterpart of [`detect`][Self::detect]: per-frame
-    /// preprocess, one shared backbone pass, per-frame decode. Bit-identical
-    /// to mapping `detect` over `inputs`.
+    /// preprocess, one layer-major backbone pass over the whole batch
+    /// (`upaq_nn::exec::forward_batch_into`), per-frame decode.
+    /// Bit-identical to mapping `detect` over `inputs`.
     ///
     /// # Errors
     ///
     /// Propagates network-execution errors; a failure anywhere in the
     /// batch fails the whole call.
     fn detect_batch(&self, inputs: &[Self::Input]) -> Result<Vec<Vec<Box3d>>> {
-        let tensors: Vec<Tensor> = inputs.iter().map(|i| self.preprocess(i)).collect();
-        let heads = self.forward_batch(&tensors)?;
-        Ok(heads
+        let frames: Vec<HashMap<String, Tensor>> = inputs
             .iter()
+            .map(|input| {
+                let mut m = HashMap::new();
+                m.insert(self.input_name().to_string(), self.preprocess(input));
+                m
+            })
+            .collect();
+        let mut wss = Vec::new();
+        forward_batch_into(self.model(), &frames, &mut wss)?;
+        let head = self.head_layer()?;
+        wss.iter()
             .zip(inputs)
-            .map(|(head, input)| self.postprocess(head, input))
-            .collect())
+            .map(|(ws, input)| {
+                let output = ws.activations().get(&head).ok_or_else(|| {
+                    NnError::BadWiring("head activation missing from batched forward".into())
+                })?;
+                Ok(self.postprocess(output, input))
+            })
+            .collect()
     }
 }
 

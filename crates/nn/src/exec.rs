@@ -1,12 +1,20 @@
 //! Forward execution of a [`Model`] over its computation graph.
+//!
+//! One executor runs every frame: [`forward_batch_into`] walks the plan
+//! layer by layer — each layer in topological order, over every frame of
+//! the batch — through the one per-frame layer evaluator. A single frame
+//! is a batch of one ([`forward_into`]), and [`forward`] is
+//! [`forward_into`] on a fresh [`Workspace`], so serial and batched
+//! outputs are bit-identical frame by frame by construction.
 
 use crate::{Graph, Layer, LayerId, LayerKind, Model, NnError, Result};
 use std::collections::HashMap;
+use std::slice;
 use upaq_tensor::ops::{
-    batch_norm_into, conv2d_batch_into, conv2d_into, conv2d_packed_batch_into, conv2d_packed_into,
-    linear_into, max_pool2d, max_pool2d_into, relu_into, Conv2dParams,
+    batch_norm_into, conv2d_into, linear_into, max_pool2d, max_pool2d_into, relu_into, Conv2dParams,
 };
-use upaq_tensor::{Shape, Tensor};
+use upaq_tensor::packed::PackedConv;
+use upaq_tensor::{Shape, Tensor, TensorError};
 
 /// The cached execution order for one model wiring: the derived graph and
 /// its topological order, keyed by [`Model::wiring_fingerprint`].
@@ -29,11 +37,12 @@ impl Plan {
     }
 }
 
-/// Reusable per-stream activation storage.
+/// Reusable per-frame activation storage.
 ///
-/// A streaming runtime calls [`forward_into`] with the same workspace for
-/// every frame. Every layer's output is then written into the previous
-/// frame's buffer instead of a freshly allocated tensor, and the graph's
+/// A streaming runtime calls [`forward_into`] (or [`forward_batch_into`],
+/// one workspace per frame slot) with the same workspaces for every
+/// frame. Every layer's output is then written into the previous frame's
+/// buffer instead of a freshly allocated tensor, and the graph's
 /// topological order is computed once and cached — so the steady state
 /// performs no allocation at all (the first frame warms the buffers up).
 /// Results are bit-identical to [`forward`]: the buffers are fully
@@ -51,7 +60,7 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// The activations of the most recent [`forward_into`] call.
+    /// The activations of the most recent forward call.
     pub fn activations(&self) -> &HashMap<LayerId, Tensor> {
         &self.acts
     }
@@ -100,8 +109,10 @@ fn missing(layer: &Layer, what: &'static str) -> NnError {
 /// # Errors
 ///
 /// Returns [`NnError::BadWiring`] when a named input is missing or an
-/// activation shape does not suit a layer, and propagates tensor-kernel
-/// errors.
+/// activation shape does not suit a layer, [`NnError::MissingParams`] when
+/// a layer lacks the parameters its kind requires, and propagates
+/// tensor-kernel errors (a layer fed an activation of the wrong rank
+/// reports [`TensorError::RankMismatch`]).
 pub fn forward(
     model: &Model,
     inputs: &HashMap<String, Tensor>,
@@ -111,27 +122,68 @@ pub fn forward(
     Ok(ws.take())
 }
 
-/// [`forward`] into a reusable [`Workspace`].
+/// [`forward`] into a reusable [`Workspace`]: [`forward_batch_into`]'s
+/// executor on a batch of one.
 ///
 /// On return `ws.activations()` holds every layer's activation for this
-/// frame. Convolution outputs reuse the workspace's buffers from the
-/// previous call when shapes line up, so steady-state streaming does not
+/// frame. Layer outputs reuse the workspace's buffers from the previous
+/// call when shapes line up, so steady-state streaming does not
 /// reallocate the large intermediate tensors.
 ///
 /// # Errors
 ///
-/// Returns [`NnError::BadWiring`] when a named input is missing or an
-/// activation shape does not suit a layer, [`NnError::MissingParams`] when
-/// a layer lacks the parameters its kind requires, and propagates
-/// tensor-kernel errors.
+/// All [`forward`] error conditions.
 pub fn forward_into(
     model: &Model,
     inputs: &HashMap<String, Tensor>,
     ws: &mut Workspace,
 ) -> Result<()> {
+    run_plan(model, slice::from_ref(inputs), slice::from_mut(ws))
+}
+
+/// Runs a batch of frames through the model into reusable per-frame
+/// [`Workspace`]s.
+///
+/// `wss` is grown to at least `inputs.len()` workspaces; on return
+/// `wss[i].activations()` holds frame `i`'s activations. The plan is
+/// walked once, layer-major: each layer in topological order runs over
+/// every frame before the next layer starts, through the same per-frame
+/// arithmetic as [`forward`], so outputs are bit-identical frame by frame
+/// to serial calls — frames may even differ in spatial size. Layer
+/// outputs reuse each workspace's buffers from the previous call exactly
+/// as [`forward_into`] does.
+///
+/// # Errors
+///
+/// All [`forward`] error conditions, applied per frame; a failure
+/// anywhere fails the whole batch.
+pub fn forward_batch_into(
+    model: &Model,
+    inputs: &[HashMap<String, Tensor>],
+    wss: &mut Vec<Workspace>,
+) -> Result<()> {
+    let n = inputs.len();
+    if wss.len() < n {
+        wss.resize_with(n, Workspace::new);
+    }
+    run_plan(model, inputs, &mut wss[..n])
+}
+
+/// The executor: one pass over the plan for `inputs.len() ==
+/// wss.len()` frames. The plan cache lives in the first workspace.
+fn run_plan(
+    model: &Model,
+    inputs: &[HashMap<String, Tensor>],
+    wss: &mut [Workspace],
+) -> Result<()> {
+    if inputs.is_empty() {
+        return Ok(());
+    }
     let fp = model.wiring_fingerprint();
-    ws.reset_if_rewired(fp);
-    let plan = ws.plan_for(model, fp)?;
+    for ws in wss.iter_mut() {
+        ws.reset_if_rewired(fp);
+    }
+    let plan = wss[0].plan_for(model, fp)?;
     // Evaluate in place: each layer's previous-frame buffer is removed,
     // overwritten, and re-inserted. Topological order guarantees every
     // predecessor read sees this frame's value.
@@ -139,13 +191,15 @@ pub fn forward_into(
         for &id in &plan.order {
             let layer = model.layer(id)?;
             let in_ids = plan.graph.inputs_of(id);
-            let recycled = ws.acts.remove(&id);
-            let value = eval_layer(layer, in_ids, &ws.acts, inputs, recycled)?;
-            ws.acts.insert(id, value);
+            for (ws, frame) in wss.iter_mut().zip(inputs) {
+                let recycled = ws.acts.remove(&id);
+                let value = eval_layer(layer, in_ids, &ws.acts, frame, recycled)?;
+                ws.acts.insert(id, value);
+            }
         }
         Ok(())
     })();
-    ws.plan = Some(plan);
+    wss[0].plan = Some(plan);
     result
 }
 
@@ -161,10 +215,8 @@ fn reuse_or_zeros(recycled: Option<Tensor>, shape: &Shape) -> Tensor {
 
 /// Evaluates one layer for one frame. `recycled` is an optional buffer
 /// from a previous frame that the layer's output reuses when shapes line
-/// up — in the steady state every branch runs allocation-free. This is
-/// the single arithmetic path shared by [`forward_into`] and
-/// [`forward_batch_into`], which is what makes serial and batched
-/// execution bit-identical per frame.
+/// up — in the steady state every branch runs allocation-free, save the
+/// per-call packing of a conv layer [`Layer::pack`] has not packed.
 fn eval_layer(
     layer: &Layer,
     in_ids: &[LayerId],
@@ -200,25 +252,37 @@ fn eval_layer(
             ..
         } => {
             let x = &acts[&in_ids[0]];
+            let s = x.shape();
+            if s.rank() != 4 {
+                return Err(TensorError::RankMismatch {
+                    expected: 4,
+                    actual: s.rank(),
+                }
+                .into());
+            }
             let params = Conv2dParams {
                 stride: *stride,
                 padding: *padding,
             };
-            let oh = params.out_size(x.shape().dim(2), *kernel);
-            let ow = params.out_size(x.shape().dim(3), *kernel);
+            let oh = params.out_size(s.dim(2), *kernel);
+            let ow = params.out_size(s.dim(3), *kernel);
             let expected = [1, *out_channels, oh, ow];
             let mut out = match recycled {
                 Some(buf) if buf.shape().dims() == expected => buf,
                 _ => Tensor::zeros(Shape::nchw(1, *out_channels, oh, ow)),
             };
-            if let Some(packed) = layer.packed() {
-                conv2d_packed_into(x, packed, layer.bias(), params, &mut out)?;
-            } else {
-                let weights = layer
-                    .weights()
-                    .ok_or_else(|| missing(layer, "convolution weights"))?;
-                conv2d_into(x, weights, layer.bias(), params, &mut out)?;
-            }
+            let unpacked;
+            let packed = match layer.packed() {
+                Some(packed) => packed,
+                None => {
+                    let weights = layer
+                        .weights()
+                        .ok_or_else(|| missing(layer, "convolution weights"))?;
+                    unpacked = PackedConv::pack(weights)?;
+                    &unpacked
+                }
+            };
+            conv2d_into(x, packed, layer.bias(), params, &mut out)?;
             out
         }
         LayerKind::Linear { out_features, .. } => {
@@ -274,7 +338,36 @@ fn eval_layer(
             }
         }
         LayerKind::Upsample { factor } => {
-            upsample_nearest_eval(&acts[&in_ids[0]], *factor, recycled)?
+            let factor = *factor;
+            if factor == 0 {
+                return Err(NnError::BadWiring(
+                    "upsample factor must be non-zero".into(),
+                ));
+            }
+            let x = &acts[&in_ids[0]];
+            let s = x.shape();
+            if s.rank() != 4 {
+                return Err(NnError::BadWiring(format!(
+                    "upsample expects NCHW, got {s}"
+                )));
+            }
+            let (c, h, w) = (s.dim(1), s.dim(2), s.dim(3));
+            let (oh, ow) = (h * factor, w * factor);
+            let expected = [1, c, oh, ow];
+            let mut out = match recycled {
+                Some(buf) if buf.shape().dims() == expected => buf,
+                _ => Tensor::zeros(Shape::nchw(1, c, oh, ow)),
+            };
+            let (idata, odata) = (x.as_slice(), out.as_mut_slice());
+            for ch in 0..c {
+                for y in 0..oh {
+                    for xo in 0..ow {
+                        odata[(ch * oh + y) * ow + xo] =
+                            idata[(ch * h + y / factor) * w + xo / factor];
+                    }
+                }
+            }
+            out
         }
         LayerKind::Add => {
             let a = &acts[&in_ids[0]];
@@ -327,227 +420,47 @@ fn eval_layer(
     })
 }
 
-/// Runs a batch of frames through the model in one graph traversal and
-/// returns every layer's activation per frame.
-///
-/// Convolutions — the dominant cost — execute through the batched kernel
-/// (weight taps extracted once per batch) when the frames' activations
-/// share a shape, and fall back to the per-frame path otherwise. All other
-/// layers evaluate per frame through the same code as [`forward`]. Either
-/// way the per-frame arithmetic is identical to a serial [`forward`] call,
-/// so outputs are bit-identical frame by frame.
-///
-/// # Errors
-///
-/// All [`forward`] error conditions, applied per frame.
-pub fn forward_batch(
-    model: &Model,
-    inputs: &[HashMap<String, Tensor>],
-) -> Result<Vec<HashMap<LayerId, Tensor>>> {
-    let mut wss = Vec::new();
-    forward_batch_into(model, inputs, &mut wss)?;
-    Ok(wss.iter_mut().map(Workspace::take).collect())
-}
-
-/// [`forward_batch`] into reusable per-frame [`Workspace`]s.
-///
-/// `wss` is grown to at least `inputs.len()` workspaces; on return
-/// `wss[i].activations()` holds frame `i`'s activations. Convolution
-/// outputs reuse each workspace's buffers from the previous call exactly
-/// as [`forward_into`] does.
-///
-/// # Errors
-///
-/// All [`forward`] error conditions, applied per frame.
-pub fn forward_batch_into(
-    model: &Model,
-    inputs: &[HashMap<String, Tensor>],
-    wss: &mut Vec<Workspace>,
-) -> Result<()> {
-    let n = inputs.len();
-    if n == 0 {
-        return Ok(());
-    }
-    while wss.len() < n {
-        wss.push(Workspace::new());
-    }
-    let fp = model.wiring_fingerprint();
-    for ws in wss[..n].iter_mut() {
-        ws.reset_if_rewired(fp);
-    }
-    // The plan cache lives in the first workspace; the frames share one
-    // graph traversal.
-    let plan = wss[0].plan_for(model, fp)?;
-
-    let result = (|| {
-        for &id in &plan.order {
-            let layer = model.layer(id)?;
-            let in_ids = plan.graph.inputs_of(id);
-            let mut batched = false;
-            if n > 1 {
-                if let LayerKind::Conv2d {
-                    out_channels,
-                    kernel,
-                    stride,
-                    padding,
-                    ..
-                } = layer.kind()
-                {
-                    let s0 = wss[0].acts[&in_ids[0]].shape();
-                    if wss[1..n].iter().all(|w| w.acts[&in_ids[0]].shape() == s0) {
-                        let params = Conv2dParams {
-                            stride: *stride,
-                            padding: *padding,
-                        };
-                        let oh = params.out_size(s0.dim(2), *kernel);
-                        let ow = params.out_size(s0.dim(3), *kernel);
-                        let expected = [1, *out_channels, oh, ow];
-                        let mut outs: Vec<Tensor> = wss[..n]
-                            .iter_mut()
-                            .map(|w| match w.acts.remove(&id) {
-                                Some(buf) if buf.shape().dims() == expected => buf,
-                                _ => Tensor::zeros(Shape::nchw(1, *out_channels, oh, ow)),
-                            })
-                            .collect();
-                        let xs: Vec<&Tensor> =
-                            wss[..n].iter().map(|w| &w.acts[&in_ids[0]]).collect();
-                        if let Some(packed) = layer.packed() {
-                            conv2d_packed_batch_into(&xs, packed, layer.bias(), params, &mut outs)?;
-                        } else {
-                            let weights = layer
-                                .weights()
-                                .ok_or_else(|| missing(layer, "convolution weights"))?;
-                            conv2d_batch_into(&xs, weights, layer.bias(), params, &mut outs)?;
-                        }
-                        drop(xs);
-                        for (w, out) in wss[..n].iter_mut().zip(outs) {
-                            w.acts.insert(id, out);
-                        }
-                        batched = true;
-                    }
-                }
-            }
-            if !batched {
-                for (i, w) in wss[..n].iter_mut().enumerate() {
-                    let recycled = w.acts.remove(&id);
-                    let value = eval_layer(layer, in_ids, &w.acts, &inputs[i], recycled)?;
-                    w.acts.insert(id, value);
-                }
-            }
-        }
-        Ok(())
-    })();
-    wss[0].plan = Some(plan);
-    result
-}
-
-/// Convenience wrapper for single-input models: runs [`forward`] and returns
-/// the activation of the unique sink layer.
-///
-/// # Errors
-///
-/// Returns [`NnError::BadWiring`] when the model does not have exactly one
-/// sink, plus all [`forward`] error conditions.
-pub fn forward_single(model: &Model, input_name: &str, input: &Tensor) -> Result<Tensor> {
-    let mut inputs = HashMap::new();
-    inputs.insert(input_name.to_string(), input.clone());
-    let acts = forward(model, &inputs)?;
-    let sinks = model.compute_graph().sinks();
-    if sinks.len() != 1 {
-        return Err(NnError::BadWiring(format!(
-            "expected exactly one sink, found {}",
-            sinks.len()
-        )));
-    }
-    Ok(acts[&sinks[0]].clone())
-}
-
-/// Nearest-neighbour upsampling of an NCHW tensor by an integer factor.
-///
-/// # Errors
-///
-/// Returns [`NnError::BadWiring`] for zero factors or non-NCHW input.
-pub fn upsample_nearest(input: &Tensor, factor: usize) -> Result<Tensor> {
-    upsample_nearest_eval(input, factor, None)
-}
-
-/// [`upsample_nearest`] with an optional recycled output buffer (reused
-/// when its shape matches).
-fn upsample_nearest_eval(
-    input: &Tensor,
-    factor: usize,
-    recycled: Option<Tensor>,
-) -> Result<Tensor> {
-    if factor == 0 {
-        return Err(NnError::BadWiring(
-            "upsample factor must be non-zero".into(),
-        ));
-    }
-    let s = input.shape();
-    if s.rank() != 4 {
-        return Err(NnError::BadWiring(format!(
-            "upsample expects NCHW, got {s}"
-        )));
-    }
-    let (c, h, w) = (s.dim(1), s.dim(2), s.dim(3));
-    let (oh, ow) = (h * factor, w * factor);
-    let expected = [1, c, oh, ow];
-    let idata = input.as_slice();
-    let mut out = match recycled {
-        Some(buf) if buf.shape().dims() == expected => buf,
-        _ => Tensor::zeros(Shape::nchw(1, c, oh, ow)),
-    };
-    let odata = out.as_mut_slice();
-    for ch in 0..c {
-        for y in 0..oh {
-            for x in 0..ow {
-                odata[(ch * oh + y) * ow + x] = idata[(ch * h + y / factor) * w + x / factor];
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Concatenates NCHW tensors along the channel axis.
-///
-/// # Errors
-///
-/// Returns [`NnError::BadWiring`] when fewer than two tensors are given or
-/// their spatial sizes differ.
-pub fn concat_channels(tensors: &[&Tensor]) -> Result<Tensor> {
-    if tensors.len() < 2 {
-        return Err(NnError::BadWiring(
-            "concat needs at least two inputs".into(),
-        ));
-    }
-    let first = tensors[0].shape();
-    let (h, w) = (first.dim(2), first.dim(3));
-    let mut total_c = 0;
-    for t in tensors {
-        let s = t.shape();
-        if s.rank() != 4 || s.dim(2) != h || s.dim(3) != w {
-            return Err(NnError::BadWiring(format!(
-                "concat spatial mismatch: {} vs {}×{}",
-                s, h, w
-            )));
-        }
-        total_c += s.dim(1);
-    }
-    let mut data = Vec::with_capacity(total_c * h * w);
-    for t in tensors {
-        data.extend_from_slice(t.as_slice());
-    }
-    Ok(Tensor::from_vec(Shape::nchw(1, total_c, h, w), data)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Layer;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn make_inputs(name: &str, t: Tensor) -> HashMap<String, Tensor> {
         let mut m = HashMap::new();
         m.insert(name.to_string(), t);
+        m
+    }
+
+    /// Runs `m` on `x` fed to input `in` and returns the activation of its
+    /// unique sink.
+    fn sink_output(m: &Model, x: Tensor) -> Result<Tensor> {
+        let mut acts = forward(m, &make_inputs("in", x))?;
+        let sinks = m.compute_graph().sinks();
+        assert_eq!(sinks.len(), 1, "test models have one sink");
+        Ok(acts.remove(&sinks[0]).expect("sink executed"))
+    }
+
+    /// One input through every streaming layer kind the detectors use:
+    /// conv, batch norm, ReLU, max-pool, upsample, residual add, channel
+    /// concat, and a 1×1 head. Takes any even H×W.
+    fn all_kinds_model() -> Model {
+        let mut m = Model::new("all-kinds");
+        let x = m.add_input("in", 3);
+        let c1 = m
+            .add_layer(Layer::conv2d("c1", 3, 6, 3, 1, 1, 21), &[x])
+            .unwrap();
+        let bn = m.add_layer(Layer::batch_norm("bn", 6), &[c1]).unwrap();
+        let r = m.add_layer(Layer::relu("r"), &[bn]).unwrap();
+        let mp = m.add_layer(Layer::max_pool("mp", 2, 2), &[r]).unwrap();
+        let up = m.add_layer(Layer::upsample("up", 2), &[mp]).unwrap();
+        let c2 = m
+            .add_layer(Layer::conv2d("c2", 6, 6, 3, 1, 1, 22), &[r])
+            .unwrap();
+        let add = m.add_layer(Layer::add("add"), &[up, c2]).unwrap();
+        let cat = m.add_layer(Layer::concat("cat"), &[add, r]).unwrap();
+        m.add_layer(Layer::conv2d("head", 12, 2, 1, 1, 0, 23), &[cat])
+            .unwrap();
         m
     }
 
@@ -564,7 +477,7 @@ mod tests {
         m.add_layer(Layer::relu("r"), &[c]).unwrap();
 
         let x = Tensor::from_vec(Shape::nchw(1, 1, 1, 2), vec![-3.0, 5.0]).unwrap();
-        let out = forward_single(&m, "in", &x).unwrap();
+        let out = sink_output(&m, x).unwrap();
         assert_eq!(out.as_slice(), &[0.0, 5.0]);
     }
 
@@ -582,7 +495,11 @@ mod tests {
             let inputs = make_inputs("in", x);
             assert!(forward(&m, &inputs).is_err(), "{bad} forward");
             let batch = [inputs.clone(), inputs];
-            assert!(forward_batch(&m, &batch).is_err(), "{bad} forward_batch");
+            let mut wss = Vec::new();
+            assert!(
+                forward_batch_into(&m, &batch, &mut wss).is_err(),
+                "{bad} forward_batch_into"
+            );
         }
     }
 
@@ -603,6 +520,24 @@ mod tests {
     }
 
     #[test]
+    fn conv_fed_a_flat_activation_is_a_rank_error() {
+        let mut m = Model::new("m");
+        let input = m.add_input("in", 2);
+        let fc = m.add_layer(Layer::linear("fc", 8, 4, 1), &[input]).unwrap();
+        m.add_layer(Layer::conv2d("c", 4, 4, 3, 1, 1, 2), &[fc])
+            .unwrap();
+        m.pack_weights();
+        let x = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
+        assert_eq!(
+            forward(&m, &make_inputs("in", x)).unwrap_err(),
+            NnError::Tensor(TensorError::RankMismatch {
+                expected: 4,
+                actual: 1
+            })
+        );
+    }
+
+    #[test]
     fn residual_add_executes() {
         let mut m = Model::new("m");
         let input = m.add_input("in", 1);
@@ -610,34 +545,62 @@ mod tests {
         let r2 = m.add_layer(Layer::relu("r2"), &[input]).unwrap();
         m.add_layer(Layer::add("sum"), &[r1, r2]).unwrap();
         let x = Tensor::from_vec(Shape::nchw(1, 1, 1, 1), vec![2.0]).unwrap();
-        let out = forward_single(&m, "in", &x).unwrap();
+        let out = sink_output(&m, x).unwrap();
         assert_eq!(out.as_slice(), &[4.0]);
+    }
+
+    /// Two inputs, `a` (1 channel) and `b` (2 channels), joined by concat.
+    fn concat_model() -> Model {
+        let mut m = Model::new("m");
+        let a = m.add_input("a", 1);
+        let b = m.add_input("b", 2);
+        m.add_layer(Layer::concat("cat"), &[a, b]).unwrap();
+        m
+    }
+
+    fn concat_inputs(a: Tensor, b: Tensor) -> HashMap<String, Tensor> {
+        let mut inputs = make_inputs("a", a);
+        inputs.insert("b".to_string(), b);
+        inputs
     }
 
     #[test]
     fn concat_stacks_channels() {
+        let m = concat_model();
         let a = Tensor::from_vec(Shape::nchw(1, 1, 1, 2), vec![1.0, 2.0]).unwrap();
         let b = Tensor::from_vec(Shape::nchw(1, 2, 1, 2), vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let out = concat_channels(&[&a, &b]).unwrap();
+        let acts = forward(&m, &concat_inputs(a, b)).unwrap();
+        let (cat, _) = m.layer_by_name("cat").unwrap();
+        let out = &acts[&cat];
         assert_eq!(out.shape().dims(), &[1, 3, 1, 2]);
         assert_eq!(out.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
     fn concat_rejects_spatial_mismatch() {
+        let m = concat_model();
         let a = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
-        let b = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
-        assert!(concat_channels(&[&a, &b]).is_err());
-        assert!(concat_channels(&[&a]).is_err());
+        let b = Tensor::zeros(Shape::nchw(1, 2, 3, 3));
+        assert!(forward(&m, &concat_inputs(a, b)).is_err());
+        let mut one = Model::new("one");
+        let a = one.add_input("a", 1);
+        assert!(one.add_layer(Layer::concat("cat"), &[a]).is_err());
     }
 
     #[test]
     fn upsample_doubles_pixels() {
+        let upsampler = |factor| {
+            let mut m = Model::new("m");
+            let input = m.add_input("in", 1);
+            m.add_layer(Layer::upsample("up", factor), &[input])
+                .unwrap();
+            m
+        };
         let t = Tensor::from_vec(Shape::nchw(1, 1, 1, 2), vec![1.0, 2.0]).unwrap();
-        let out = upsample_nearest(&t, 2).unwrap();
+        let out = sink_output(&upsampler(2), t.clone()).unwrap();
         assert_eq!(out.shape().dims(), &[1, 1, 2, 4]);
         assert_eq!(out.as_slice(), &[1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]);
-        assert!(upsample_nearest(&t, 0).is_err());
+        assert!(sink_output(&upsampler(0), t).is_err());
     }
 
     #[test]
@@ -648,7 +611,7 @@ mod tests {
         fc.set_weights(Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, 1.0]).unwrap());
         m.add_layer(fc, &[input]).unwrap();
         let x = Tensor::from_vec(Shape::nchw(1, 2, 1, 1), vec![3.0, 4.0]).unwrap();
-        let out = forward_single(&m, "in", &x).unwrap();
+        let out = sink_output(&m, x).unwrap();
         assert_eq!(out.as_slice(), &[7.0]);
     }
 
@@ -663,7 +626,6 @@ mod tests {
 
         let mut ws = Workspace::new();
         for seed in 0..3u64 {
-            use rand::{rngs::StdRng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(seed);
             let x = Tensor::uniform(Shape::nchw(1, 2, 6, 6), -1.0, 1.0, &mut rng);
             let inputs = make_inputs("in", x);
@@ -671,6 +633,43 @@ mod tests {
             let fresh = forward(&m, &inputs).unwrap();
             for (id, t) in &fresh {
                 assert_eq!(ws.activations()[id].as_slice(), t.as_slice(), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_size_batch_matches_serial_forward_bitwise() {
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for packed in [false, true] {
+            let mut m = all_kinds_model();
+            if packed {
+                m.pack_weights();
+            }
+            let mut rng = StdRng::seed_from_u64(5);
+            let batch: Vec<HashMap<String, Tensor>> = [(4, 6), (8, 8), (4, 6), (2, 10)]
+                .iter()
+                .map(|&(h, w)| {
+                    let x = Tensor::uniform(Shape::nchw(1, 3, h, w), -1.0, 1.0, &mut rng);
+                    make_inputs("in", x)
+                })
+                .collect();
+            let mut wss = Vec::new();
+            // Twice: the second pass recycles every buffer of the first.
+            for pass in 0..2 {
+                forward_batch_into(&m, &batch, &mut wss).unwrap();
+                assert_eq!(wss.len(), batch.len());
+                for (i, (inputs, ws)) in batch.iter().zip(&wss).enumerate() {
+                    let mut serial = Workspace::new();
+                    forward_into(&m, inputs, &mut serial).unwrap();
+                    assert_eq!(ws.activations().len(), serial.activations().len());
+                    for (id, t) in serial.activations() {
+                        assert_eq!(
+                            bits(&ws.activations()[id]),
+                            bits(t),
+                            "packed {packed} pass {pass} frame {i} layer {id}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -348,11 +348,11 @@ impl Layer {
     }
 
     /// Builds (or rebuilds) the packed sparse-tap form of a convolution
-    /// layer's weights. A no-op for every other operator. Execution falls
-    /// back to the scan-per-call kernel when a layer is unpacked, so calling
-    /// this is purely a steady-state performance lever. Weights that cannot
-    /// pack (a NaN or infinite weight) stay unpacked, and the forward pass
-    /// reports the packing error.
+    /// layer's weights. A no-op for every other operator. Execution packs
+    /// an unpacked layer's weights afresh on every call, so calling this is
+    /// purely a steady-state performance lever. Weights that cannot pack (a
+    /// NaN or infinite weight) stay unpacked, and the forward pass reports
+    /// the packing error.
     pub fn pack(&mut self) {
         if matches!(self.kind, LayerKind::Conv2d { .. }) {
             if let Some(w) = &self.weights {

@@ -165,9 +165,9 @@ impl Model {
     }
 
     /// Packs every convolution layer's weights into the sparse-tap form
-    /// consumed by the packed kernels (see [`Layer::pack`]). Call once
-    /// after compression finalizes weights; forward execution then skips
-    /// the per-call zero re-scan.
+    /// the conv kernel consumes (see [`Layer::pack`]). Call once after
+    /// compression finalizes weights; forward execution then skips the
+    /// per-call packing.
     pub fn pack_weights(&mut self) {
         for layer in &mut self.layers {
             layer.pack();

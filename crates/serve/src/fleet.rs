@@ -55,7 +55,7 @@ use upaq_kitti::faults::FaultPlan;
 use upaq_kitti::fleet::FleetScenario;
 use upaq_kitti::stream::{Frame, SensorData};
 use upaq_models::StreamingDetector;
-use upaq_nn::exec::{forward_batch_into, forward_into, Workspace};
+use upaq_nn::exec::{forward_batch_into, Workspace};
 use upaq_runtime::metrics::{BatchStats, LatencyRecorder};
 use upaq_runtime::proactive::{ProactiveConfig, ProactivePolicy};
 use upaq_runtime::scheduler::{DeadlineScheduler, SchedulerConfig};
@@ -339,7 +339,6 @@ where
                     let (ready, ctx) = (&ready, &ctx);
                     let boost_age_s = cfg.boost_age_s;
                     s.spawn(move || {
-                        let mut ws = Workspace::new();
                         let mut wss: Vec<Workspace> = Vec::new();
                         while let Some(mut group) = ready.pop_group(max_batch, boost_age_s) {
                             for job in &group {
@@ -350,7 +349,7 @@ where
                             if !ctx.realtime {
                                 // Scheduler bypassed: the whole group runs
                                 // at the fixed rung as one batch.
-                                run_group(ctx, fixed_level, group, &mut ws, &mut wss);
+                                run_group(ctx, fixed_level, group, &mut wss);
                                 continue;
                             }
                             // Boost promotion reorders pops by arrival;
@@ -389,7 +388,7 @@ where
                                             None => level,
                                         };
                                         let batch: Vec<_> = rest.drain(..k).collect();
-                                        run_group(ctx, level, batch, &mut ws, &mut wss);
+                                        run_group(ctx, level, batch, &mut wss);
                                     }
                                 }
                             }
@@ -639,12 +638,13 @@ fn admit_saturate<T: SensorData>(
 /// multi-stream failures. The forward runs under `catch_unwind`: a
 /// panicking invocation (injected or real) charges all members to
 /// `faulted`, feeds each member's breaker, and respawns the workspaces —
-/// the worker thread itself always survives.
+/// the worker thread itself always survives. A group of one is a batch of
+/// one: every group size runs the same executor into the worker's one set
+/// of per-slot workspaces.
 fn run_group<D: StreamingDetector>(
     ctx: &WorkerCtx<'_, D>,
     level: usize,
     jobs: Vec<FleetJob<D::Input>>,
-    ws: &mut Workspace,
     wss: &mut Vec<Workspace>,
 ) {
     let k = jobs.len();
@@ -683,18 +683,12 @@ fn run_group<D: StreamingDetector>(
         if inject_panic {
             panic!("injected backbone fault (fleet group of {k})");
         }
-        let model = variant.detector.model();
-        if k == 1 {
-            forward_into(model, &inputs[0], ws).is_ok()
-        } else {
-            forward_batch_into(model, &inputs, wss).is_ok()
-        }
+        forward_batch_into(variant.detector.model(), &inputs, wss).is_ok()
     }));
     let ok = match fwd {
         Err(_panic) => {
             // The unwound workspaces may hold torn activations: respawn
             // them, charge every member once, feed the breakers.
-            *ws = Workspace::new();
             wss.clear();
             let now_s = ctx.epoch.elapsed().as_secs_f64();
             for job in &jobs {
@@ -740,18 +734,14 @@ fn run_group<D: StreamingDetector>(
         ctx.cross_frames.fetch_add(k as u64, Ordering::Relaxed);
     }
 
-    for (i, job) in jobs.into_iter().enumerate() {
-        let head_out = if k == 1 {
-            ws.activations()[&variant.head].clone()
-        } else {
-            wss[i].activations()[&variant.head].clone()
-        };
+    for (job, ws) in jobs.into_iter().zip(wss.iter()) {
+        let head_out = &ws.activations()[&variant.head];
         let state = &ctx.streams[job.stream];
         if cross {
             StreamCounters::bump(&state.counters.cross_batched);
         }
         let t1 = Instant::now();
-        let dets = variant.detector.postprocess(&head_out, &job.frame.data);
+        let dets = variant.detector.postprocess(head_out, &job.frame.data);
         if ctx.realtime {
             ctx.scheduler.observe_post(t1.elapsed().as_secs_f64());
         }

@@ -15,7 +15,8 @@
 //!   built once from the pruned weights so steady-state kernels stop
 //!   re-scanning for zeros;
 //! * [`ops`] — convolution, linear, pooling, normalization and activation
-//!   kernels, each with a dense path and a sparsity/bitwidth-aware path.
+//!   kernels; the one f32 convolution runs over packed non-zero taps, and
+//!   the `quantized_*` kernels execute integer codes.
 //!
 //! # Example
 //!
@@ -38,11 +39,9 @@ pub mod ops;
 pub mod packed;
 pub mod quant;
 pub mod sparse;
-pub mod sparse_act;
 
 pub use error::TensorError;
 pub use shape::Shape;
-pub use sparse_act::SparseActivation;
 pub use tensor::Tensor;
 
 /// Convenience result alias used throughout the crate.

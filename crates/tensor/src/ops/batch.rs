@@ -1,21 +1,24 @@
-//! Batched execution: the N-dimension of the compute stack.
+//! Batched execution of the linear, pooling and int-domain kernels.
 //!
 //! Every kernel here runs a *batch* of same-shaped frames through the
 //! corresponding single-frame op while amortizing the per-call fixed work
-//! (weight-tap extraction for convolutions, row walks for linear layers)
-//! across the batch. The per-frame arithmetic — tap order, accumulation
-//! order, bias add — is exactly the single-frame kernel's, so batched and
-//! serial execution are **bit-identical** frame by frame; the property
-//! tests and the streaming bit-identity suite assert it.
+//! (integer weight-tap extraction for quantized convolutions, row walks
+//! for linear layers) across the batch. The per-frame arithmetic — tap
+//! order, accumulation order, bias add — is exactly the single-frame
+//! kernel's, so batched and serial execution are **bit-identical** frame
+//! by frame; the property tests assert it.
+//!
+//! There is no batched f32 convolution: the forward executor runs a batch
+//! layer by layer, each frame through the one f32 conv entry point,
+//! [`conv2d_into`][crate::ops::conv2d_into].
 //!
 //! Batches are slices of per-frame tensors rather than one `[N, C, H, W]`
-//! tensor: the streaming runtime admits frames individually, fuses them
-//! for the backbone pass, then splits them again for per-frame decode, so
-//! per-frame buffers avoid a gather/scatter copy on both ends.
+//! tensor, so a server that admits frames individually and decodes them
+//! individually needs no gather/scatter copy on either end.
 
-use crate::ops::conv::{conv2d_frame, conv2d_packed_dims, Conv2dParams};
+use crate::ops::conv::Conv2dParams;
 use crate::ops::parallel::{parallel_for_chunks, SendPtr};
-use crate::packed::{PackedConv, PackedQuantConv, PackedTaps};
+use crate::packed::{PackedQuantConv, PackedTaps};
 use crate::quant::QuantizedTensor;
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -77,126 +80,6 @@ fn uniform_batch_dims(inputs: &[&Tensor]) -> Result<Vec<usize>> {
     Ok(first.shape().dims().to_vec())
 }
 
-/// Batched [`conv2d`][crate::ops::conv2d]: runs every frame of `inputs`
-/// (each `[1, in_c, h, w]`, all the same shape) against one weight tensor.
-///
-/// The non-zero weight taps of each `(out_c, in_c)` kernel are extracted
-/// **once** and reused for every frame — the per-layer fixed cost the
-/// paper's deployment targets amortize by batching. Per frame, the tap
-/// visit order and accumulation order are identical to the single-frame
-/// kernel, so each output equals `conv2d(inputs[i], …)` bit for bit.
-///
-/// # Errors
-///
-/// All single-frame `conv2d` error conditions, plus
-/// [`TensorError::ShapeMismatch`] when the frames disagree in shape and
-/// [`TensorError::Invalid`] on an empty batch.
-pub fn conv2d_batch(
-    inputs: &[&Tensor],
-    weights: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-) -> Result<Vec<Tensor>> {
-    let wshape = weights.shape();
-    if wshape.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: wshape.rank(),
-        });
-    }
-    uniform_batch_dims(inputs)?;
-    let (out_c, oh, ow) = conv_dims(inputs[0], wshape.dims(), bias, params)?;
-    let mut outs: Vec<Tensor> = (0..inputs.len())
-        .map(|_| Tensor::zeros(Shape::nchw(1, out_c, oh, ow)))
-        .collect();
-    conv2d_batch_into(inputs, weights, bias, params, &mut outs)?;
-    Ok(outs)
-}
-
-/// [`conv2d_batch`] into caller-provided per-frame output tensors, so the
-/// streaming runtime can reuse activation buffers across batches.
-///
-/// # Errors
-///
-/// All [`conv2d_batch`] error conditions, plus
-/// [`TensorError::ShapeMismatch`] when `outs` disagrees in length or any
-/// output tensor has the wrong shape.
-pub fn conv2d_batch_into(
-    inputs: &[&Tensor],
-    weights: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    outs: &mut [Tensor],
-) -> Result<()> {
-    let wshape = weights.shape();
-    if wshape.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: wshape.rank(),
-        });
-    }
-    let packed = PackedConv::pack(weights)?;
-    conv2d_packed_batch_into(inputs, &packed, bias, params, outs)
-}
-
-/// [`conv2d_batch_into`] over weights packed once via
-/// [`PackedConv::pack`] — the steady-state batched path: no weight scan,
-/// no allocation, reused per-frame outputs. Frames are distributed over
-/// worker threads; each frame's arithmetic is exactly the single-frame
-/// kernel's, so results stay bit-identical at any thread count.
-///
-/// # Errors
-///
-/// All [`conv2d_batch_into`] error conditions (shapes validated against
-/// the packed dimensions).
-pub fn conv2d_packed_batch_into(
-    inputs: &[&Tensor],
-    packed: &PackedConv,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    outs: &mut [Tensor],
-) -> Result<()> {
-    uniform_batch_dims(inputs)?;
-    let (oh, ow) = conv2d_packed_dims(inputs[0], packed, bias, params)?;
-    let out_c = packed.out_c();
-    if outs.len() != inputs.len() {
-        return Err(TensorError::Invalid(format!(
-            "batched conv2d got {} inputs but {} outputs",
-            inputs.len(),
-            outs.len()
-        )));
-    }
-    let expected = [1, out_c, oh, ow];
-    for out in outs.iter() {
-        if out.shape().dims() != expected {
-            return Err(TensorError::ShapeMismatch {
-                left: expected.to_vec(),
-                right: out.shape().dims().to_vec(),
-            });
-        }
-    }
-    let ishape = inputs[0].shape();
-    let space = (ishape.dim(2), ishape.dim(3), oh, ow);
-    // No pre-zeroing: the kernel writes every output element.
-    let base = SendPtr(outs.as_mut_ptr());
-    parallel_for_chunks(inputs.len(), move |f| {
-        // SAFETY: frame `f` exclusively owns `outs[f]`; the slice outlives
-        // the call because `parallel_for_chunks` blocks until done.
-        let out = unsafe { &mut *base.get().add(f) };
-        let odata = out.as_mut_slice();
-        conv2d_frame(
-            inputs[f].as_slice(),
-            packed,
-            bias,
-            params,
-            space,
-            odata,
-            false,
-        );
-    });
-    Ok(())
-}
-
 /// Batched [`linear`][crate::ops::linear]: every frame (rank-1, same
 /// length) through one weight matrix, walking each weight row once per
 /// batch instead of once per frame. Bit-identical per frame to the serial
@@ -204,8 +87,9 @@ pub fn conv2d_packed_batch_into(
 ///
 /// # Errors
 ///
-/// All single-frame `linear` error conditions, plus batch-uniformity and
-/// empty-batch errors as in [`conv2d_batch`].
+/// All single-frame `linear` error conditions, plus
+/// [`TensorError::ShapeMismatch`] when the frames disagree in shape and
+/// [`TensorError::Invalid`] on an empty batch.
 pub fn linear_batch(
     inputs: &[&Tensor],
     weights: &Tensor,
@@ -475,7 +359,7 @@ pub fn quantized_linear_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{avg_pool2d, conv2d, linear, max_pool2d, quantized_conv2d, quantized_linear};
+    use crate::ops::{avg_pool2d, linear, max_pool2d, quantized_conv2d, quantized_linear};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn frames(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Vec<Tensor> {
@@ -483,49 +367,6 @@ mod tests {
         (0..n)
             .map(|_| Tensor::uniform(Shape::nchw(1, c, h, w), -1.0, 1.0, &mut rng))
             .collect()
-    }
-
-    #[test]
-    fn batched_conv_matches_serial_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let weights = Tensor::uniform(Shape::nchw(3, 2, 3, 3), -0.5, 0.5, &mut rng);
-        let bias = Tensor::uniform(Shape::vector(3), -0.1, 0.1, &mut rng);
-        let inputs = frames(4, 2, 6, 5, 11);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let p = Conv2dParams::same(3);
-        let batched = conv2d_batch(&refs, &weights, Some(&bias), p).unwrap();
-        for (b, x) in batched.iter().zip(&inputs) {
-            let serial = conv2d(x, &weights, Some(&bias), p).unwrap();
-            assert_eq!(b.as_slice(), serial.as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_conv_rejects_mixed_shapes_and_empty_batches() {
-        let a = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
-        let b = Tensor::zeros(Shape::nchw(1, 1, 5, 5));
-        let w = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
-        assert!(conv2d_batch(&[&a, &b], &w, None, Conv2dParams::default()).is_err());
-        assert!(conv2d_batch(&[], &w, None, Conv2dParams::default()).is_err());
-    }
-
-    #[test]
-    fn batched_conv_into_reuses_buffers_bitwise() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let weights = Tensor::uniform(Shape::nchw(2, 1, 3, 3), -0.5, 0.5, &mut rng);
-        let p = Conv2dParams::same(3);
-        let mut outs: Vec<Tensor> = (0..2)
-            .map(|_| Tensor::zeros(Shape::nchw(1, 2, 4, 4)))
-            .collect();
-        for seed in 0..3 {
-            let inputs = frames(2, 1, 4, 4, seed);
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            conv2d_batch_into(&refs, &weights, None, p, &mut outs).unwrap();
-            for (out, x) in outs.iter().zip(&inputs) {
-                let serial = conv2d(x, &weights, None, p).unwrap();
-                assert_eq!(out.as_slice(), serial.as_slice(), "seed {seed}");
-            }
-        }
     }
 
     #[test]

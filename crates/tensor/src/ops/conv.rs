@@ -1,8 +1,8 @@
 //! 2-D convolution: one tap-run kernel over packed sparse weights.
 
-use super::parallel::{parallel_for_chunks, ExecMode, SendPtr, TensorParallel};
+use super::parallel::{parallel_for_chunks, SendPtr};
 use crate::packed::{PackedConv, Tap};
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::thread::LocalKey;
@@ -45,92 +45,6 @@ impl Conv2dParams {
             (padded - k) / self.stride + 1
         }
     }
-}
-
-/// Direct 2-D convolution: input `[1, in_c, h, w]`, weights
-/// `[out_c, in_c, kh, kw]`, optional per-output-channel bias.
-///
-/// Zero weights are skipped in the innermost accumulation, so pruned kernels
-/// genuinely do less floating-point work — the same effect the paper relies
-/// on from hardware weight-compression support (§III-A).
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for non-rank-4 operands,
-/// [`TensorError::ShapeMismatch`] for channel disagreements, and
-/// [`TensorError::Invalid`] when the batch dimension is not 1 or the bias
-/// length is wrong.
-pub fn conv2d(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-) -> Result<Tensor> {
-    let (out_c, oh, ow) = conv2d_out_dims(input, weights, bias, params)?;
-    // The zeroed buffer is load-bearing only for the reference branch,
-    // which accumulates; the packed kernel writes every element.
-    let mut out = Tensor::zeros(Shape::nchw(1, out_c, oh, ow));
-    let ishape = input.shape();
-    if TensorParallel::exec_mode() == ExecMode::SpawnPerCall {
-        conv2d_reference_accumulate(input, weights, bias, params, (oh, ow), out.as_mut_slice());
-        return Ok(out);
-    }
-    let packed = PackedConv::pack(weights)?;
-    conv2d_frame(
-        input.as_slice(),
-        &packed,
-        bias,
-        params,
-        (ishape.dim(2), ishape.dim(3), oh, ow),
-        out.as_mut_slice(),
-        true,
-    );
-    Ok(out)
-}
-
-/// Validates conv2d operands and returns the output `(out_c, oh, ow)`.
-fn conv2d_out_dims(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-) -> Result<(usize, usize, usize)> {
-    let ishape = input.shape();
-    let wshape = weights.shape();
-    if ishape.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: ishape.rank(),
-        });
-    }
-    if wshape.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: wshape.rank(),
-        });
-    }
-    if ishape.dim(0) != 1 {
-        return Err(TensorError::Invalid(
-            "conv2d supports batch size 1 only".into(),
-        ));
-    }
-    let (in_c, h, w) = (ishape.dim(1), ishape.dim(2), ishape.dim(3));
-    let (out_c, w_in_c, kh, kw) = (wshape.dim(0), wshape.dim(1), wshape.dim(2), wshape.dim(3));
-    if in_c != w_in_c {
-        return Err(TensorError::ShapeMismatch {
-            left: ishape.dims().to_vec(),
-            right: wshape.dims().to_vec(),
-        });
-    }
-    if let Some(b) = bias {
-        if b.len() != out_c {
-            return Err(TensorError::Invalid(format!(
-                "bias length {} does not match {out_c} output channels",
-                b.len()
-            )));
-        }
-    }
-    Ok((out_c, params.out_size(h, kh), params.out_size(w, kw)))
 }
 
 thread_local! {
@@ -307,8 +221,8 @@ fn accumulate_runs(
 /// and so is never `−0.0`, which makes adding a `±0` (or a local sum
 /// that differs from the oracle's only in the sign of a zero) leave it
 /// unchanged; finite weights (an invariant of [`PackedConv::pack`]) keep
-/// `v · 0` a zero. Channels are independent, so serial, pooled and
-/// batched execution are bit-identical at any thread count.
+/// `v · 0` a zero. Channels are independent, so serial and pooled
+/// execution are bit-identical at any thread count.
 fn conv2d_channel(
     oc: usize,
     grid: &TapGrid,
@@ -335,44 +249,9 @@ fn conv2d_channel(
     });
 }
 
-/// Runs every output channel of one frame: lays the frame out as a
-/// [`TapGrid`] once, then runs [`conv2d_channel`] per channel — over the
-/// worker pool when `parallel`, else in order on this thread.
-pub(super) fn conv2d_frame(
-    idata: &[f32],
-    packed: &PackedConv,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    space: (usize, usize, usize, usize),
-    odata: &mut [f32],
-    parallel: bool,
-) {
-    let (h, w, oh, ow) = space;
-    let chan = oh * ow;
-    if chan == 0 {
-        return;
-    }
-    with_tap_grid(idata, packed.in_c(), (h, w), params, |grid| {
-        if !parallel {
-            for (oc, ochan) in odata.chunks_exact_mut(chan).enumerate() {
-                conv2d_channel(oc, grid, packed, bias, (oh, ow), ochan);
-            }
-            return;
-        }
-        let base = SendPtr(odata.as_mut_ptr());
-        parallel_for_chunks(packed.out_c(), move |oc| {
-            // SAFETY: chunk `oc` derives the disjoint per-channel slice
-            // `odata[oc*chan .. (oc+1)*chan]`; the buffer outlives the call
-            // because `parallel_for_chunks` blocks until all chunks finish.
-            let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
-            conv2d_channel(oc, grid, packed, bias, (oh, ow), ochan);
-        });
-    });
-}
-
 /// Bias joins the sum last, and a zero bias performs no add at all —
 /// the oracle's order exactly.
-pub(super) fn finish_bias(total: f32, bias_v: f32) -> f32 {
+fn finish_bias(total: f32, bias_v: f32) -> f32 {
     if bias_v != 0.0 {
         total + bias_v
     } else {
@@ -380,113 +259,35 @@ pub(super) fn finish_bias(total: f32, bias_v: f32) -> f32 {
     }
 }
 
-/// The pre-pool convolution, preserved verbatim: per-call tap extraction
-/// (one `Vec` allocation per `(oc, ic)` kernel, every call) followed by
-/// the boundary-checked loop on every pixel. [`conv2d`] and
-/// [`conv2d_into`] dispatch here under [`ExecMode::SpawnPerCall`], so the
-/// baseline mode measures the full historical path — spawn dispatch,
-/// per-call weight scan, and the unsplit inner loop — while remaining
-/// bit-identical to the packed kernel (same taps, same order, same local
-/// accumulator). The bit-identity suites rely on it as the naive oracle.
-fn conv2d_reference_channel(
-    oc: usize,
-    idata: &[f32],
-    wdata: &[f32],
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    dims: (usize, usize, usize, usize, usize, usize, usize),
-    ochan: &mut [f32],
-) {
-    let (in_c, h, w, kh, kw, oh, ow) = dims;
-    let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
-    for ic in 0..in_c {
-        let kbase = ((oc * in_c) + ic) * kh * kw;
-        let mut taps: Vec<(usize, usize, f32)> = Vec::with_capacity(kh * kw);
-        for r in 0..kh {
-            for c in 0..kw {
-                let v = wdata[kbase + r * kw + c];
-                if v != 0.0 {
-                    taps.push((r, c, v));
-                }
-            }
-        }
-        if taps.is_empty() {
-            continue;
-        }
-        let ibase = ic * h * w;
-        for oy in 0..oh {
-            let iy0 = oy * params.stride;
-            for ox in 0..ow {
-                let ix0 = ox * params.stride;
-                let mut acc = 0.0f32;
-                for &(r, c, wv) in &taps {
-                    let iy = iy0 + r;
-                    let ix = ix0 + c;
-                    // Padding: translate to unpadded coordinates.
-                    if iy < params.padding || ix < params.padding {
-                        continue;
-                    }
-                    let iy = iy - params.padding;
-                    let ix = ix - params.padding;
-                    if iy >= h || ix >= w {
-                        continue;
-                    }
-                    acc += wv * idata[ibase + iy * w + ix];
-                }
-                ochan[oy * ow + ox] += acc;
-            }
-        }
-    }
-    if bias_v != 0.0 {
-        for v in ochan {
-            *v += bias_v;
-        }
-    }
-}
-
-/// Distributes [`conv2d_reference_channel`] over output channels, exactly
-/// as the pre-pool implementation did. `input` and `weights` are the full
-/// rank-4 tensors (already validated by the caller).
-fn conv2d_reference_accumulate(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    out_hw: (usize, usize),
-    odata: &mut [f32],
-) {
-    let (oh, ow) = out_hw;
-    let chan = oh * ow;
-    if chan == 0 {
-        return;
-    }
-    let (ishape, wshape) = (input.shape(), weights.shape());
-    let dims = (
-        ishape.dim(1),
-        ishape.dim(2),
-        ishape.dim(3),
-        wshape.dim(2),
-        wshape.dim(3),
-        oh,
-        ow,
-    );
-    let (idata, wdata) = (input.as_slice(), weights.as_slice());
-    let base = SendPtr(odata.as_mut_ptr());
-    parallel_for_chunks(wshape.dim(0), move |oc| {
-        // SAFETY: identical disjoint-slice argument as `conv2d_frame`.
-        let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
-        conv2d_reference_channel(oc, idata, wdata, bias, params, dims, ochan);
-    });
-}
-
-/// Validates a conv2d input/bias pair against packed weights and returns
-/// the output spatial size `(oh, ow)`.
-pub(super) fn conv2d_packed_dims(
+/// Direct 2-D convolution of input `[1, in_c, h, w]` with weights packed
+/// once via [`PackedConv::pack`] and an optional per-output-channel bias,
+/// written into a caller-provided `[1, out_c, oh, ow]` output so a
+/// streaming runtime reuses its activation buffers across frames.
+///
+/// Packed weights hold only the non-zero taps, so pruned kernels
+/// genuinely do less floating-point work — the same effect the paper
+/// relies on from hardware weight-compression support (§III-A) — and the
+/// steady state scans no weights and allocates nothing. The input is laid
+/// out once as a zero-guarded tap grid, then output channels are
+/// distributed over the worker pool when
+/// [`TensorParallel`][crate::ops::TensorParallel] has more than one
+/// thread. Each channel's slice is disjoint and its arithmetic order
+/// unchanged, so results are bit-identical to serial execution.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for a non-rank-4 input,
+/// [`TensorError::ShapeMismatch`] when the input's channels disagree with
+/// the weights' or `out` does not have the expected output shape, and
+/// [`TensorError::Invalid`] when the batch dimension is not 1 or the bias
+/// length is wrong.
+pub fn conv2d_into(
     input: &Tensor,
     packed: &PackedConv,
     bias: Option<&Tensor>,
     params: Conv2dParams,
-) -> Result<(usize, usize)> {
+    out: &mut Tensor,
+) -> Result<()> {
     let ishape = input.shape();
     if ishape.rank() != 4 {
         return Err(TensorError::RankMismatch {
@@ -514,67 +315,9 @@ pub(super) fn conv2d_packed_dims(
             )));
         }
     }
-    Ok((
-        params.out_size(ishape.dim(2), packed.kh()),
-        params.out_size(ishape.dim(3), packed.kw()),
-    ))
-}
-
-/// [`conv2d`] into a caller-provided output tensor, so a streaming runtime
-/// can reuse activation buffers across frames instead of reallocating.
-///
-/// When [`TensorParallel`][crate::ops::TensorParallel] is configured with
-/// more than one thread, output channels are distributed over the worker
-/// pool (or per-call spawned threads, depending on
-/// [`ExecMode`][crate::ops::ExecMode]). Each channel's slice is disjoint
-/// and its arithmetic order unchanged, so results are bit-identical to
-/// serial execution.
-///
-/// # Errors
-///
-/// All [`conv2d`] error conditions, plus [`TensorError::ShapeMismatch`]
-/// when `out` does not have the expected output shape.
-pub fn conv2d_into(
-    input: &Tensor,
-    weights: &Tensor,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    out: &mut Tensor,
-) -> Result<()> {
-    let (out_c, oh, ow) = conv2d_out_dims(input, weights, bias, params)?;
-    if TensorParallel::exec_mode() == ExecMode::SpawnPerCall {
-        let expected = [1, out_c, oh, ow];
-        if out.shape().dims() != expected {
-            return Err(TensorError::ShapeMismatch {
-                left: expected.to_vec(),
-                right: out.shape().dims().to_vec(),
-            });
-        }
-        let odata = out.as_mut_slice();
-        odata.fill(0.0);
-        conv2d_reference_accumulate(input, weights, bias, params, (oh, ow), odata);
-        return Ok(());
-    }
-    let packed = PackedConv::pack(weights)?;
-    conv2d_packed_into(input, &packed, bias, params, out)
-}
-
-/// [`conv2d_into`] over weights packed once via [`PackedConv::pack`] —
-/// the steady-state path: no weight scan, no allocation, reused output.
-///
-/// # Errors
-///
-/// All [`conv2d`] error conditions (shapes are validated against the
-/// packed dimensions), plus [`TensorError::ShapeMismatch`] when `out`
-/// does not have the expected output shape.
-pub fn conv2d_packed_into(
-    input: &Tensor,
-    packed: &PackedConv,
-    bias: Option<&Tensor>,
-    params: Conv2dParams,
-    out: &mut Tensor,
-) -> Result<()> {
-    let (oh, ow) = conv2d_packed_dims(input, packed, bias, params)?;
+    let (h, w) = (ishape.dim(2), ishape.dim(3));
+    let oh = params.out_size(h, packed.kh());
+    let ow = params.out_size(w, packed.kw());
     let expected = [1, packed.out_c(), oh, ow];
     if out.shape().dims() != expected {
         return Err(TensorError::ShapeMismatch {
@@ -582,25 +325,47 @@ pub fn conv2d_packed_into(
             right: out.shape().dims().to_vec(),
         });
     }
-    let ishape = input.shape();
-    let space = (ishape.dim(2), ishape.dim(3), oh, ow);
+    let chan = oh * ow;
+    if chan == 0 {
+        return Ok(());
+    }
     // No pre-zeroing: `conv2d_channel` writes every output element.
-    conv2d_frame(
-        input.as_slice(),
-        packed,
-        bias,
-        params,
-        space,
-        out.as_mut_slice(),
-        true,
-    );
+    let odata = out.as_mut_slice();
+    with_tap_grid(input.as_slice(), packed.in_c(), (h, w), params, |grid| {
+        let base = SendPtr(odata.as_mut_ptr());
+        parallel_for_chunks(packed.out_c(), move |oc| {
+            // SAFETY: chunk `oc` derives the disjoint per-channel slice
+            // `odata[oc*chan .. (oc+1)*chan]`; the buffer outlives the call
+            // because `parallel_for_chunks` blocks until all chunks finish.
+            let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
+            conv2d_channel(oc, grid, packed, bias, (oh, ow), ochan);
+        });
+    });
     Ok(())
+}
+
+/// Allocating convolution over unpacked weights, for tests: packs
+/// `weights` and runs [`conv2d_into`] into a fresh output.
+#[cfg(test)]
+pub(super) fn conv2d(
+    input: &Tensor,
+    weights: &Tensor,
+    bias: Option<&Tensor>,
+    params: Conv2dParams,
+) -> Result<Tensor> {
+    let packed = PackedConv::pack(weights)?;
+    let s = input.shape();
+    let oh = params.out_size(s.dim(2), packed.kh());
+    let ow = params.out_size(s.dim(3), packed.kw());
+    let mut out = Tensor::zeros(crate::Shape::nchw(1, packed.out_c(), oh, ow));
+    conv2d_into(input, &packed, bias, params, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
+    use crate::{approx_eq, Shape};
 
     fn input_1ch(h: usize, w: usize, data: Vec<f32>) -> Tensor {
         Tensor::from_vec(Shape::nchw(1, 1, h, w), data).unwrap()

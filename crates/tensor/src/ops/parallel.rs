@@ -8,31 +8,24 @@
 //! with unchanged per-element arithmetic, so results stay bit-identical
 //! at any setting.
 //!
-//! Two execution modes back [`parallel_for_chunks`]:
-//!
-//! * [`ExecMode::Pool`] (default) — a process-wide pool of parked worker
-//!   threads and a chunked work queue. Submitting a kernel wakes the
-//!   workers, every participant (including the submitting thread) claims
-//!   chunk indices from a shared counter, and the submitter blocks until
-//!   all chunks have completed. No OS threads are created in steady
-//!   state.
-//! * [`ExecMode::SpawnPerCall`] — the historical behaviour: a fresh
-//!   `std::thread::scope` spawn of `threads` workers per kernel call.
-//!   Kept selectable so benchmarks can measure the pool against the
-//!   spawn-per-call baseline honestly.
+//! Above one thread, [`parallel_for_chunks`] runs on a process-wide pool
+//! of parked worker threads and a chunked work queue. Submitting a kernel
+//! wakes the workers, every participant (including the submitting thread)
+//! claims chunk indices from a shared counter, and the submitter blocks
+//! until all chunks have completed. No OS threads are created in steady
+//! state.
 //!
 //! Chunks are claimed dynamically, so which thread runs a chunk is
 //! nondeterministic — but every chunk writes a disjoint output region in
-//! unchanged arithmetic order, so results are bit-identical across modes
-//! and thread counts.
+//! unchanged arithmetic order, so results are bit-identical across thread
+//! counts.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 static THREADS: AtomicUsize = AtomicUsize::new(1);
-static MODE: AtomicU8 = AtomicU8::new(ExecMode::Pool as u8);
 
 /// `1` while some thread is fanned out on the pool. Concurrent submitters
 /// (serving worker threads racing each other) would otherwise fight over
@@ -45,18 +38,6 @@ static ACTIVE_SUBMITTER: AtomicUsize = AtomicUsize::new(0);
 /// execute correctly (chunk claiming just has fewer claimants), without
 /// letting a stress test park hundreds of idle OS threads.
 const MAX_POOL_WORKERS: usize = 15;
-
-/// How kernels distribute chunk work across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ExecMode {
-    /// Persistent parked worker pool (default): no thread spawns after
-    /// the pool has grown to the configured size.
-    Pool = 0,
-    /// Spawn a scoped thread per worker on every kernel call — the
-    /// pre-pool baseline, kept for benchmark comparisons.
-    SpawnPerCall = 1,
-}
 
 /// Global switch for intra-kernel worker threads.
 #[derive(Debug, Clone, Copy)]
@@ -72,20 +53,6 @@ impl TensorParallel {
     /// The configured worker-thread count (default 1: serial).
     pub fn threads() -> usize {
         THREADS.load(Ordering::Relaxed)
-    }
-
-    /// Selects how multi-threaded kernels execute (default [`ExecMode::Pool`]).
-    pub fn set_exec_mode(mode: ExecMode) {
-        MODE.store(mode as u8, Ordering::Relaxed);
-    }
-
-    /// The configured execution mode.
-    pub fn exec_mode() -> ExecMode {
-        if MODE.load(Ordering::Relaxed) == ExecMode::SpawnPerCall as u8 {
-            ExecMode::SpawnPerCall
-        } else {
-            ExecMode::Pool
-        }
     }
 }
 
@@ -248,9 +215,8 @@ fn run_on_pool(total: usize, task: &(dyn Fn(usize) + Sync)) {
     // Clamp helpers to the machine: a pool never oversubscribes, so a
     // thread count above the core count degenerates to the serial loop
     // instead of paying wake/context-switch churn for no parallelism.
-    // (Spawn-per-call mode deliberately keeps the unclamped historical
-    // behaviour.) Results are bit-identical either way — chunks are
-    // self-contained — so this only moves overhead, never values.
+    // Results are bit-identical either way — chunks are self-contained —
+    // so this only moves overhead, never values.
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let helpers = TensorParallel::threads()
         .min(hw)
@@ -318,11 +284,11 @@ fn run_on_pool(total: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// Serial fallback for Pool mode (no helpers available, or another
+/// Serial fallback for the pool (no helpers available, or another
 /// submitter already has the pool fanned out). Mirrors pool semantics
 /// exactly: every chunk is attempted, and the first observed panic is
 /// re-raised afterwards as a typed [`ChunkPanic`] — so callers see one
-/// contract for Pool mode regardless of core count or contention.
+/// contract above one thread regardless of core count or contention.
 fn run_inline(total: usize, task: &(dyn Fn(usize) + Sync)) {
     let mut first: Option<(usize, String)> = None;
     for i in 0..total {
@@ -349,45 +315,23 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `f(0)`, `f(1)`, …, `f(total - 1)`, distributing chunk indices
-/// over worker threads when [`TensorParallel::threads`] is above one.
+/// over the worker pool when [`TensorParallel::threads`] is above one.
 ///
 /// Chunk-to-thread assignment is dynamic, so callers must make each chunk
 /// write a disjoint output region in self-contained arithmetic order —
-/// then results are bit-identical to the serial loop at any thread count
-/// and in either [`ExecMode`].
+/// then results are bit-identical to the serial loop at any thread count.
 ///
-/// Panics raised by `f` propagate to the caller in both modes. In
-/// [`ExecMode::Pool`] the payload crossing the completion barrier is a
-/// typed [`ChunkPanic`] (first observed failing chunk + original
-/// message); in [`ExecMode::SpawnPerCall`] the scoped join re-raises the
-/// original payload unchanged.
+/// Panics raised by `f` propagate to the caller. Above one thread the
+/// payload crossing the completion barrier is a typed [`ChunkPanic`]
+/// (first observed failing chunk + original message).
 pub fn parallel_for_chunks<F: Fn(usize) + Sync>(total: usize, f: F) {
-    let threads = TensorParallel::threads().min(total);
-    if threads <= 1 {
+    if TensorParallel::threads().min(total) <= 1 {
         for i in 0..total {
             f(i);
         }
         return;
     }
-    match TensorParallel::exec_mode() {
-        ExecMode::Pool => run_on_pool(total, &f),
-        ExecMode::SpawnPerCall => {
-            // The pre-pool baseline: `threads` scoped spawns per call.
-            let next = AtomicUsize::new(0);
-            let claim = |next: &AtomicUsize| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    return;
-                }
-                f(i);
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| claim(&next));
-                }
-            });
-        }
-    }
+    run_on_pool(total, &f);
 }
 
 #[cfg(test)]
@@ -404,7 +348,6 @@ mod tests {
         TensorParallel::set_threads(4);
         assert_eq!(TensorParallel::threads(), 4);
         TensorParallel::set_threads(1);
-        assert_eq!(TensorParallel::exec_mode(), ExecMode::Pool);
     }
 
     #[test]

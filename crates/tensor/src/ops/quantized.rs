@@ -24,7 +24,7 @@ use crate::{Result, Tensor};
 ///
 /// Returns [`TensorError::RankMismatch`]/[`TensorError::ShapeMismatch`]/
 /// [`TensorError::Invalid`] for the same operand problems as
-/// [`conv2d`][crate::ops::conv2d], and
+/// [`conv2d_into`][crate::ops::conv2d_into], and
 /// [`TensorError::UnsupportedBitwidth`] for a bad `act_bits`.
 pub fn quantized_conv2d(
     input: &Tensor,
@@ -73,7 +73,7 @@ mod tests {
         let q = QuantizedTensor::quantize(&wf, 8).unwrap();
         let p = Conv2dParams::same(3);
         let out = quantized_conv2d(&x, &q, Some(&bias), 16, p).unwrap();
-        let reference = crate::ops::conv2d(&x, &q.dequantize(), Some(&bias), p).unwrap();
+        let reference = crate::ops::conv::conv2d(&x, &q.dequantize(), Some(&bias), p).unwrap();
         assert!(out.max_abs_diff(&reference).unwrap() < 1e-3);
     }
 
@@ -104,7 +104,7 @@ mod tests {
         let q = QuantizedTensor::quantize(&wf, 8).unwrap();
         let p = Conv2dParams::same(3);
         let out = quantized_conv2d(&x, &q, None, 12, p).unwrap();
-        let reference = crate::ops::conv2d(&x, &q.dequantize(), None, p).unwrap();
+        let reference = crate::ops::conv::conv2d(&x, &q.dequantize(), None, p).unwrap();
         assert!(out.max_abs_diff(&reference).unwrap() < 1e-3);
     }
 

@@ -1,9 +1,13 @@
 //! Parallel conv2d must be bit-identical to serial execution: the channel
 //! split changes scheduling only, never per-element arithmetic order.
 
+mod common;
+
+use common::conv2d;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use upaq_tensor::ops::{conv2d, conv2d_into, Conv2dParams, TensorParallel};
+use upaq_tensor::ops::{conv2d_into, Conv2dParams, TensorParallel};
+use upaq_tensor::packed::PackedConv;
 use upaq_tensor::{Shape, Tensor};
 
 fn case(in_c: usize, out_c: usize, h: usize, w: usize, k: usize, params: Conv2dParams, seed: u64) {
@@ -56,10 +60,11 @@ fn conv2d_into_reuses_buffer_across_calls() {
     TensorParallel::set_threads(2);
     let mut rng = StdRng::seed_from_u64(9);
     let weights = Tensor::uniform(Shape::nchw(4, 2, 3, 3), -0.5, 0.5, &mut rng);
+    let packed = PackedConv::pack(&weights).unwrap();
     let mut out = Tensor::zeros(Shape::nchw(1, 4, 6, 6));
     for frame in 0..3 {
         let input = Tensor::uniform(Shape::nchw(1, 2, 6, 6), -1.0, 1.0, &mut rng);
-        conv2d_into(&input, &weights, None, Conv2dParams::same(3), &mut out).unwrap();
+        conv2d_into(&input, &packed, None, Conv2dParams::same(3), &mut out).unwrap();
         let fresh = conv2d(&input, &weights, None, Conv2dParams::same(3)).unwrap();
         assert_eq!(out.as_slice(), fresh.as_slice(), "frame {frame} diverged");
     }
@@ -69,7 +74,7 @@ fn conv2d_into_reuses_buffer_across_calls() {
 #[test]
 fn conv2d_into_rejects_wrong_output_shape() {
     let input = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
-    let weights = Tensor::zeros(Shape::nchw(2, 1, 3, 3));
+    let packed = PackedConv::pack(&Tensor::zeros(Shape::nchw(2, 1, 3, 3))).unwrap();
     let mut wrong = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
-    assert!(conv2d_into(&input, &weights, None, Conv2dParams::default(), &mut wrong).is_err());
+    assert!(conv2d_into(&input, &packed, None, Conv2dParams::default(), &mut wrong).is_err());
 }

@@ -6,9 +6,12 @@
 //! takes — fanned out on the pool or executed inline — the output bits
 //! must match the serial oracle exactly.
 
+mod common;
+
+use common::conv2d;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use upaq_tensor::ops::{conv2d, Conv2dParams, ExecMode, TensorParallel};
+use upaq_tensor::ops::{Conv2dParams, TensorParallel};
 use upaq_tensor::{Shape, Tensor};
 
 fn test_threads() -> usize {
@@ -36,7 +39,6 @@ fn concurrent_submitters_bitwise_match_serial() {
         .map(|(input, weights)| conv2d(input, weights, None, Conv2dParams::same(3)).unwrap())
         .collect();
 
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     TensorParallel::set_threads(test_threads().max(2));
     // Many rounds of simultaneous submissions: some fan out on the pool,
     // the rest hit the inline fallback, in nondeterministic interleavings.

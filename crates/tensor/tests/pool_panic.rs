@@ -3,17 +3,15 @@
 //! must survive to serve later kernels.
 //!
 //! Integration test (own process) because it mutates the process-wide
-//! thread-count/exec-mode switches and deliberately panics inside the
-//! shared pool.
+//! thread-count switch and deliberately panics inside the shared pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use upaq_tensor::ops::{parallel_for_chunks, ChunkPanic, ExecMode, TensorParallel};
+use upaq_tensor::ops::{parallel_for_chunks, ChunkPanic, TensorParallel};
 
 #[test]
 fn chunk_panic_resumes_typed_and_pool_survives() {
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     TensorParallel::set_threads(4);
 
     // One chunk of eight panics; the rest complete. The barrier must

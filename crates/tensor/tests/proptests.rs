@@ -1,12 +1,15 @@
 //! Property-based tests for the tensor substrate.
 
+mod common;
+
+use common::conv2d;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use upaq_tensor::ops::{
-    avg_pool2d, avg_pool2d_batch, conv2d, conv2d_batch, conv2d_into, conv2d_packed_into, linear,
-    linear_batch, max_pool2d, max_pool2d_batch, quantized_conv2d, quantized_conv2d_batch,
-    quantized_linear, quantized_linear_batch, Conv2dParams, ExecMode, TensorParallel,
+    avg_pool2d, avg_pool2d_batch, conv2d_into, linear, linear_batch, max_pool2d, max_pool2d_batch,
+    quantized_conv2d, quantized_conv2d_batch, quantized_linear, quantized_linear_batch,
+    Conv2dParams, TensorParallel,
 };
 use upaq_tensor::packed::PackedConv;
 use upaq_tensor::quant::{fake_quantize, QuantizedTensor};
@@ -26,9 +29,8 @@ fn test_threads() -> usize {
 /// The written-for-the-test serial oracle, following the documented
 /// accumulation contract: per-`(oc, ic)` local sums over taps in kernel
 /// row-major order (zeros skipped), summed in `ic` order, bias joining
-/// last (and skipped entirely when zero). Every production conv path —
-/// dense, packed, pooled, spawned, batched — must reproduce its output
-/// bit for bit.
+/// last (and skipped entirely when zero). The one production f32 conv
+/// kernel must reproduce its output bit for bit, serial or pooled.
 fn naive_conv2d(
     input: &Tensor,
     weights: &Tensor,
@@ -243,30 +245,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_conv2d_matches_serial_loop(
-        n in 1usize..6,
-        ic in 1usize..4,
-        oc in 1usize..4,
-        h in 3usize..8,
-        w in 3usize..8,
-        pad in 0usize..2,
-        stride in 1usize..3,
-        seed in any::<u64>(),
-    ) {
-        let inputs = random_frames(n, ic, h, w, seed);
-        let weights = masked_weights(oc, ic, 3, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
-        let bias = Tensor::uniform(Shape::vector(oc), -0.3, 0.3, &mut rng);
-        let params = Conv2dParams { stride, padding: pad };
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = conv2d_batch(&refs, &weights, Some(&bias), params).unwrap();
-        for (got, x) in batched.iter().zip(&inputs) {
-            let serial = conv2d(x, &weights, Some(&bias), params).unwrap();
-            prop_assert_eq!(got.as_slice(), serial.as_slice());
-        }
-    }
-
-    #[test]
     fn batched_linear_matches_serial_loop(
         n in 1usize..6,
         in_f in 1usize..10,
@@ -368,21 +346,23 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity regression suite: every production conv path (persistent
-// pool, spawn-per-call baseline, packed weights, batched frames,
-// quantized codes) must reproduce the serial naive oracle bit for bit.
+// Bit-identity regression suite: the f32 conv kernel — on freshly packed
+// weights and on weights packed once into a reused output, serial and
+// on the persistent pool — and the quantized codes must reproduce the
+// serial naive oracle bit for bit.
 //
-// These tests mutate the process-wide `TensorParallel` settings. That is
-// safe even under cargo's parallel test threads because the property under
-// test *is* mode/thread-count independence: whatever combination another
+// These tests mutate the process-wide `TensorParallel` thread count. That
+// is safe even under cargo's parallel test threads because the property
+// under test *is* thread-count independence: whatever setting another
 // test leaves behind mid-leg, the output bits may not change. CI runs the
 // whole binary under `UPAQ_TEST_THREADS` 1 and 4 to pin both regimes.
 // ---------------------------------------------------------------------------
 
-/// Runs every f32 conv entry point on one operand set at 1 and
-/// [`test_threads`] threads under both exec modes and checks each output
-/// against `oracle` through `key` (raw bits, or NaN-canonical bits for
-/// poisoned inputs).
+/// Runs the f32 conv on one operand set at 1 and [`test_threads`] threads
+/// — through the allocating helper, and through [`conv2d_into`] over
+/// weights packed once into a poisoned reused output — and checks each
+/// output against `oracle` through `key` (raw bits, or NaN-canonical bits
+/// for poisoned inputs).
 fn assert_every_conv_path(
     input: &Tensor,
     weights: &Tensor,
@@ -400,40 +380,14 @@ fn assert_every_conv_path(
     );
     for t in [1usize, test_threads()] {
         TensorParallel::set_threads(t);
-        for mode in [ExecMode::Pool, ExecMode::SpawnPerCall] {
-            TensorParallel::set_exec_mode(mode);
 
-            let got = conv2d(input, weights, bias, params).unwrap();
-            assert_eq!(key(&got), want, "conv2d t={t} mode={mode:?} {geometry}");
+        let got = conv2d(input, weights, bias, params).unwrap();
+        assert_eq!(key(&got), want, "conv2d t={t} {geometry}");
 
-            let mut out = Tensor::zeros(got.shape().clone());
-            conv2d_into(input, weights, bias, params, &mut out).unwrap();
-            assert_eq!(
-                key(&out),
-                want,
-                "conv2d_into t={t} mode={mode:?} {geometry}"
-            );
-
-            out.as_mut_slice().fill(f32::NAN); // packed kernel must write every element
-            conv2d_packed_into(input, &packed, bias, params, &mut out).unwrap();
-            assert_eq!(
-                key(&out),
-                want,
-                "conv2d_packed_into t={t} mode={mode:?} {geometry}"
-            );
-
-            let frames = [input, input];
-            let batched = conv2d_batch(&frames, weights, bias, params).unwrap();
-            for got in &batched {
-                assert_eq!(
-                    key(got),
-                    want,
-                    "conv2d_batch t={t} mode={mode:?} {geometry}"
-                );
-            }
-        }
+        let mut out = Tensor::full(got.shape().clone(), f32::NAN);
+        conv2d_into(input, &packed, bias, params, &mut out).unwrap();
+        assert_eq!(key(&out), want, "conv2d_into t={t} {geometry}");
     }
-    TensorParallel::set_exec_mode(ExecMode::Pool);
     TensorParallel::set_threads(1);
 }
 
@@ -483,37 +437,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_conv2d_bit_identical_to_naive_oracle_across_threads(
-        n in 1usize..5,
-        ic in 1usize..4,
-        oc in 1usize..4,
-        k in kernel_size(),
-        h in 1usize..9,
-        w in 1usize..9,
-        pad in 0usize..4,
-        stride in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let inputs = random_frames(n, ic, h, w, seed);
-        let weights = masked_weights(oc, ic, k, seed);
-        let params = Conv2dParams { stride, padding: pad };
-        let oracles: Vec<Vec<u32>> = inputs
-            .iter()
-            .map(|x| bits(&naive_conv2d(x, &weights, None, params)))
-            .collect();
-
-        for t in [1usize, test_threads()] {
-            TensorParallel::set_threads(t);
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            let batched = conv2d_batch(&refs, &weights, None, params).unwrap();
-            for (got, oracle) in batched.iter().zip(&oracles) {
-                prop_assert_eq!(&bits(got), oracle, "conv2d_batch t={}", t);
-            }
-        }
-        TensorParallel::set_threads(1);
-    }
-
-    #[test]
     fn quantized_conv2d_bit_identical_across_threads_and_modes(
         n in 1usize..4,
         ic in 1usize..3,
@@ -528,11 +451,10 @@ proptest! {
         let weights = QuantizedTensor::quantize(&masked_weights(oc, ic, 3, seed), wbits).unwrap();
         let params = Conv2dParams::same(3);
 
-        // Serial pool execution is the reference for the quantized path —
-        // its arithmetic is pinned by the unit suite; here we pin that
-        // threads and exec mode cannot perturb it.
+        // Serial execution is the reference for the quantized path — its
+        // arithmetic is pinned by the unit suite; here we pin that neither
+        // the thread count nor the batched-vs-single mode can perturb it.
         TensorParallel::set_threads(1);
-        TensorParallel::set_exec_mode(ExecMode::Pool);
         let oracles: Vec<Vec<u32>> = inputs
             .iter()
             .map(|x| bits(&quantized_conv2d(x, &weights, None, abits, params).unwrap()))
@@ -540,18 +462,14 @@ proptest! {
 
         for t in [1usize, test_threads()] {
             TensorParallel::set_threads(t);
-            for mode in [ExecMode::Pool, ExecMode::SpawnPerCall] {
-                TensorParallel::set_exec_mode(mode);
-                let refs: Vec<&Tensor> = inputs.iter().collect();
-                let batched = quantized_conv2d_batch(&refs, &weights, None, abits, params).unwrap();
-                for ((got, x), oracle) in batched.iter().zip(&inputs).zip(&oracles) {
-                    prop_assert_eq!(&bits(got), oracle, "quantized batch t={} mode={:?}", t, mode);
-                    let single = quantized_conv2d(x, &weights, None, abits, params).unwrap();
-                    prop_assert_eq!(&bits(&single), oracle, "quantized single t={} mode={:?}", t, mode);
-                }
+            let refs: Vec<&Tensor> = inputs.iter().collect();
+            let batched = quantized_conv2d_batch(&refs, &weights, None, abits, params).unwrap();
+            for ((got, x), oracle) in batched.iter().zip(&inputs).zip(&oracles) {
+                prop_assert_eq!(&bits(got), oracle, "quantized batch t={}", t);
+                let single = quantized_conv2d(x, &weights, None, abits, params).unwrap();
+                prop_assert_eq!(&bits(&single), oracle, "quantized single t={}", t);
             }
         }
-        TensorParallel::set_exec_mode(ExecMode::Pool);
         TensorParallel::set_threads(1);
     }
 }

@@ -1,18 +1,22 @@
 //! Zero-allocation steady state: after warm-up, running frames through a
-//! packed model with [`forward_into`] and a persistent [`Workspace`] must
-//! perform **zero** heap allocations.
+//! packed model with [`forward_into`] and a persistent [`Workspace`] — or
+//! batches of frames with [`forward_batch_into`] and persistent per-frame
+//! workspaces — must perform **zero** heap allocations.
 //!
 //! The test wraps the system allocator in a counting shim (this
 //! integration test is its own binary and process, so the counter sees
 //! only this test's traffic) and asserts the allocation count does not
-//! move across post-warm-up frames. It runs at the default serial setting
-//! (threads = 1), where the in-line chunk loop touches no pool state.
+//! move across post-warm-up frames. The counter is process-wide, so both
+//! cases run inside the one `#[test]`: a second test would run on another
+//! thread at the same time and count into the first one's window. It runs
+//! at the default serial setting (threads = 1), where the in-line chunk
+//! loop touches no pool state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use upaq_nn::exec::{forward_into, Workspace};
+use upaq_nn::exec::{forward_batch_into, forward_into, Workspace};
 use upaq_nn::{Layer, Model};
 use upaq_tensor::{Shape, Tensor};
 
@@ -117,6 +121,41 @@ fn steady_state_forward_performs_zero_allocations() {
         0,
         "steady-state frames allocated {} times; the packed-weight + \
          workspace path must not touch the heap after warm-up",
+        after - before
+    );
+
+    // The batched executor: four frames per call into four persistent
+    // workspaces. Warm-up sizes every workspace's buffers.
+    let mut batch = vec![inputs.clone(); 4];
+    let mut wss: Vec<Workspace> = Vec::new();
+    for _ in 0..3 {
+        forward_batch_into(&model, &batch, &mut wss).unwrap();
+    }
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut checksum = 0.0f64;
+    for step in 0..10 {
+        for (f, frame) in batch.iter_mut().enumerate() {
+            let data = frame.get_mut("x").unwrap().as_mut_slice();
+            for (i, v) in data.iter_mut().enumerate() {
+                *v = ((step * 131 + f * 17 + i) as f32).cos();
+            }
+        }
+        forward_batch_into(&model, &batch, &mut wss).unwrap();
+        for ws in &wss {
+            let out = &ws.activations()[&head];
+            assert_eq!(out.len(), expected_len);
+            checksum += f64::from(out.as_slice()[step]);
+        }
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+
+    assert!(checksum.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state batches allocated {} times; the batched executor \
+         must not touch the heap after warm-up",
         after - before
     );
 }

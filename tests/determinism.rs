@@ -136,8 +136,8 @@ fn camera_streaming_detections_match_batch_bitwise() {
 
 /// Batched execution is bit-identical to the serial path for every ladder
 /// rung (base / UPAQ LCK / UPAQ HCK) and every tested batch size. The
-/// batched kernels only hoist per-call setup across frames; the per-frame
-/// arithmetic order is untouched, so this must hold exactly — no epsilon.
+/// batched executor runs each frame through the serial per-frame
+/// arithmetic, layer by layer, so this must hold exactly — no epsilon.
 #[test]
 fn lidar_batched_detection_is_bit_identical_across_rungs() {
     let mut cfg = DatasetConfig::small();
