@@ -655,6 +655,62 @@ mod tests {
         assert!(unpack(&bad, &m).is_err());
     }
 
+    /// Unpacks every prefix and every single-bit flip of `packed` against
+    /// `template`: each must give a model or `BadConfig`, never a panic.
+    fn assert_corruption_fails_cleanly(packed: &PackedModel, template: &Model, what: &str) {
+        let check = |bad: &PackedModel, how: String| match unpack(bad, template) {
+            Ok(_) | Err(UpaqError::BadConfig(_)) => {}
+            Err(e) => panic!("{what}, {how}: {e:?}"),
+        };
+        for end in 0..packed.len() {
+            let prefix = PackedModel {
+                bytes: packed.bytes[..end].to_vec(),
+            };
+            check(&prefix, format!("{end}-byte prefix"));
+        }
+        let mut bad = packed.clone();
+        for i in 0..packed.len() {
+            for bit in 0..8 {
+                bad.bytes[i] ^= 1 << bit;
+                check(&bad, format!("bit {bit} of byte {i} flipped"));
+                bad.bytes[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_artifacts_fail_cleanly() {
+        let (m, ctx) = model();
+        let hck = Upaq::new(UpaqConfig::hck()).compress(&m, &ctx).unwrap();
+        let raw = pack(&m, &BitAllocation::new(), &HashMap::new()).unwrap();
+        let patterned = pack(&hck.model, &hck.bits, &hck.kinds).unwrap();
+        // One artifact per record kind. `pack` writes coordinate lists for
+        // pruned layers, so those carry the HCK-pruned weights.
+        let pruned = &hck.model;
+        let artifacts = [
+            (0, raw, &m),
+            (1, packed_as(&m, 8, SparsityKind::Dense), &m),
+            (2, patterned, pruned),
+            (
+                3,
+                packed_as(pruned, 32, SparsityKind::SemiStructured),
+                pruned,
+            ),
+            (3, packed_as(pruned, 6, SparsityKind::Unstructured), pruned),
+        ];
+        // About 100k unpacks in all: one thread per artifact.
+        std::thread::scope(|s| {
+            for (kind, packed, template) in &artifacts {
+                s.spawn(move || {
+                    let what = format!("kind {kind}, {} bits", packed.bytes[FIRST_BITS]);
+                    assert_eq!(packed.bytes[FIRST_BITS - 1], *kind, "{what}");
+                    assert!(unpack(packed, template).is_ok(), "{what}");
+                    assert_corruption_fails_cleanly(packed, template, &what);
+                });
+            }
+        });
+    }
+
     #[test]
     fn wrong_template_rejected() {
         let (m, ctx) = model();

@@ -82,10 +82,6 @@ impl BevGrid {
 /// Number of per-pillar feature channels produced by [`pillarize`].
 pub const PILLAR_CHANNELS: usize = 12;
 
-/// Index of the occupancy-flag channel in the pillar tensor: exactly 1.0
-/// at populated cells, 0.0 elsewhere.
-pub const OCCUPANCY_CHANNEL: usize = 7;
-
 /// Pillar-encoder parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PillarConfig {

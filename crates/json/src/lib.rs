@@ -13,8 +13,9 @@
 //! * [`Value::pretty`] / `Display` — pretty and compact writers.
 //!
 //! Round-trip guarantee: `Value::parse(&v.pretty())` reproduces `v` for
-//! every value this workspace writes (floats are emitted with enough
-//! precision to round-trip `f64`).
+//! every finite value this workspace writes (floats are emitted with enough
+//! precision to round-trip `f64`) and for every value [`Value::parse`]
+//! accepts.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -100,9 +101,9 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input, and on
-    /// arrays and objects nested more than [`MAX_DEPTH`] deep (at the
-    /// bracket that crosses the bound).
+    /// Returns [`JsonError`] with a byte offset on input RFC 8259 forbids,
+    /// on a number that overflows `f64`, and on arrays and objects nested
+    /// more than [`MAX_DEPTH`] deep (at the bracket that crosses the bound).
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -373,14 +374,18 @@ impl<'a> Parser<'a> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
+                            // RFC 8259: exactly four hex digits, no sign.
+                            let mut code = 0u32;
+                            for _ in 0..4 {
+                                let digit = self
+                                    .peek()
+                                    .and_then(|c| (c as char).to_digit(16))
+                                    .ok_or_else(|| {
+                                        self.err("expected a hex digit in \\u escape")
+                                    })?;
+                                code = code * 16 + digit;
+                                self.pos += 1;
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
                             // Surrogates are not produced by our writer.
                             s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
@@ -392,24 +397,54 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a number by the RFC 8259 grammar
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, refusing one
+    /// that overflows `f64`: `pretty` writes a non-finite number as `null`,
+    /// so it could not round-trip.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-' {
-                self.pos += 1;
-            } else {
-                break;
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                return Err(self.err("leading zero in a number"));
             }
+        } else {
+            self.digits()?;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>().map(Value::Num).map_err(|_| JsonError {
-            message: format!("invalid number `{text}`"),
-            offset: start,
-        })
+            .expect("the number grammar admits only ASCII");
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            _ => Err(JsonError {
+                message: format!("number `{text}` out of range"),
+                offset: start,
+            }),
+        }
+    }
+
+    /// Consumes one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        if !self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            return Err(self.err("expected a digit"));
+        }
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        Ok(())
     }
 }
 
@@ -613,6 +648,52 @@ mod tests {
         assert!(Value::parse("tru").is_err());
         assert!(Value::parse("{\"a\": 1} extra").is_err());
         assert!(Value::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn rejects_what_rfc_8259_forbids() {
+        // A signed `\u` escape, leading zeros, a `.` without digits on
+        // either side, and a number that overflows `f64` (which `pretty`
+        // would write back as `null`), each at the offending byte.
+        for (text, offset) in [
+            (r#""\u+041""#, 3),
+            ("01", 1),
+            ("00", 1),
+            ("-01.5", 2),
+            ("1.", 2),
+            ("1.e3", 2),
+            ("-.5", 1),
+            ("1e400", 0),
+        ] {
+            match Value::parse(text) {
+                Err(e) => assert_eq!(e.offset, offset, "{text}: {e}"),
+                Ok(v) => panic!("{text} parsed as {v:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_prefix_and_byte_substitution_errs_cleanly_or_round_trips() {
+        // Every value kind, a `\u` escape, and a number one digit away
+        // from overflowing `f64`.
+        let doc = r#"{"null": null, "bools": [true, false], "nums": [0, -12.5, 2e307, 1E-3], "s": "a\u00e9\n\"\\/", "nested": {"arr": [[], {}]}}"#;
+        let check = |text: &str| match Value::parse(text) {
+            Ok(v) => assert_eq!(Value::parse(&v.pretty()), Ok(v), "{text}"),
+            Err(e) => assert!(e.offset <= text.len(), "{text}: {e}"),
+        };
+        assert!(Value::parse(doc).is_ok());
+        for end in 0..=doc.len() {
+            check(&doc[..end]);
+        }
+        let mut bytes = doc.as_bytes().to_vec();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for &b in b"\"\\[]{},:-+.eE09u " {
+                bytes[i] = b;
+                check(std::str::from_utf8(&bytes).expect("an ASCII document"));
+            }
+            bytes[i] = original;
+        }
     }
 
     #[test]

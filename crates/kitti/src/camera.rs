@@ -106,11 +106,6 @@ impl CameraImage {
         &mut self.tensor
     }
 
-    /// Consumes the image, returning the tensor.
-    pub fn into_tensor(self) -> Tensor {
-        self.tensor
-    }
-
     /// Image width.
     pub fn width(&self) -> usize {
         self.tensor.shape().dim(3)

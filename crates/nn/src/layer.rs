@@ -382,11 +382,6 @@ impl Layer {
         self.bn.as_ref()
     }
 
-    /// Mutable batch-norm parameters.
-    pub fn batch_norm_params_mut(&mut self) -> Option<&mut BatchNormParams> {
-        self.bn.as_mut()
-    }
-
     /// Number of parameters (weights + bias) this layer stores.
     pub fn param_count(&self) -> usize {
         self.weights.as_ref().map_or(0, Tensor::len) + self.bias.as_ref().map_or(0, Tensor::len)

@@ -46,11 +46,6 @@ impl ModelCosts {
         self.layers.iter().map(|l| l.dense_macs).sum()
     }
 
-    /// Sum of sparsity-adjusted MACs across layers.
-    pub fn total_effective_macs(&self) -> u64 {
-        self.layers.iter().map(|l| l.effective_macs).sum()
-    }
-
     /// Sum of activation traffic across layers.
     pub fn total_activation_elems(&self) -> u64 {
         self.layers.iter().map(|l| l.activation_elems).sum()

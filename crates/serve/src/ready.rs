@@ -141,11 +141,6 @@ impl<T> ReadyQueue<T> {
         self.inner.lock().unwrap().max_depth
     }
 
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
-
     /// Blocks until space frees up, then enqueues (lossless admission).
     ///
     /// # Errors

@@ -9,14 +9,15 @@
 //! * [`quant`] — symmetric integer quantization ([`quant::QuantizedTensor`])
 //!   together with the signal-to-quantization-noise ratio (SQNR) used by the
 //!   UPAQ `mp_quantizer` (Algorithm 6 of the paper);
-//! * [`sparse`] — kernel masks and sparse kernel views used by semi-structured
-//!   pattern pruning;
+//! * [`sparse`] — kernel masks ([`sparse::KernelMask`]) used by
+//!   semi-structured pattern pruning;
 //! * [`packed`] — per-kernel non-zero tap lists ([`packed::PackedConv`])
 //!   built once from the pruned weights so steady-state kernels stop
 //!   re-scanning for zeros;
 //! * [`ops`] — convolution, linear, pooling, normalization and activation
-//!   kernels; the one f32 convolution runs over packed non-zero taps, and
-//!   the `quantized_*` kernels execute integer codes.
+//!   kernels, plus the worker pool they share ([`ops::TensorParallel`]);
+//!   the one convolution runs over packed non-zero taps, and quantized
+//!   layers reach it as fake-quantized f32 weights.
 //!
 //! # Example
 //!

@@ -190,7 +190,7 @@ fn accumulate_runs(
     let len = total.len();
     total.fill(0.0);
     for ic in 0..packed.in_c() {
-        let run = |t: &Tap<f32>| grid.run(ic, t.r, t.c, len);
+        let run = |t: &Tap| grid.run(ic, t.r, t.c, len);
         match packed.group(oc, ic) {
             [] => {}
             [t] => add_products(total, t.v, run(t)),

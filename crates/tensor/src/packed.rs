@@ -1,21 +1,19 @@
 //! Packed sparse convolution weights.
 //!
 //! The pattern pruner fixes each kernel's zero structure at compression
-//! time, yet the direct conv kernels historically re-scanned the dense
-//! weight tensor for non-zero taps on **every** invocation. Packing hoists
-//! that scan out of the per-frame loop: [`PackedConv`] (and its int-domain
-//! twin [`PackedQuantConv`]) stores, per `(out_c, in_c)` kernel, the list
-//! of surviving taps `(row, col, value)` in the exact row-major order the
-//! dense scan produced — so a kernel consuming the packed form performs
-//! bit-identical arithmetic to one scanning the dense tensor, while
-//! touching only the non-zero weights.
+//! time, yet a conv kernel over dense weights would re-scan the tensor for
+//! non-zero taps on **every** invocation. Packing hoists that scan out of
+//! the per-frame loop: [`PackedConv`] stores, per `(out_c, in_c)` kernel,
+//! the list of surviving taps `(row, col, value)` in the exact row-major
+//! order the dense scan produced — so a kernel consuming the packed form
+//! performs bit-identical arithmetic to one scanning the dense tensor,
+//! while touching only the non-zero weights.
 //!
 //! Packing is built once (when a model variant is constructed) and shared
 //! immutably afterwards; mutating a layer's weights must invalidate its
 //! pack.
 
-use crate::quant::QuantizedTensor;
-use crate::{Result, Shape, TensorError};
+use crate::{Result, Shape, Tensor, TensorError};
 
 /// One surviving weight tap: kernel row, kernel column, value.
 ///
@@ -23,19 +21,19 @@ use crate::{Result, Shape, TensorError};
 /// packing rejects kernels over 65535 per spatial axis, far beyond
 /// anything representable in memory anyway.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tap<V> {
+pub struct Tap {
     /// Kernel row.
     pub r: u16,
     /// Kernel column.
     pub c: u16,
-    /// Weight value (f32 for dense weights, i64 code for quantized).
-    pub v: V,
+    /// Weight value.
+    pub v: f32,
 }
 
-/// Non-zero taps of a rank-4 weight tensor, grouped per `(out_c, in_c)`
-/// kernel in row-major order.
+/// Packed non-zero taps of a rank-4 f32 conv weight tensor, grouped per
+/// `(out_c, in_c)` kernel in row-major order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PackedTaps<V> {
+pub struct PackedConv {
     out_c: usize,
     in_c: usize,
     kh: usize,
@@ -43,16 +41,30 @@ pub struct PackedTaps<V> {
     /// `offsets[oc * in_c + ic] .. offsets[oc * in_c + ic + 1]` indexes
     /// the taps of kernel `(oc, ic)`; length `out_c * in_c + 1`.
     offsets: Vec<usize>,
-    taps: Vec<Tap<V>>,
+    taps: Vec<Tap>,
 }
 
-impl<V: Copy> PackedTaps<V> {
-    fn from_dense<T: Copy>(
-        shape: &Shape,
-        data: &[T],
-        is_zero: impl Fn(T) -> bool,
-        to_value: impl Fn(T) -> V,
-    ) -> Result<Self> {
+impl PackedConv {
+    /// Packs the non-zero taps of rank-4 weights `[out_c, in_c, kh, kw]`.
+    ///
+    /// Every packed weight is finite: the conv kernels multiply a tap that
+    /// lands in the zero padding by `0.0` rather than skipping it, which
+    /// adds nothing only while `v · 0` is a zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for non-rank-4 weights,
+    /// [`TensorError::Invalid`] for kernels over 65535 per spatial axis and
+    /// [`TensorError::NonFiniteWeight`] for a NaN or infinite weight.
+    pub fn pack(weights: &Tensor) -> Result<PackedConv> {
+        let data = weights.as_slice();
+        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+            return Err(TensorError::NonFiniteWeight {
+                index,
+                value: data[index],
+            });
+        }
+        let shape = weights.shape();
         if shape.rank() != 4 {
             return Err(TensorError::RankMismatch {
                 expected: 4,
@@ -74,11 +86,11 @@ impl<V: Copy> PackedTaps<V> {
                 for r in 0..kh {
                     for c in 0..kw {
                         let v = data[kbase + r * kw + c];
-                        if !is_zero(v) {
+                        if v != 0.0 {
                             taps.push(Tap {
                                 r: r as u16,
                                 c: c as u16,
-                                v: to_value(v),
+                                v,
                             });
                         }
                     }
@@ -86,7 +98,7 @@ impl<V: Copy> PackedTaps<V> {
                 offsets.push(taps.len());
             }
         }
-        Ok(PackedTaps {
+        Ok(PackedConv {
             out_c,
             in_c,
             kh,
@@ -123,7 +135,7 @@ impl<V: Copy> PackedTaps<V> {
 
     /// The taps of kernel `(oc, ic)`, in the row-major order the dense
     /// scan would visit them.
-    pub fn group(&self, oc: usize, ic: usize) -> &[Tap<V>] {
+    pub fn group(&self, oc: usize, ic: usize) -> &[Tap] {
         let g = oc * self.in_c + ic;
         &self.taps[self.offsets[g]..self.offsets[g + 1]]
     }
@@ -134,82 +146,9 @@ impl<V: Copy> PackedTaps<V> {
     }
 }
 
-/// Packed non-zero taps of a dense f32 conv weight tensor.
-pub type PackedConv = PackedTaps<f32>;
-
-impl PackedConv {
-    /// Packs the non-zero taps of rank-4 weights `[out_c, in_c, kh, kw]`.
-    ///
-    /// Every packed weight is finite: the conv kernels multiply a tap that
-    /// lands in the zero padding by `0.0` rather than skipping it, which
-    /// adds nothing only while `v · 0` is a zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-rank-4 weights,
-    /// [`TensorError::Invalid`] for kernels over 65535 per spatial axis and
-    /// [`TensorError::NonFiniteWeight`] for a NaN or infinite weight.
-    pub fn pack(weights: &crate::Tensor) -> Result<PackedConv> {
-        let data = weights.as_slice();
-        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
-            return Err(TensorError::NonFiniteWeight {
-                index,
-                value: data[index],
-            });
-        }
-        PackedTaps::from_dense(weights.shape(), data, |v| v == 0.0, |v| v)
-    }
-}
-
-/// Packed non-zero integer codes of a quantized conv weight tensor, with
-/// the tensor's scale carried alongside for the single rescale.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedQuantConv {
-    taps: PackedTaps<i64>,
-    scale: f32,
-}
-
-impl PackedQuantConv {
-    /// Packs the non-zero codes of quantized rank-4 weights.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PackedConv::pack`].
-    pub fn pack(weights: &QuantizedTensor) -> Result<PackedQuantConv> {
-        Ok(PackedQuantConv {
-            taps: PackedTaps::from_dense(
-                weights.shape(),
-                weights.codes(),
-                |v| v == 0,
-                |v| v as i64,
-            )?,
-            scale: weights.scale(),
-        })
-    }
-
-    /// The weight-tensor scale captured at pack time.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The underlying packed integer taps.
-    pub fn taps(&self) -> &PackedTaps<i64> {
-        &self.taps
-    }
-}
-
-impl std::ops::Deref for PackedQuantConv {
-    type Target = PackedTaps<i64>;
-
-    fn deref(&self) -> &PackedTaps<i64> {
-        &self.taps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Shape, Tensor};
 
     #[test]
     fn packs_nonzero_taps_in_row_major_order() {
@@ -248,17 +187,5 @@ mod tests {
                 other => panic!("{bad} packed as {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn quantized_pack_keeps_codes_and_scale() {
-        let w = Tensor::from_vec(Shape::nchw(1, 1, 1, 3), vec![-0.5, 0.0, 0.5]).unwrap();
-        let q = QuantizedTensor::quantize(&w, 8).unwrap();
-        let p = PackedQuantConv::pack(&q).unwrap();
-        assert_eq!(p.scale(), q.scale());
-        assert_eq!(p.nonzeros(), 2);
-        let g = p.group(0, 0);
-        assert_eq!(g[0].v, q.codes()[0] as i64);
-        assert_eq!(g[1].v, q.codes()[2] as i64);
     }
 }

@@ -1,12 +1,12 @@
-//! Kernel masks and sparse kernel views for semi-structured pruning.
+//! Kernel masks for semi-structured pruning.
 //!
 //! Pattern-based pruning (paper §III-A, Fig. 2(d)) keeps a fixed set of
 //! positions inside each k×k kernel and zeroes the rest. [`KernelMask`]
 //! represents that position set; applying it to a weight tensor produces the
-//! pruned kernel, and [`SparseKernel`] stores only the surviving weights in a
-//! coordinate format the execution engine can stream.
+//! pruned kernel, whose surviving taps [`crate::packed::PackedConv`] stores
+//! for the conv kernel.
 
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
 /// A boolean keep/drop mask over a `d × d` kernel.
@@ -166,80 +166,10 @@ impl KernelMask {
     }
 }
 
-/// A kernel stored in coordinate (COO) form: only the non-zero weights and
-/// their positions.
-///
-/// This is what a sparsity-exploiting runtime keeps in memory; the size
-/// accounting in the hardware model uses its [`SparseKernel::nnz`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SparseKernel {
-    dim: usize,
-    entries: Vec<(u8, u8, f32)>,
-}
-
-impl SparseKernel {
-    /// Builds a sparse view of a `d × d` kernel, dropping exact zeros.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] when the kernel is not rank 2 or
-    /// [`TensorError::Invalid`] when it is not square or wider than 255.
-    pub fn from_dense(kernel: &Tensor) -> Result<Self> {
-        if kernel.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: kernel.shape().rank(),
-            });
-        }
-        let dim = kernel.shape().dim(0);
-        if kernel.shape().dim(1) != dim {
-            return Err(TensorError::Invalid("sparse kernels must be square".into()));
-        }
-        if dim > u8::MAX as usize {
-            return Err(TensorError::Invalid("kernel dimension exceeds 255".into()));
-        }
-        let mut entries = Vec::new();
-        for r in 0..dim {
-            for c in 0..dim {
-                let v = kernel.get(&[r, c]).expect("index in range");
-                if v != 0.0 {
-                    entries.push((r as u8, c as u8, v));
-                }
-            }
-        }
-        Ok(SparseKernel { dim, entries })
-    }
-
-    /// Kernel side length.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of stored (non-zero) weights.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterator over `(row, col, weight)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
-        self.entries
-            .iter()
-            .map(|&(r, c, v)| (r as usize, c as usize, v))
-    }
-
-    /// Reconstructs the dense kernel.
-    pub fn to_dense(&self) -> Tensor {
-        let mut t = Tensor::zeros(Shape::matrix(self.dim, self.dim));
-        for &(r, c, v) in &self.entries {
-            t.set(&[r as usize, c as usize], v).expect("index in range");
-        }
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Shape;
 
     fn kernel3() -> Tensor {
         Tensor::from_vec(
@@ -303,30 +233,5 @@ mod tests {
     fn positions_row_major() {
         let m = KernelMask::from_positions(2, &[(1, 0), (0, 1)]);
         assert_eq!(m.positions(), vec![(0, 1), (1, 0)]);
-    }
-
-    #[test]
-    fn sparse_roundtrip() {
-        let m = KernelMask::from_positions(3, &[(0, 2), (1, 1), (2, 0)]);
-        let pruned = m.apply(&kernel3()).unwrap();
-        let sk = SparseKernel::from_dense(&pruned).unwrap();
-        assert_eq!(sk.nnz(), 3);
-        assert_eq!(sk.to_dense(), pruned);
-    }
-
-    #[test]
-    fn sparse_rejects_non_square() {
-        let k = Tensor::zeros(Shape::matrix(2, 3));
-        assert!(SparseKernel::from_dense(&k).is_err());
-        assert!(SparseKernel::from_dense(&Tensor::zeros(Shape::vector(4))).is_err());
-    }
-
-    #[test]
-    fn sparse_iter_matches_entries() {
-        let m = KernelMask::from_positions(3, &[(0, 0)]);
-        let pruned = m.apply(&kernel3()).unwrap();
-        let sk = SparseKernel::from_dense(&pruned).unwrap();
-        let entries: Vec<_> = sk.iter().collect();
-        assert_eq!(entries, vec![(0, 0, 1.0)]);
     }
 }

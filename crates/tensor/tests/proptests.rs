@@ -6,14 +6,10 @@ use common::conv2d;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use upaq_tensor::ops::{
-    avg_pool2d, avg_pool2d_batch, conv2d_into, linear, linear_batch, max_pool2d, max_pool2d_batch,
-    quantized_conv2d, quantized_conv2d_batch, quantized_linear, quantized_linear_batch,
-    Conv2dParams, TensorParallel,
-};
+use upaq_tensor::ops::{conv2d_into, Conv2dParams, TensorParallel};
 use upaq_tensor::packed::PackedConv;
 use upaq_tensor::quant::{fake_quantize, QuantizedTensor};
-use upaq_tensor::sparse::{KernelMask, SparseKernel};
+use upaq_tensor::sparse::KernelMask;
 use upaq_tensor::{Shape, Tensor};
 
 /// Thread count for the multi-threaded bit-identity legs. CI's
@@ -231,103 +227,10 @@ proptest! {
     }
 
     #[test]
-    fn sparse_kernel_roundtrip(data in prop::collection::vec(-1.0f32..1.0, 16..=16)) {
-        let kernel = Tensor::from_vec(Shape::matrix(4, 4), data).unwrap();
-        let sparse = SparseKernel::from_dense(&kernel).unwrap();
-        prop_assert_eq!(sparse.to_dense(), kernel);
-    }
-
-    #[test]
     fn sparsity_in_unit_interval(data in small_vec()) {
         let t = Tensor::from_vec(Shape::vector(data.len()), data).unwrap();
         let s = t.sparsity();
         prop_assert!((0.0..=1.0).contains(&s));
-    }
-
-    #[test]
-    fn batched_linear_matches_serial_loop(
-        n in 1usize..6,
-        in_f in 1usize..10,
-        out_f in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Tensor> = (0..n)
-            .map(|_| Tensor::uniform(Shape::vector(in_f), -2.0, 2.0, &mut rng))
-            .collect();
-        let weights = Tensor::uniform(Shape::matrix(out_f, in_f), -1.0, 1.0, &mut rng);
-        let bias = Tensor::uniform(Shape::vector(out_f), -0.5, 0.5, &mut rng);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = linear_batch(&refs, &weights, Some(&bias)).unwrap();
-        for (got, x) in batched.iter().zip(&inputs) {
-            let serial = linear(x, &weights, Some(&bias)).unwrap();
-            prop_assert_eq!(got.as_slice(), serial.as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_pooling_matches_serial_loop(
-        n in 1usize..6,
-        c in 1usize..4,
-        h in 2usize..8,
-        w in 2usize..8,
-        k in 1usize..3,
-        stride in 1usize..3,
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(h >= k && w >= k);
-        let inputs = random_frames(n, c, h, w, seed);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let max_b = max_pool2d_batch(&refs, k, stride).unwrap();
-        let avg_b = avg_pool2d_batch(&refs, k, stride).unwrap();
-        for (i, x) in inputs.iter().enumerate() {
-            prop_assert_eq!(max_b[i].as_slice(), max_pool2d(x, k, stride).unwrap().as_slice());
-            prop_assert_eq!(avg_b[i].as_slice(), avg_pool2d(x, k, stride).unwrap().as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_quantized_conv2d_matches_serial_loop(
-        n in 1usize..5,
-        ic in 1usize..3,
-        oc in 1usize..3,
-        h in 3usize..7,
-        w in 3usize..7,
-        wbits in 4u8..=8,
-        abits in 6u8..=12,
-        seed in any::<u64>(),
-    ) {
-        let inputs = random_frames(n, ic, h, w, seed);
-        let weights = QuantizedTensor::quantize(&masked_weights(oc, ic, 3, seed), wbits).unwrap();
-        let params = Conv2dParams::same(3);
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = quantized_conv2d_batch(&refs, &weights, None, abits, params).unwrap();
-        for (got, x) in batched.iter().zip(&inputs) {
-            let serial = quantized_conv2d(x, &weights, None, abits, params).unwrap();
-            prop_assert_eq!(got.as_slice(), serial.as_slice());
-        }
-    }
-
-    #[test]
-    fn batched_quantized_linear_matches_serial_loop(
-        n in 1usize..5,
-        in_f in 1usize..9,
-        out_f in 1usize..5,
-        bits in 4u8..=10,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inputs: Vec<Tensor> = (0..n)
-            .map(|_| Tensor::uniform(Shape::vector(in_f), -2.0, 2.0, &mut rng))
-            .collect();
-        let wf = Tensor::uniform(Shape::matrix(out_f, in_f), -1.0, 1.0, &mut rng);
-        let weights = QuantizedTensor::quantize(&wf, bits).unwrap();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let batched = quantized_linear_batch(&refs, &weights, None, bits).unwrap();
-        for (got, x) in batched.iter().zip(&inputs) {
-            let serial = quantized_linear(x, &weights, None, bits).unwrap();
-            prop_assert_eq!(got.as_slice(), serial.as_slice());
-        }
     }
 
     #[test]
@@ -348,8 +251,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Bit-identity regression suite: the f32 conv kernel — on freshly packed
 // weights and on weights packed once into a reused output, serial and
-// on the persistent pool — and the quantized codes must reproduce the
-// serial naive oracle bit for bit.
+// on the persistent pool — must reproduce the serial naive oracle bit for
+// bit.
 //
 // These tests mutate the process-wide `TensorParallel` thread count. That
 // is safe even under cargo's parallel test threads because the property
@@ -434,43 +337,6 @@ proptest! {
         let params = Conv2dParams { stride, padding: pad };
         let oracle = naive_conv2d(&input, &weights, bias.as_ref(), params);
         assert_every_conv_path(&input, &weights, bias.as_ref(), params, &oracle, canonical_bits);
-    }
-
-    #[test]
-    fn quantized_conv2d_bit_identical_across_threads_and_modes(
-        n in 1usize..4,
-        ic in 1usize..3,
-        oc in 1usize..3,
-        h in 3usize..7,
-        w in 3usize..7,
-        wbits in 4u8..=8,
-        abits in 6u8..=12,
-        seed in any::<u64>(),
-    ) {
-        let inputs = random_frames(n, ic, h, w, seed);
-        let weights = QuantizedTensor::quantize(&masked_weights(oc, ic, 3, seed), wbits).unwrap();
-        let params = Conv2dParams::same(3);
-
-        // Serial execution is the reference for the quantized path — its
-        // arithmetic is pinned by the unit suite; here we pin that neither
-        // the thread count nor the batched-vs-single mode can perturb it.
-        TensorParallel::set_threads(1);
-        let oracles: Vec<Vec<u32>> = inputs
-            .iter()
-            .map(|x| bits(&quantized_conv2d(x, &weights, None, abits, params).unwrap()))
-            .collect();
-
-        for t in [1usize, test_threads()] {
-            TensorParallel::set_threads(t);
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            let batched = quantized_conv2d_batch(&refs, &weights, None, abits, params).unwrap();
-            for ((got, x), oracle) in batched.iter().zip(&inputs).zip(&oracles) {
-                prop_assert_eq!(&bits(got), oracle, "quantized batch t={}", t);
-                let single = quantized_conv2d(x, &weights, None, abits, params).unwrap();
-                prop_assert_eq!(&bits(&single), oracle, "quantized single t={}", t);
-            }
-        }
-        TensorParallel::set_threads(1);
     }
 }
 
