@@ -19,7 +19,6 @@ use upaq::{Result, UpaqError};
 use upaq_hwmodel::exec::{BitAllocation, SparsityKind};
 use upaq_nn::Model;
 use upaq_tensor::quant::fake_quantize;
-use upaq_tensor::{Shape, Tensor};
 
 /// The Clip-Q baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,20 +67,15 @@ impl Compressor for ClipQ {
             if ctx.is_skipped(id) {
                 continue;
             }
-            let w = mc.layer(id)?.weights().expect("weighted").clone();
-            let data = w.as_slice();
+            let mut w = mc.layer(id)?.weights().expect("weighted").clone();
             // Partition by leading (output-channel) blocks.
-            let part_len = (data.len() / self.partitions).max(1);
-            let mut out = Vec::with_capacity(data.len());
-            for chunk in data.chunks(part_len) {
-                let chunk_t = Tensor::from_vec(Shape::vector(chunk.len()), chunk.to_vec())?;
-                let thr = magnitude_quantile(&chunk_t, self.clip_quantile);
-                let pruned = prune_below(&chunk_t, thr);
-                let (quantized, _) = fake_quantize(&pruned, self.bits)?;
-                out.extend_from_slice(quantized.as_slice());
+            let part_len = (w.len() / self.partitions).max(1);
+            for part in w.as_mut_slice().chunks_mut(part_len) {
+                let thr = magnitude_quantile(part, self.clip_quantile);
+                prune_below(part, thr);
+                fake_quantize(part, self.bits)?;
             }
-            let new_w = Tensor::from_vec(w.shape().clone(), out)?;
-            mc.layer_mut(id)?.set_weights(new_w);
+            mc.layer_mut(id)?.set_weights(w);
             bits.insert(id, self.bits);
             kinds.insert(id, SparsityKind::Unstructured);
         }
@@ -100,6 +94,7 @@ mod tests {
     use super::*;
     use upaq_hwmodel::DeviceProfile;
     use upaq_nn::Layer;
+    use upaq_tensor::{Shape, Tensor};
 
     fn setup() -> (Model, CompressionContext) {
         let mut m = Model::new("m");

@@ -17,6 +17,7 @@ use upaq::compress::{build_report, CompressionContext, CompressionOutcome, Compr
 use upaq::{Result, UpaqError};
 use upaq_hwmodel::exec::{BitAllocation, SparsityKind};
 use upaq_nn::Model;
+use upaq_tensor::quant::Grid;
 use upaq_tensor::Tensor;
 
 /// The LiDAR-PTQ baseline.
@@ -42,16 +43,15 @@ impl Default for LidarPtq {
 /// direction that cancels the accumulated rounding error.
 ///
 /// Returns the restored (fake-quantized) tensor.
+///
+/// # Errors
+///
+/// Returns the quantizer's error for bitwidths outside 2..=16.
 pub fn adaptive_round_quantize(weights: &Tensor, bits: u8) -> Result<Tensor> {
-    if !(2..=16).contains(&bits) {
-        return Err(UpaqError::BadConfig(format!("unsupported bits {bits}")));
-    }
-    let max_value = ((1i32 << (bits - 1)) - 1) as f32;
-    let alpha = weights.abs_max();
-    if alpha == 0.0 {
-        return Ok(weights.clone());
-    }
-    let scale = alpha / max_value;
+    // The symmetric grid is the shared quantizer's; only the rounding
+    // rule is LiDAR-PTQ's own.
+    let Grid { scale, max_code } = Grid::of(weights.as_slice(), bits)?;
+    let max_value = max_code as f32;
     let mut out = weights.clone();
     let data = out.as_mut_slice();
     let mut running_err = 0.0f32;
@@ -181,7 +181,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let t = Tensor::uniform(Shape::vector(512), -1.0, 1.0, &mut rng);
         let adaptive = adaptive_round_quantize(&t, 4).unwrap();
-        let (nearest, _) = fake_quantize(&t, 4).unwrap();
+        let mut nearest = t.clone();
+        fake_quantize(nearest.as_mut_slice(), 4).unwrap();
         let drift = |q: &Tensor| (q.sum() - t.sum()).abs();
         assert!(
             drift(&adaptive) <= drift(&nearest) + 1e-3,

@@ -64,18 +64,18 @@ impl Compressor for PsQs {
             if ctx.is_skipped(id) {
                 continue;
             }
-            let original = mc.layer(id)?.weights().expect("weighted").clone();
+            let mut w = mc.layer(id)?.weights().expect("weighted").clone();
+            let data = w.as_mut_slice();
             // Iterative magnitude pruning: each round prunes up to the
             // round's share of the final sparsity (QAT would fine-tune in
             // between; our substitution is the head re-fit the harness runs).
-            let mut w = original;
             for round in 1..=self.rounds {
                 let target = self.sparsity * round as f32 / self.rounds as f32;
-                let thr = magnitude_quantile(&w, target);
-                w = prune_below(&w, thr);
+                let thr = magnitude_quantile(data, target);
+                prune_below(data, thr);
             }
-            let (quantized, _sqnr) = fake_quantize(&w, self.bits)?;
-            mc.layer_mut(id)?.set_weights(quantized);
+            fake_quantize(data, self.bits)?;
+            mc.layer_mut(id)?.set_weights(w);
             bits.insert(id, self.bits);
             kinds.insert(id, SparsityKind::Unstructured);
         }

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::hint::black_box;
 use upaq::config::UpaqConfig;
-use upaq::kxk::compress_kxk_group;
+use upaq::kxk::compress_group;
 use upaq::score::ScoreContext;
 use upaq_hwmodel::exec::BitAllocation;
 use upaq_hwmodel::DeviceProfile;
@@ -28,18 +28,13 @@ fn bench_group_sharing(c: &mut Criterion) {
     .unwrap();
     let cfg = UpaqConfig::lck();
     let groups = preprocess(&det.model);
-    let kxk_roots: Vec<Vec<usize>> = groups
+    let kxk_roots: Vec<(Vec<usize>, usize)> = groups
         .roots()
         .iter()
         .filter_map(|&root| {
             let members = groups.members(root)?.to_vec();
-            let is_kxk = det
-                .model
-                .layer(members[0])
-                .ok()?
-                .kernel_size()
-                .is_some_and(|k| k > 1);
-            is_kxk.then_some(members)
+            let k = det.model.layer(members[0]).ok()?.kernel_size()?;
+            (k > 1).then_some((members, k))
         })
         .collect();
 
@@ -51,10 +46,10 @@ fn bench_group_sharing(c: &mut Criterion) {
             let mut bits = BitAllocation::new();
             let mut kinds = HashMap::new();
             let mut rng = StdRng::seed_from_u64(1);
-            for members in &kxk_roots {
+            for (members, k) in &kxk_roots {
                 black_box(
-                    compress_kxk_group(
-                        &mut model, members, &cfg, &ctx, &mut bits, &mut kinds, &mut rng,
+                    compress_group(
+                        &mut model, members, *k, &cfg, &ctx, &mut bits, &mut kinds, &mut rng,
                     )
                     .unwrap(),
                 );
@@ -67,13 +62,14 @@ fn bench_group_sharing(c: &mut Criterion) {
             let mut bits = BitAllocation::new();
             let mut kinds = HashMap::new();
             let mut rng = StdRng::seed_from_u64(1);
-            for members in &kxk_roots {
+            for (members, k) in &kxk_roots {
                 // Ablation: every layer searched independently.
                 for &layer in members {
                     black_box(
-                        compress_kxk_group(
+                        compress_group(
                             &mut model,
                             &[layer],
+                            *k,
                             &cfg,
                             &ctx,
                             &mut bits,
@@ -101,17 +97,13 @@ fn bench_candidate_budget(c: &mut Criterion) {
     )
     .unwrap();
     let groups = preprocess(&det.model);
-    let members = groups
+    let (members, k) = groups
         .roots()
         .iter()
         .find_map(|&root| {
             let members = groups.members(root)?.to_vec();
-            det.model
-                .layer(members[0])
-                .ok()?
-                .kernel_size()
-                .filter(|&k| k > 1)
-                .map(|_| members)
+            let k = det.model.layer(members[0]).ok()?.kernel_size()?;
+            (k > 1).then_some((members, k))
         })
         .expect("a k×k group exists");
 
@@ -129,8 +121,8 @@ fn bench_candidate_budget(c: &mut Criterion) {
                 let mut kinds = HashMap::new();
                 let mut rng = StdRng::seed_from_u64(2);
                 black_box(
-                    compress_kxk_group(
-                        &mut model, &members, cfg, &ctx, &mut bits, &mut kinds, &mut rng,
+                    compress_group(
+                        &mut model, &members, k, cfg, &ctx, &mut bits, &mut kinds, &mut rng,
                     )
                     .unwrap(),
                 )

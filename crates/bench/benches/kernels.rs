@@ -1,16 +1,16 @@
 //! Criterion micro-benchmarks for the compression primitives: pattern
-//! generation (Algorithm 2), the `mp_quantizer` (Algorithm 6), kernel
-//! masking, and sparse vs dense convolution — the mechanisms behind the
-//! paper's speedup claims.
+//! generation (Algorithm 2), symmetric fake-quantization (Algorithm 6),
+//! kernel masking, and sparse vs dense convolution — the mechanisms behind
+//! the paper's speedup claims.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use upaq::pattern::{generate_candidates, generate_pattern};
-use upaq::quantizer::mp_quantizer;
 use upaq_tensor::ops::{conv2d_into, Conv2dParams};
 use upaq_tensor::packed::PackedConv;
+use upaq_tensor::quant::fake_quantize;
 use upaq_tensor::sparse::KernelMask;
 use upaq_tensor::{Shape, Tensor};
 
@@ -28,15 +28,22 @@ fn bench_pattern_generation(c: &mut Criterion) {
 }
 
 fn bench_quantizer(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mp_quantizer");
+    let mut group = c.benchmark_group("fake_quantize");
     for size in [9usize, 576, 36_864] {
         let mut rng = StdRng::seed_from_u64(3);
         let t = Tensor::uniform(Shape::vector(size), -1.0, 1.0, &mut rng);
+        let mut buf = t.as_slice().to_vec();
         for bits in [4u8, 8, 16] {
             group.bench_with_input(
                 BenchmarkId::new(format!("{size}w"), bits),
                 &bits,
-                |b, &bits| b.iter(|| black_box(mp_quantizer(&t, bits).unwrap())),
+                |b, &bits| {
+                    b.iter(|| {
+                        buf.copy_from_slice(t.as_slice());
+                        fake_quantize(&mut buf, bits).unwrap();
+                        black_box(&buf);
+                    })
+                },
             );
         }
     }

@@ -29,6 +29,7 @@ use crate::{Result, UpaqError};
 use std::collections::{HashMap, HashSet};
 use upaq_hwmodel::exec::{BitAllocation, SparsityKind};
 use upaq_nn::{LayerId, Model};
+use upaq_tensor::quant::{quantize, MAX_BITS, MIN_BITS};
 use upaq_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"UPAQ";
@@ -36,8 +37,8 @@ const VERSION: u32 = 1;
 /// Kernel granule for pattern-packed layers (the 3×3 virtual kernel of
 /// Algorithms 4/5).
 const GRANULE: usize = 9;
-/// Bitwidths of integer-coded payloads.
-const CODED_BITS: std::ops::RangeInclusive<u8> = 2..=16;
+/// Bitwidths of integer-coded payloads: the quantizer's.
+const CODED_BITS: std::ops::RangeInclusive<u8> = MIN_BITS..=MAX_BITS;
 /// The bits byte of a raw-f32 payload.
 const RAW_BITS: u8 = 32;
 
@@ -168,17 +169,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn quantize_codes(values: &[f32], bits: u8) -> (f32, Vec<i32>) {
-    let max_value = ((1i32 << (bits - 1)) - 1) as f32;
-    let alpha = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let scale = if alpha == 0.0 { 1.0 } else { alpha / max_value };
-    let codes = values
-        .iter()
-        .map(|&v| ((v / scale).round() as i32).clamp(-(max_value as i32), max_value as i32))
-        .collect();
-    (scale, codes)
-}
-
 /// Serializes a compressed model's weights under the given allocations.
 ///
 /// # Errors
@@ -223,7 +213,7 @@ pub fn pack(
                         }
                     }
                     w.u16(mask);
-                    let (scale, codes) = quantize_codes(&kept, b);
+                    let (scale, codes) = quantize(&kept, b)?;
                     w.f32(scale);
                     w.codes(&codes, b);
                 }
@@ -263,7 +253,7 @@ pub fn pack(
                     w.u32(i as u32);
                 }
                 let values: Vec<f32> = entries.iter().map(|&(_, v)| v).collect();
-                let (scale, codes) = quantize_codes(&values, b);
+                let (scale, codes) = quantize(&values, b)?;
                 w.f32(scale);
                 w.codes(&codes, b);
             }
@@ -271,7 +261,7 @@ pub fn pack(
                 w.u8(1);
                 w.u8(b);
                 w.u32(data.len() as u32);
-                let (scale, codes) = quantize_codes(data, b);
+                let (scale, codes) = quantize(data, b)?;
                 w.f32(scale);
                 w.codes(&codes, b);
             }

@@ -2,8 +2,7 @@
 //! framework-agnostic [`Compressor`] interface the baselines share.
 
 use crate::config::UpaqConfig;
-use crate::kxk::compress_kxk_group;
-use crate::one_by_one::compress_1x1_group;
+use crate::kxk::compress_group;
 use crate::score::ScoreContext;
 use crate::{Result, UpaqError};
 use rand::rngs::StdRng;
@@ -204,28 +203,23 @@ impl Compressor for Upaq {
             if members.is_empty() {
                 continue;
             }
-            let is_kxk = mc.layer(members[0])?.kernel_size().is_some_and(|k| k > 1); // Algorithm 3, line 7
-            if is_kxk {
-                compress_kxk_group(
-                    &mut mc,
-                    &members,
-                    &self.config,
-                    &score_ctx,
-                    &mut bits,
-                    &mut kinds,
-                    &mut rng,
-                )?;
-            } else if self.config.compress_pointwise {
-                compress_1x1_group(
-                    &mut mc,
-                    &members,
-                    &self.config,
-                    &score_ctx,
-                    &mut bits,
-                    &mut kinds,
-                    &mut rng,
-                )?;
-            }
+            // Algorithm 3, line 7: k×k kernels go to Algorithm 4 as they
+            // are, 1×1 kernels through Algorithm 5's virtual k×k kernels.
+            let dim = match mc.layer(members[0])?.kernel_size() {
+                Some(k) if k > 1 => k,
+                _ if self.config.compress_pointwise => self.config.virtual_kernel,
+                _ => continue,
+            };
+            compress_group(
+                &mut mc,
+                &members,
+                dim,
+                &self.config,
+                &score_ctx,
+                &mut bits,
+                &mut kinds,
+                &mut rng,
+            )?;
         }
 
         let report = build_report(self.name(), model, &mc, &bits, &kinds, ctx)?;

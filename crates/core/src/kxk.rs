@@ -1,15 +1,20 @@
-//! k×k kernel compression — **Algorithm 4** of the paper.
+//! The per-group search — **Algorithm 4** of the paper, for both kernel
+//! families.
 //!
-//! For one root group of same-kernel-size convolution layers: draw candidate
-//! patterns (Algorithm 2), apply each to every kernel of the group, quantize
-//! with each bitwidth from the `quant_bit` array (Algorithm 6), score the
-//! resulting model with `E_s` (Eq. 2), and keep the best `(pattern, bits)`
-//! pair — the `bestfit_kernel` the paper replicates onto the group's leaf
-//! layers.
+//! For one root group: draw candidate patterns (Algorithm 2), apply each to
+//! every kernel of the group, quantize each kernel with each bitwidth from
+//! the `quant_bit` array (Algorithm 6), score the resulting model with
+//! `E_s` (Eq. 2), and keep the best `(pattern, bits)` pair — the
+//! `bestfit_kernel` the paper replicates onto the group's leaf layers. A
+//! k×k group searches `k × k` patterns over its kernels; a 1×1 group
+//! (Algorithm 5) searches the configured virtual kernel size over the
+//! runs [`apply_virtual_pattern`] regroups its weights into. On a k×k
+//! layer those runs of `k²` weights are exactly its kernels, so one
+//! search serves both.
 
 use crate::config::UpaqConfig;
+use crate::one_by_one::apply_virtual_pattern;
 use crate::pattern::{generate_candidates_from, Pattern};
-use crate::quantizer::mp_quantizer;
 use crate::score::ScoreContext;
 use crate::{Result, UpaqError};
 use rand::rngs::StdRng;
@@ -17,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use upaq_hwmodel::exec::{BitAllocation, SparsityKind};
 use upaq_nn::{LayerId, Model};
+use upaq_tensor::quant::{fake_quantize, sqnr};
 use upaq_tensor::Tensor;
 
 /// The winning `(pattern, bits)` pair for one root group.
@@ -32,40 +38,30 @@ pub struct KernelChoice {
     pub sqnr: f32,
 }
 
-/// Applies a pattern mask then quantizes **per kernel**, returning the
-/// restored weights plus the layer-level SQNR.
+/// Applies a pattern to every `dim × dim` kernel of `weights`, rescales
+/// each kernel's survivors, then quantizes **per kernel**, returning the
+/// pruned-and-rescaled weights and their restored quantization — the pair
+/// Algorithm 6's SQNR compares.
 ///
-/// Granularity matters: the paper's Algorithm 4 feeds individual k×k
-/// kernels through `mp_quantizer`, so every kernel gets its own symmetric
-/// scale. A single per-tensor scale would zero out low-magnitude kernels
-/// wholesale and inflate sparsity artificially.
-pub(crate) fn mask_and_quantize(
-    weights: &Tensor,
-    pattern: &Pattern,
-    bits: u8,
-) -> Result<(Tensor, f32)> {
-    let masked = pattern.mask().apply_to_weights(weights)?;
-    let dims = weights.shape().dims();
-    let k2 = dims[2] * dims[3];
-    let mut rescaled = masked;
+/// Granularity matters: the paper's Algorithms 4 and 5 quantize individual
+/// (virtual) kernels, so every kernel gets its own symmetric scale. A
+/// single per-tensor scale would zero out low-magnitude kernels wholesale
+/// and inflate sparsity artificially.
+fn mask_and_quantize(weights: &Tensor, pattern: &Pattern, bits: u8) -> Result<(Tensor, Tensor)> {
+    let k2 = pattern.dim() * pattern.dim();
+    let mut pruned = apply_virtual_pattern(weights, pattern);
+    let mut restored = weights.clone();
+    for ((kernel, original), out) in pruned
+        .as_mut_slice()
+        .chunks_mut(k2)
+        .zip(weights.as_slice().chunks(k2))
+        .zip(restored.as_mut_slice().chunks_mut(k2))
     {
-        let data = rescaled.as_mut_slice();
-        let orig = weights.as_slice();
-        for (chunk, orig_chunk) in data.chunks_mut(k2).zip(orig.chunks(k2)) {
-            rescale_chunk(chunk, orig_chunk);
-        }
+        rescale_chunk(kernel, original);
+        out.copy_from_slice(kernel);
+        fake_quantize(out, bits)?;
     }
-    let mut out = rescaled.clone();
-    {
-        let data = out.as_mut_slice();
-        for chunk in data.chunks_mut(k2) {
-            quantize_chunk(chunk, bits)?;
-        }
-    }
-    // SQNR measures quantization noise against the (rescaled) pruned kernel
-    // — the quantity Algorithm 6 reports.
-    let sqnr = upaq_tensor::quant::sqnr(&rescaled, &out)?;
-    Ok((out, sqnr))
+    Ok((pruned, restored))
 }
 
 /// Rescales the surviving weights of one kernel so its L1 mass matches the
@@ -78,7 +74,7 @@ pub(crate) fn mask_and_quantize(
 /// The baselines deliberately do not do this — the paper's critique of
 /// R-TOSS is precisely that its L2-selected masks do not preserve critical
 /// feature magnitudes.
-pub(crate) fn rescale_chunk(kept: &mut [f32], original: &[f32]) {
+fn rescale_chunk(kept: &mut [f32], original: &[f32]) {
     let orig_l1: f32 = original.iter().map(|w| w.abs()).sum();
     let kept_l1: f32 = kept.iter().map(|w| w.abs()).sum();
     if kept_l1 <= 1e-12 || orig_l1 <= 1e-12 {
@@ -90,26 +86,20 @@ pub(crate) fn rescale_chunk(kept: &mut [f32], original: &[f32]) {
     }
 }
 
-/// In-place symmetric fake-quantization of one kernel's weights.
-pub(crate) fn quantize_chunk(chunk: &mut [f32], bits: u8) -> Result<()> {
-    let t = Tensor::from_vec(upaq_tensor::Shape::vector(chunk.len()), chunk.to_vec())?;
-    let q = mp_quantizer(&t, bits)?;
-    chunk.copy_from_slice(q.kernel.as_slice());
-    Ok(())
-}
-
-/// Algorithm 4 over a root group: mutates `model`'s group weights to the
-/// best candidate and records the chosen bitwidth/sparsity kind for every
-/// member.
+/// Algorithm 4 over a root group whose kernels are `dim × dim` (the conv's
+/// kernel size, or the virtual kernel size of a 1×1 group): mutates
+/// `model`'s group weights to the best candidate and records the chosen
+/// bitwidth/sparsity kind for every member.
 ///
 /// # Errors
 ///
 /// Returns [`UpaqError::BadConfig`] when no candidate could be scored, and
 /// propagates tensor/model errors.
 #[allow(clippy::too_many_arguments)]
-pub fn compress_kxk_group(
+pub fn compress_group(
     model: &mut Model,
     members: &[LayerId],
+    dim: usize,
     config: &UpaqConfig,
     ctx: &ScoreContext,
     bits_alloc: &mut BitAllocation,
@@ -117,10 +107,6 @@ pub fn compress_kxk_group(
     rng: &mut StdRng,
 ) -> Result<KernelChoice> {
     let root = members[0];
-    let kernel = model
-        .layer(root)?
-        .kernel_size()
-        .ok_or_else(|| UpaqError::BadConfig("k×k path requires a convolution root".into()))?;
     let originals: HashMap<LayerId, Tensor> = members
         .iter()
         .map(|&id| {
@@ -137,7 +123,7 @@ pub fn compress_kxk_group(
     let candidates = generate_candidates_from(
         &config.pattern_kinds,
         config.nonzeros,
-        kernel,
+        dim,
         config.patterns_per_group,
         rng,
     );
@@ -146,12 +132,13 @@ pub fn compress_kxk_group(
     for pattern in &candidates {
         for &bits in &config.quant_bits {
             // Apply the candidate to the whole group (the paper replicates
-            // the root's pattern onto the leaf kernels).
+            // the root's pattern onto the leaf kernels); the score weighs
+            // the root's SQNR.
             let mut root_sqnr = f32::INFINITY;
             for &id in members {
-                let (restored, sqnr) = mask_and_quantize(&originals[&id], pattern, bits)?;
+                let (pruned, restored) = mask_and_quantize(&originals[&id], pattern, bits)?;
                 if id == root {
-                    root_sqnr = sqnr;
+                    root_sqnr = sqnr(&pruned, &restored)?;
                 }
                 model.layer_mut(id)?.set_weights(restored);
             }
@@ -177,7 +164,7 @@ pub fn compress_kxk_group(
     let choice = best.ok_or_else(|| UpaqError::BadConfig("no candidates scored".into()))?;
     // Re-apply the winner (the model currently holds the last candidate).
     for &id in members {
-        let (restored, _) = mask_and_quantize(&originals[&id], &choice.pattern, choice.bits)?;
+        let (_, restored) = mask_and_quantize(&originals[&id], &choice.pattern, choice.bits)?;
         model.layer_mut(id)?.set_weights(restored);
         bits_alloc.insert(id, choice.bits);
         kinds.insert(id, SparsityKind::SemiStructured);
@@ -219,8 +206,8 @@ mod tests {
         let mut bits = BitAllocation::new();
         let mut kinds = HashMap::new();
         let cfg = UpaqConfig::hck();
-        let choice = compress_kxk_group(
-            &mut m, &members, &cfg, &ctx, &mut bits, &mut kinds, &mut rng,
+        let choice = compress_group(
+            &mut m, &members, 3, &cfg, &ctx, &mut bits, &mut kinds, &mut rng,
         )
         .unwrap();
         assert_eq!(choice.pattern.nonzeros(), 2);
@@ -242,9 +229,10 @@ mod tests {
         let members = groups.members(groups.roots()[0]).unwrap().to_vec();
         let mut b = BitAllocation::new();
         let mut k = HashMap::new();
-        compress_kxk_group(
+        compress_group(
             &mut m_h,
             &members,
+            3,
             &UpaqConfig::hck(),
             &ctx_h,
             &mut b,
@@ -257,9 +245,10 @@ mod tests {
         let (mut m_l, ctx_l, mut rng_l) = setup();
         let mut b = BitAllocation::new();
         let mut k = HashMap::new();
-        compress_kxk_group(
+        compress_group(
             &mut m_l,
             &members,
+            3,
             &UpaqConfig::lck(),
             &ctx_l,
             &mut b,
@@ -278,8 +267,8 @@ mod tests {
         let mut bits = BitAllocation::new();
         let mut kinds = HashMap::new();
         let cfg = UpaqConfig::hck();
-        let choice = compress_kxk_group(
-            &mut m, &members, &cfg, &ctx, &mut bits, &mut kinds, &mut rng,
+        let choice = compress_group(
+            &mut m, &members, 3, &cfg, &ctx, &mut bits, &mut kinds, &mut rng,
         )
         .unwrap();
         // Surviving weights must sit on each kernel's quantization grid

@@ -11,9 +11,9 @@
 //! | Algorithm 1 (preprocessing: DFS root/leaf groups) | [`upaq_nn::group`] (re-exported as [`preprocess`]) |
 //! | Algorithm 2 (pattern generator) | [`pattern`] |
 //! | Algorithm 3 (compression stage) | [`compress`] |
-//! | Algorithm 4 (k×k kernel compression) | [`kxk`] |
-//! | Algorithm 5 (1×1 kernel transform + compression) | [`one_by_one`] |
-//! | Algorithm 6 (`mp_quantizer`) | [`quantizer`] |
+//! | Algorithm 4 (k×k kernel compression; the search for both kernel families) | [`kxk`] |
+//! | Algorithm 5 (1×1 kernel transform) | [`one_by_one`] |
+//! | Algorithm 6 (symmetric quantization + SQNR, applied per kernel by [`kxk`]) | [`upaq_tensor::quant`] |
 //! | Eq. 2 (efficiency score `E_s`) | [`score`] |
 //! | HCK / LCK variants (§V-A) | [`config::UpaqConfig::hck`] / [`config::UpaqConfig::lck`] |
 //!
@@ -49,7 +49,6 @@ pub mod error;
 pub mod kxk;
 pub mod one_by_one;
 pub mod pattern;
-pub mod quantizer;
 pub mod score;
 pub mod sensitivity;
 

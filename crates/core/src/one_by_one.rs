@@ -1,5 +1,4 @@
-//! 1×1 kernel transformation and compression — **Algorithm 5** of the
-//! paper.
+//! The 1×1 kernel transformation of **Algorithm 5** of the paper.
 //!
 //! 1×1 convolutions are abundant in pointcloud detectors (the Pillar
 //! Feature Network is built from them) yet have no spatial structure for a
@@ -7,22 +6,18 @@
 //! layer's 1×1 weights, regroup consecutive runs of `k²` values into
 //! virtual `k × k` kernels, prune those with a generated pattern, quantize,
 //! and flatten back. A ragged tail shorter than `k²` is zeroed, exactly as
-//! the paper's pseudocode does (`temp_array.append(t1=0)`).
+//! the paper's pseudocode does (`temp_array.append(t1=0)`). The pruning
+//! and quantization are the k×k search's: [`crate::kxk::compress_group`]
+//! runs a 1×1 group at the virtual kernel size.
 
-use crate::config::UpaqConfig;
-use crate::kxk::KernelChoice;
-use crate::pattern::{generate_candidates_from, Pattern};
-use crate::score::ScoreContext;
-use crate::{Result, UpaqError};
-use rand::rngs::StdRng;
-use std::collections::HashMap;
-use upaq_hwmodel::exec::{BitAllocation, SparsityKind};
-use upaq_nn::{LayerId, Model};
+use crate::pattern::Pattern;
 use upaq_tensor::Tensor;
 
 /// Applies a virtual-kernel pattern to a flattened weight tensor: each
 /// consecutive run of `dim²` weights is treated as a row-major `dim × dim`
-/// kernel and masked by `pattern`; any ragged tail is zeroed.
+/// kernel and masked by `pattern`; any ragged tail is zeroed. On the
+/// `[out_c, in_c, dim, dim]` weights of a `dim × dim` convolution the runs
+/// are exactly its kernels, so this masks k×k groups too.
 ///
 /// Returns a tensor with the original shape.
 pub fn apply_virtual_pattern(weights: &Tensor, pattern: &Pattern) -> Tensor {
@@ -47,119 +42,20 @@ pub fn apply_virtual_pattern(weights: &Tensor, pattern: &Pattern) -> Tensor {
     out
 }
 
-fn mask_and_quantize_1x1(weights: &Tensor, pattern: &Pattern, bits: u8) -> Result<(Tensor, f32)> {
-    // Per-virtual-kernel rescale + quantization, matching Algorithm 5's
-    // per-chunk `mp_quantizer` calls and the paper's "dynamically adjusting
-    // the 1×1 kernel weights" (see the notes in `kxk`).
-    let k2 = pattern.dim() * pattern.dim();
-    let mut rescaled = apply_virtual_pattern(weights, pattern);
-    {
-        let data = rescaled.as_mut_slice();
-        let orig = weights.as_slice();
-        for (chunk, orig_chunk) in data.chunks_mut(k2).zip(orig.chunks(k2)) {
-            crate::kxk::rescale_chunk(chunk, orig_chunk);
-        }
-    }
-    let mut out = rescaled.clone();
-    {
-        let data = out.as_mut_slice();
-        for chunk in data.chunks_mut(k2) {
-            crate::kxk::quantize_chunk(chunk, bits)?;
-        }
-    }
-    let sqnr = upaq_tensor::quant::sqnr(&rescaled, &out)?;
-    Ok((out, sqnr))
-}
-
-/// Algorithm 5 over a root group of 1×1 convolutions (or linear layers):
-/// mutates `model`'s group weights to the best `(pattern, bits)` candidate
-/// and records the allocation for every member.
-///
-/// # Errors
-///
-/// Returns [`UpaqError::BadConfig`] when no candidate could be scored, and
-/// propagates tensor/model errors.
-#[allow(clippy::too_many_arguments)]
-pub fn compress_1x1_group(
-    model: &mut Model,
-    members: &[LayerId],
-    config: &UpaqConfig,
-    ctx: &ScoreContext,
-    bits_alloc: &mut BitAllocation,
-    kinds: &mut HashMap<LayerId, SparsityKind>,
-    rng: &mut StdRng,
-) -> Result<KernelChoice> {
-    let root = members[0];
-    let originals: HashMap<LayerId, Tensor> = members
-        .iter()
-        .map(|&id| {
-            let w = model
-                .layer(id)
-                .expect("valid id")
-                .weights()
-                .expect("weighted")
-                .clone();
-            (id, w)
-        })
-        .collect();
-
-    let k = config.virtual_kernel;
-    let candidates = generate_candidates_from(
-        &config.pattern_kinds,
-        config.nonzeros,
-        k,
-        config.patterns_per_group,
-        rng,
-    );
-    let mut best: Option<KernelChoice> = None;
-
-    for pattern in &candidates {
-        for &bits in &config.quant_bits {
-            let mut root_sqnr = f32::INFINITY;
-            for &id in members {
-                let (restored, sqnr) = mask_and_quantize_1x1(&originals[&id], pattern, bits)?;
-                if id == root {
-                    root_sqnr = sqnr;
-                }
-                model.layer_mut(id)?.set_weights(restored);
-            }
-            let mut cand_bits = bits_alloc.clone();
-            let mut cand_kinds = kinds.clone();
-            for &id in members {
-                cand_bits.insert(id, bits);
-                cand_kinds.insert(id, SparsityKind::SemiStructured);
-            }
-            let est = ctx.estimate_candidate(model, &cand_bits, &cand_kinds)?;
-            let score = ctx.efficiency_score(root_sqnr, &est);
-            if best.as_ref().is_none_or(|b| score > b.score) {
-                best = Some(KernelChoice {
-                    pattern: pattern.clone(),
-                    bits,
-                    score,
-                    sqnr: root_sqnr,
-                });
-            }
-        }
-    }
-
-    let choice = best.ok_or_else(|| UpaqError::BadConfig("no candidates scored".into()))?;
-    for &id in members {
-        let (restored, _) = mask_and_quantize_1x1(&originals[&id], &choice.pattern, choice.bits)?;
-        model.layer_mut(id)?.set_weights(restored);
-        bits_alloc.insert(id, choice.bits);
-        kinds.insert(id, SparsityKind::SemiStructured);
-    }
-    Ok(choice)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::UpaqConfig;
+    use crate::kxk::compress_group;
     use crate::pattern::pattern_of_kind;
     use crate::pattern::PatternKind;
+    use crate::score::ScoreContext;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
+    use upaq_hwmodel::exec::BitAllocation;
     use upaq_hwmodel::DeviceProfile;
-    use upaq_nn::Layer;
+    use upaq_nn::{Layer, Model};
     use upaq_tensor::Shape;
 
     #[test]
@@ -216,8 +112,15 @@ mod tests {
         let mut kinds = HashMap::new();
         let mut rng = StdRng::seed_from_u64(3);
         let cfg = UpaqConfig::lck();
-        let choice = compress_1x1_group(
-            &mut m, &members, &cfg, &ctx, &mut bits, &mut kinds, &mut rng,
+        let choice = compress_group(
+            &mut m,
+            &members,
+            cfg.virtual_kernel,
+            &cfg,
+            &ctx,
+            &mut bits,
+            &mut kinds,
+            &mut rng,
         )
         .unwrap();
         assert!(cfg.quant_bits.contains(&choice.bits));
@@ -254,8 +157,17 @@ mod tests {
             quant_bits: vec![4, 16],
             ..UpaqConfig::lck()
         };
-        let choice =
-            compress_1x1_group(&mut m, &[1], &cfg, &ctx, &mut bits, &mut kinds, &mut rng).unwrap();
+        let choice = compress_group(
+            &mut m,
+            &[1],
+            cfg.virtual_kernel,
+            &cfg,
+            &ctx,
+            &mut bits,
+            &mut kinds,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(choice.bits, 16, "pure-SQNR weighting must choose 16-bit");
     }
 }

@@ -8,11 +8,10 @@
 //! would retain — the two signals the efficiency-score search trades
 //! against latency/energy.
 
-use crate::kxk::quantize_chunk;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use upaq_nn::{LayerId, Model};
-use upaq_tensor::quant::{sqnr, sqnr_db};
+use upaq_tensor::quant::{fake_quantize, sqnr, sqnr_db};
 
 /// Sensitivity record for one layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,11 +49,8 @@ pub fn analyze(
         let mut quantization = Vec::with_capacity(bit_widths.len());
         for &bits in bit_widths {
             let mut restored = weights.clone();
-            {
-                let buf = restored.as_mut_slice();
-                for chunk in buf.chunks_mut(9) {
-                    quantize_chunk(chunk, bits)?;
-                }
+            for kernel in restored.as_mut_slice().chunks_mut(9) {
+                fake_quantize(kernel, bits)?;
             }
             let ratio = sqnr(weights, &restored)?;
             quantization.push((bits, sqnr_db(ratio)));

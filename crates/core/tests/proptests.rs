@@ -5,8 +5,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use upaq::one_by_one::apply_virtual_pattern;
 use upaq::pattern::{generate_pattern, pattern_of_kind, PatternKind};
-use upaq::quantizer::mp_quantizer;
+use upaq_tensor::quant::{fake_quantize, sqnr};
 use upaq_tensor::{Shape, Tensor};
+
+/// A kernel and its fake-quantized restoration at `bits` bits.
+fn fake_quantized(data: Vec<f32>, bits: u8) -> (Tensor, Tensor) {
+    let t = Tensor::from_vec(Shape::vector(data.len()), data).unwrap();
+    let mut q = t.clone();
+    fake_quantize(q.as_mut_slice(), bits).unwrap();
+    (t, q)
+}
 
 proptest! {
     #[test]
@@ -21,9 +29,8 @@ proptest! {
 
     #[test]
     fn quantizer_never_increases_abs_max(data in prop::collection::vec(-5.0f32..5.0, 9..64), bits in 4u8..=16) {
-        let t = Tensor::from_vec(Shape::vector(data.len()), data).unwrap();
-        let q = mp_quantizer(&t, bits).unwrap();
-        prop_assert!(q.kernel.abs_max() <= t.abs_max() * 1.001);
+        let (t, q) = fake_quantized(data, bits);
+        prop_assert!(q.abs_max() <= t.abs_max() * 1.001);
     }
 
     #[test]
@@ -31,10 +38,9 @@ proptest! {
         let mut data = data;
         data[0] = 0.0;
         data[3] = 0.0;
-        let t = Tensor::from_vec(Shape::vector(data.len()), data).unwrap();
-        let q = mp_quantizer(&t, bits).unwrap();
-        prop_assert_eq!(q.kernel.as_slice()[0], 0.0);
-        prop_assert_eq!(q.kernel.as_slice()[3], 0.0);
+        let (_, q) = fake_quantized(data, bits);
+        prop_assert_eq!(q.as_slice()[0], 0.0);
+        prop_assert_eq!(q.as_slice()[3], 0.0);
     }
 
     #[test]
@@ -50,8 +56,7 @@ proptest! {
 
     #[test]
     fn sqnr_positive_for_nondegenerate_kernels(data in prop::collection::vec(0.1f32..1.0, 9..=9), bits in 4u8..=8) {
-        let t = Tensor::from_vec(Shape::vector(9), data).unwrap();
-        let q = mp_quantizer(&t, bits).unwrap();
-        prop_assert!(q.sqnr > 0.0);
+        let (t, q) = fake_quantized(data, bits);
+        prop_assert!(sqnr(&t, &q).unwrap() > 0.0);
     }
 }

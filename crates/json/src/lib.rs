@@ -232,8 +232,9 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skips RFC 8259 whitespace: space, tab, LF and CR (not form feed).
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -346,7 +347,7 @@ impl<'a> Parser<'a> {
         loop {
             let start = self.pos;
             while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' {
+                if c == b'"' || c == b'\\' || c < 0x20 {
                     break;
                 }
                 self.pos += 1;
@@ -374,27 +375,47 @@ impl<'a> Parser<'a> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            // RFC 8259: exactly four hex digits, no sign.
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let digit = self
-                                    .peek()
-                                    .and_then(|c| (c as char).to_digit(16))
-                                    .ok_or_else(|| {
-                                        self.err("expected a hex digit in \\u escape")
-                                    })?;
-                                code = code * 16 + digit;
-                                self.pos += 1;
+                            let escape = self.pos - 2;
+                            let mut code = self.hex4()?;
+                            // A high surrogate and the low one after it
+                            // encode one character beyond the BMP.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos..].starts_with(b"\\u")
+                            {
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                }
                             }
-                            // Surrogates are not produced by our writer.
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            // `from_u32` refuses a surrogate left unpaired.
+                            s.push(char::from_u32(code).ok_or(JsonError {
+                                message: "unpaired surrogate in \\u escape".into(),
+                                offset: escape,
+                            })?);
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                _ => return Err(self.err("unterminated string")),
+                Some(_) => return Err(self.err("unescaped control character in a string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Reads the four hex digits of a `\u` escape (RFC 8259: exactly
+    /// four, no sign).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|c| (c as char).to_digit(16))
+                .ok_or_else(|| self.err("expected a hex digit in \\u escape"))?;
+            code = code * 16 + digit;
+            self.pos += 1;
+        }
+        Ok(code)
     }
 
     /// Parses a number by the RFC 8259 grammar
@@ -653,8 +674,10 @@ mod tests {
     #[test]
     fn rejects_what_rfc_8259_forbids() {
         // A signed `\u` escape, leading zeros, a `.` without digits on
-        // either side, and a number that overflows `f64` (which `pretty`
-        // would write back as `null`), each at the offending byte.
+        // either side, a number that overflows `f64` (which `pretty` would
+        // write back as `null`), whitespace other than space, tab, LF and
+        // CR, and a raw control character in a string, each at the
+        // offending byte; and a lone or reversed surrogate, at its escape.
         for (text, offset) in [
             (r#""\u+041""#, 3),
             ("01", 1),
@@ -664,6 +687,11 @@ mod tests {
             ("1.e3", 2),
             ("-.5", 1),
             ("1e400", 0),
+            ("\u{c}1", 0),
+            ("\"a\u{1}b\"", 2),
+            (r#""\ud83d""#, 1),
+            (r#""\ude00""#, 1),
+            (r#""\ud83d\u0041""#, 1),
         ] {
             match Value::parse(text) {
                 Err(e) => assert_eq!(e.offset, offset, "{text}: {e}"),
@@ -724,6 +752,9 @@ mod tests {
     fn unicode_escapes_parse() {
         let v = Value::parse(r#""a\u0041b""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "aAb");
+        // A surrogate pair is one character (U+1F600).
+        let v = Value::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "😀");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * [`Shape`] — row-major shapes with stride arithmetic;
 //! * [`Tensor`] — a dense `f32` tensor with the elementwise / linear-algebra
 //!   operations the detector models need;
-//! * [`quant`] — symmetric integer quantization ([`quant::QuantizedTensor`])
-//!   together with the signal-to-quantization-noise ratio (SQNR) used by the
-//!   UPAQ `mp_quantizer` (Algorithm 6 of the paper);
+//! * [`quant`] — symmetric integer quantization (Algorithm 6 of the
+//!   paper): the one grid rule ([`quant::Grid`]), applied to a slice by
+//!   [`quant::quantize`] and [`quant::fake_quantize`], plus the
+//!   signal-to-quantization-noise ratio (SQNR);
 //! * [`sparse`] — kernel masks ([`sparse::KernelMask`]) used by
 //!   semi-structured pattern pruning;
 //! * [`packed`] — per-kernel non-zero tap lists ([`packed::PackedConv`])

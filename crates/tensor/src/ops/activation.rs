@@ -26,21 +26,10 @@ pub fn relu_into(input: &Tensor, out: &mut Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Leaky ReLU with negative slope `alpha`.
-pub fn leaky_relu(input: &Tensor, alpha: f32) -> Tensor {
-    input.map(|x| if x >= 0.0 { x } else { alpha * x })
-}
-
-/// Logistic sigmoid: `1 / (1 + e^-x)` elementwise. Used by detection heads
-/// to squash classification logits into scores.
-pub fn sigmoid(input: &Tensor) -> Tensor {
-    input.map(|x| 1.0 / (1.0 + (-x).exp()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, Shape};
+    use crate::Shape;
 
     #[test]
     fn relu_clamps_negatives() {
@@ -56,20 +45,5 @@ mod tests {
         assert_eq!(out.as_slice(), relu(&t).as_slice());
         let mut bad = Tensor::zeros(Shape::vector(4));
         assert!(relu_into(&t, &mut bad).is_err());
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let t = Tensor::from_vec(Shape::vector(2), vec![-10.0, 10.0]).unwrap();
-        assert_eq!(leaky_relu(&t, 0.1).as_slice(), &[-1.0, 10.0]);
-    }
-
-    #[test]
-    fn sigmoid_range_and_midpoint() {
-        let t = Tensor::from_vec(Shape::vector(3), vec![-100.0, 0.0, 100.0]).unwrap();
-        let s = sigmoid(&t);
-        assert!(approx_eq(s.as_slice()[0], 0.0, 1e-6));
-        assert!(approx_eq(s.as_slice()[1], 0.5, 1e-6));
-        assert!(approx_eq(s.as_slice()[2], 1.0, 1e-6));
     }
 }

@@ -16,9 +16,9 @@ mod norm;
 mod parallel;
 mod pool;
 
-pub use activation::{leaky_relu, relu, relu_into, sigmoid};
+pub use activation::{relu, relu_into};
 pub use conv::{conv2d_into, Conv2dParams};
 pub use linear::{linear, linear_into};
 pub use norm::{batch_norm, batch_norm_into, BatchNormParams};
 pub use parallel::{parallel_for_chunks, ChunkPanic, TensorParallel};
-pub use pool::{avg_pool2d, max_pool2d, max_pool2d_into};
+pub use pool::{max_pool2d, max_pool2d_into};

@@ -36,15 +36,27 @@ fn pool2d_dims(
     Ok((c, h, w, oh, ow))
 }
 
-fn pool2d_into(
-    input: &Tensor,
-    k: usize,
-    stride: usize,
-    init: f32,
-    fold: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32, usize) -> f32,
-    out: &mut Tensor,
-) -> Result<()> {
+/// Max-pooling with a `k × k` window and the given stride.
+///
+/// # Errors
+///
+/// Returns an error for non-NCHW inputs, zero kernel/stride, or windows
+/// larger than the input.
+pub fn max_pool2d(input: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
+    let (c, _, _, oh, ow) = pool2d_dims(input, k, stride)?;
+    let mut out = Tensor::zeros(Shape::nchw(1, c, oh, ow));
+    max_pool2d_into(input, k, stride, &mut out)?;
+    Ok(out)
+}
+
+/// [`max_pool2d`] into a caller-provided output tensor — the
+/// zero-allocation steady-state path.
+///
+/// # Errors
+///
+/// All [`max_pool2d`] error conditions, plus
+/// [`TensorError::ShapeMismatch`] when `out` has the wrong shape.
+pub fn max_pool2d_into(input: &Tensor, k: usize, stride: usize, out: &mut Tensor) -> Result<()> {
     let (c, h, w, oh, ow) = pool2d_dims(input, k, stride)?;
     let expected = [1, c, oh, ow];
     if out.shape().dims() != expected {
@@ -59,71 +71,19 @@ fn pool2d_into(
         let ibase = ch * h * w;
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = init;
+                let mut acc = f32::NEG_INFINITY;
                 for r in 0..k {
                     for col in 0..k {
                         let iy = oy * stride + r;
                         let ix = ox * stride + col;
-                        acc = fold(acc, idata[ibase + iy * w + ix]);
+                        acc = acc.max(idata[ibase + iy * w + ix]);
                     }
                 }
-                odata[(ch * oh + oy) * ow + ox] = finish(acc, k * k);
+                odata[(ch * oh + oy) * ow + ox] = acc;
             }
         }
     }
     Ok(())
-}
-
-fn pool2d(
-    input: &Tensor,
-    k: usize,
-    stride: usize,
-    init: f32,
-    fold: impl Fn(f32, f32) -> f32,
-    finish: impl Fn(f32, usize) -> f32,
-) -> Result<Tensor> {
-    let (c, _, _, oh, ow) = pool2d_dims(input, k, stride)?;
-    let mut out = Tensor::zeros(Shape::nchw(1, c, oh, ow));
-    pool2d_into(input, k, stride, init, fold, finish, &mut out)?;
-    Ok(out)
-}
-
-/// Max-pooling with a `k × k` window and the given stride.
-///
-/// # Errors
-///
-/// Returns an error for non-NCHW inputs, zero kernel/stride, or windows
-/// larger than the input.
-pub fn max_pool2d(input: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
-    pool2d(input, k, stride, f32::NEG_INFINITY, f32::max, |acc, _| acc)
-}
-
-/// [`max_pool2d`] into a caller-provided output tensor — the
-/// zero-allocation steady-state path.
-///
-/// # Errors
-///
-/// All [`max_pool2d`] error conditions, plus
-/// [`TensorError::ShapeMismatch`] when `out` has the wrong shape.
-pub fn max_pool2d_into(input: &Tensor, k: usize, stride: usize, out: &mut Tensor) -> Result<()> {
-    pool2d_into(
-        input,
-        k,
-        stride,
-        f32::NEG_INFINITY,
-        f32::max,
-        |acc, _| acc,
-        out,
-    )
-}
-
-/// Average-pooling with a `k × k` window and the given stride.
-///
-/// # Errors
-///
-/// Same conditions as [`max_pool2d`].
-pub fn avg_pool2d(input: &Tensor, k: usize, stride: usize) -> Result<Tensor> {
-    pool2d(input, k, stride, 0.0, |a, b| a + b, |acc, n| acc / n as f32)
 }
 
 #[cfg(test)]
@@ -139,12 +99,6 @@ mod tests {
         let out = max_pool2d(&input4(), 2, 2).unwrap();
         assert_eq!(out.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(out.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
-    }
-
-    #[test]
-    fn avg_pool_averages_window() {
-        let out = avg_pool2d(&input4(), 2, 2).unwrap();
-        assert_eq!(out.as_slice(), &[2.5, 4.5, 10.5, 12.5]);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Symmetric integer quantization.
+//! Symmetric integer quantization — the one owner of the quantization
+//! rule.
 //!
-//! Implements the numeric core of the paper's `mp_quantizer` (Algorithm 6):
-//! per-tensor symmetric quantization centred on zero, plus the
-//! signal-to-quantization-noise ratio (SQNR) used to measure quantization
-//! error. The UPAQ crate drives this through its mixed-precision search; the
-//! baseline frameworks reuse the same primitives with their own policies.
+//! Implements the numeric core of the paper's Algorithm 6: symmetric
+//! quantization centred on zero, plus the signal-to-quantization-noise
+//! ratio (SQNR) used to measure quantization error. [`Grid::of`] is the
+//! only place the workspace computes a grid; [`quantize`] (codes, for the
+//! artifact packer) and [`fake_quantize`] (restored values, in place, for
+//! every compression algorithm) apply it to a slice. UPAQ calls them once
+//! per kernel from its mixed-precision search; the baselines reuse them
+//! with their own policies.
 
-use crate::{Result, Shape, Tensor, TensorError};
-use serde::{Deserialize, Serialize};
+use crate::{Result, Tensor, TensorError};
 
 /// Inclusive range of bitwidths this crate supports.
 ///
@@ -17,102 +20,86 @@ pub const MIN_BITS: u8 = 2;
 /// See [`MIN_BITS`].
 pub const MAX_BITS: u8 = 16;
 
-/// A tensor stored as symmetric fixed-point integers plus a scale.
+/// A symmetric quantization grid: integer codes in
+/// `-max_code..=max_code`, code `q` standing for `q as f32 * scale`.
 ///
-/// The real value of element `i` is `values[i] as f32 * scale`. Symmetric
-/// quantization maps `[-α, α]` onto `[-(2^(b-1)-1), 2^(b-1)-1]`, so zero is
-/// always exactly representable — important for pruned kernels, where most
-/// elements are exactly zero.
-///
-/// ```
-/// use upaq_tensor::{Shape, Tensor};
-/// use upaq_tensor::quant::QuantizedTensor;
-///
-/// # fn main() -> Result<(), upaq_tensor::TensorError> {
-/// let t = Tensor::from_vec(Shape::vector(3), vec![-1.0, 0.0, 1.0])?;
-/// let q = QuantizedTensor::quantize(&t, 8)?;
-/// let back = q.dequantize();
-/// assert!(t.max_abs_diff(&back)? < 1e-2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedTensor {
-    shape: Shape,
-    values: Vec<i32>,
-    scale: f32,
-    bits: u8,
+/// Symmetric quantization maps `[-α, α]` onto `[-(2^(b-1)-1), 2^(b-1)-1]`,
+/// so zero is always exactly representable — important for pruned
+/// kernels, where most elements are exactly zero.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Grid {
+    /// The step between adjacent codes.
+    pub scale: f32,
+    /// The largest code, `2^(b-1) - 1`.
+    pub max_code: i32,
 }
 
-impl QuantizedTensor {
-    /// Quantizes a tensor to `bits` bits with a symmetric per-tensor scale.
-    ///
-    /// This is lines 1–7 of the paper's Algorithm 6:
-    /// `α_x = max(|min x|, |max x|)`, `scale = α_x / (2^(b-1) - 1)`,
-    /// `x_q = clip(round(x / scale))`.
+impl Grid {
+    /// The `bits`-bit grid of `values` — lines 1–5 of the paper's
+    /// Algorithm 6: `α = max|x|`, `scale = α / (2^(b-1) - 1)`. An all-zero
+    /// slice gets unit scale.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::UnsupportedBitwidth`] for bitwidths outside
     /// [`MIN_BITS`]`..=`[`MAX_BITS`].
-    pub fn quantize(tensor: &Tensor, bits: u8) -> Result<Self> {
+    pub fn of(values: &[f32], bits: u8) -> Result<Grid> {
         if !(MIN_BITS..=MAX_BITS).contains(&bits) {
             return Err(TensorError::UnsupportedBitwidth(bits));
         }
-        let max_value = ((1i32 << (bits - 1)) - 1) as f32;
-        let alpha = tensor.abs_max();
-        // An all-zero tensor quantizes to all-zero with unit scale.
-        let scale = if alpha == 0.0 { 1.0 } else { alpha / max_value };
-        let min_q = -(max_value as i32);
-        let max_q = max_value as i32;
-        let values = tensor
-            .as_slice()
-            .iter()
-            .map(|&x| ((x / scale).round() as i32).clamp(min_q, max_q))
-            .collect();
-        Ok(QuantizedTensor {
-            shape: tensor.shape().clone(),
-            values,
-            scale,
-            bits,
-        })
+        let max_code = (1i32 << (bits - 1)) - 1;
+        let alpha = values.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let scale = if alpha == 0.0 {
+            1.0
+        } else {
+            alpha / max_code as f32
+        };
+        Ok(Grid { scale, max_code })
     }
 
-    /// Reconstructs the floating-point tensor.
-    pub fn dequantize(&self) -> Tensor {
-        Tensor::from_fn(self.shape.clone(), |i| self.values[i] as f32 * self.scale)
+    /// The code of `x`: `clip(round(x / scale))` (Algorithm 6, line 6).
+    pub fn code(&self, x: f32) -> i32 {
+        ((x / self.scale).round() as i32).clamp(-self.max_code, self.max_code)
     }
+}
 
-    /// The quantization bitwidth.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
+/// Quantizes `values` to `bits` bits with one symmetric scale, returning
+/// `(scale, codes)`; value `i` is restored as `codes[i] as f32 * scale`.
+///
+/// ```
+/// use upaq_tensor::quant::quantize;
+///
+/// # fn main() -> Result<(), upaq_tensor::TensorError> {
+/// let (scale, codes) = quantize(&[-1.0, 0.0, 0.25], 8)?;
+/// assert_eq!(codes, vec![-127, 0, 32]);
+/// assert!((codes[2] as f32 * scale - 0.25).abs() < 1e-2);
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// Returns [`TensorError::UnsupportedBitwidth`] as [`Grid::of`] does.
+pub fn quantize(values: &[f32], bits: u8) -> Result<(f32, Vec<i32>)> {
+    let grid = Grid::of(values, bits)?;
+    Ok((grid.scale, values.iter().map(|&x| grid.code(x)).collect()))
+}
 
-    /// The symmetric scale factor.
-    pub fn scale(&self) -> f32 {
-        self.scale
+/// Quantizes then immediately restores `values` in place (`fake
+/// quantization`): every value moves to its nearest point of the slice's
+/// `bits`-bit grid. This is the form every compression algorithm in the
+/// workspace writes back into a model.
+///
+/// # Errors
+///
+/// Returns [`TensorError::UnsupportedBitwidth`] as [`Grid::of`] does,
+/// leaving `values` untouched.
+pub fn fake_quantize(values: &mut [f32], bits: u8) -> Result<()> {
+    let grid = Grid::of(values, bits)?;
+    for x in values {
+        *x = grid.code(*x) as f32 * grid.scale;
     }
-
-    /// The tensor's shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// Read-only view of the integer codes.
-    pub fn codes(&self) -> &[i32] {
-        &self.values
-    }
-
-    /// Storage footprint in bits, ignoring the (constant) scale.
-    pub fn storage_bits(&self) -> usize {
-        self.values.len() * self.bits as usize
-    }
-
-    /// Storage footprint counting only non-zero codes — what a
-    /// sparsity-exploiting runtime (TensorRT-style) actually stores.
-    pub fn nonzero_storage_bits(&self) -> usize {
-        self.values.iter().filter(|&&v| v != 0).count() * self.bits as usize
-    }
+    Ok(())
 }
 
 /// Signal-to-quantization-noise ratio between an original tensor and its
@@ -150,25 +137,10 @@ pub fn sqnr_db(ratio: f32) -> f32 {
     }
 }
 
-/// Quantizes then immediately dequantizes (`fake quantization`), returning
-/// the reconstructed tensor and its SQNR against the input.
-///
-/// This is the full Algorithm 6 in one call — the form every compression
-/// algorithm in the workspace actually uses.
-///
-/// # Errors
-///
-/// Propagates [`TensorError::UnsupportedBitwidth`] from quantization.
-pub fn fake_quantize(tensor: &Tensor, bits: u8) -> Result<(Tensor, f32)> {
-    let q = QuantizedTensor::quantize(tensor, bits)?;
-    let recon = q.dequantize();
-    let ratio = sqnr(tensor, &recon)?;
-    Ok((recon, ratio))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Shape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -177,33 +149,47 @@ mod tests {
         Tensor::uniform(Shape::vector(n), -1.0, 1.0, &mut rng)
     }
 
+    fn fake_quantized(t: &Tensor, bits: u8) -> Tensor {
+        let mut q = t.clone();
+        fake_quantize(q.as_mut_slice(), bits).unwrap();
+        q
+    }
+
+    fn fake_sqnr(t: &Tensor, bits: u8) -> f32 {
+        sqnr(t, &fake_quantized(t, bits)).unwrap()
+    }
+
     #[test]
     fn rejects_bad_bitwidths() {
         let t = sample_tensor(0, 16);
-        assert!(QuantizedTensor::quantize(&t, 1).is_err());
-        assert!(QuantizedTensor::quantize(&t, 17).is_err());
-        assert!(QuantizedTensor::quantize(&t, 8).is_ok());
+        assert!(quantize(t.as_slice(), 1).is_err());
+        assert!(quantize(t.as_slice(), 17).is_err());
+        assert!(quantize(t.as_slice(), 8).is_ok());
+        let mut q = t.clone();
+        assert!(fake_quantize(q.as_mut_slice(), 1).is_err());
+        assert_eq!(q, t, "a refused bitwidth leaves the values untouched");
     }
 
     #[test]
     fn zero_tensor_quantizes_exactly() {
         let t = Tensor::zeros(Shape::vector(8));
-        let q = QuantizedTensor::quantize(&t, 4).unwrap();
-        assert_eq!(q.dequantize(), t);
-        assert_eq!(q.nonzero_storage_bits(), 0);
+        assert_eq!(fake_quantized(&t, 4), t);
+        let (scale, codes) = quantize(t.as_slice(), 4).unwrap();
+        assert_eq!(scale, 1.0);
+        assert!(codes.iter().all(|&c| c == 0));
     }
 
     #[test]
     fn reconstruction_error_bounded_by_half_scale() {
         let t = sample_tensor(1, 256);
         for bits in [4u8, 8, 16] {
-            let q = QuantizedTensor::quantize(&t, bits).unwrap();
-            let recon = q.dequantize();
+            let (scale, _) = quantize(t.as_slice(), bits).unwrap();
+            let recon = fake_quantized(&t, bits);
             let err = t.max_abs_diff(&recon).unwrap();
             assert!(
-                err <= q.scale() * 0.5 + 1e-6,
+                err <= scale * 0.5 + 1e-6,
                 "bits={bits}: err {err} > half scale {}",
-                q.scale() * 0.5
+                scale * 0.5
             );
         }
     }
@@ -211,9 +197,9 @@ mod tests {
     #[test]
     fn more_bits_means_higher_sqnr() {
         let t = sample_tensor(2, 512);
-        let (_, s4) = fake_quantize(&t, 4).unwrap();
-        let (_, s8) = fake_quantize(&t, 8).unwrap();
-        let (_, s16) = fake_quantize(&t, 16).unwrap();
+        let s4 = fake_sqnr(&t, 4);
+        let s8 = fake_sqnr(&t, 8);
+        let s16 = fake_sqnr(&t, 16);
         assert!(s4 < s8, "4-bit SQNR {s4} should be below 8-bit {s8}");
         assert!(s8 < s16, "8-bit SQNR {s8} should be below 16-bit {s16}");
     }
@@ -222,8 +208,8 @@ mod tests {
     fn sqnr_rule_of_thumb_6db_per_bit() {
         // Uniform data: SQNR grows ≈6.02 dB per extra bit. Allow slack.
         let t = sample_tensor(3, 8192);
-        let (_, s6) = fake_quantize(&t, 6).unwrap();
-        let (_, s10) = fake_quantize(&t, 10).unwrap();
+        let s6 = fake_sqnr(&t, 6);
+        let s10 = fake_sqnr(&t, 10);
         let gain_db = sqnr_db(s10) - sqnr_db(s6);
         assert!(
             (gain_db - 24.0).abs() < 4.0,
@@ -234,11 +220,10 @@ mod tests {
     #[test]
     fn zero_stays_zero() {
         // Symmetric quantization must keep pruned (zero) weights exactly zero.
-        let t = Tensor::from_vec(Shape::vector(4), vec![0.0, 0.9, 0.0, -0.7]).unwrap();
-        let q = QuantizedTensor::quantize(&t, 4).unwrap();
-        let recon = q.dequantize();
-        assert_eq!(recon.as_slice()[0], 0.0);
-        assert_eq!(recon.as_slice()[2], 0.0);
+        let mut data = [0.0, 0.9, 0.0, -0.7];
+        fake_quantize(&mut data, 4).unwrap();
+        assert_eq!(data[0], 0.0);
+        assert_eq!(data[2], 0.0);
     }
 
     #[test]
@@ -248,18 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn storage_bits_account_for_bitwidth() {
-        let t = sample_tensor(4, 100);
-        let q = QuantizedTensor::quantize(&t, 8).unwrap();
-        assert_eq!(q.storage_bits(), 800);
-        assert!(q.nonzero_storage_bits() <= q.storage_bits());
-    }
-
-    #[test]
     fn codes_respect_range() {
         let t = sample_tensor(5, 1000);
-        let q = QuantizedTensor::quantize(&t, 4).unwrap();
-        assert!(q.codes().iter().all(|&c| (-7..=7).contains(&c)));
+        let (_, codes) = quantize(t.as_slice(), 4).unwrap();
+        assert!(codes.iter().all(|&c| (-7..=7).contains(&c)));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use upaq::pattern::{pattern_of_kind, Pattern, PatternKind};
-use upaq::quantizer::mp_quantizer;
-use upaq_tensor::quant::sqnr_db;
+use upaq_tensor::quant::{fake_quantize, sqnr, sqnr_db};
 use upaq_tensor::{Shape, Tensor};
 
 fn show(pattern: &Pattern) {
@@ -39,11 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let masked = pattern.mask().apply(&kernel)?;
     println!("after main-diagonal pruning: {masked}");
     for bits in [4u8, 8, 16] {
-        let q = mp_quantizer(&masked, bits)?;
+        let mut q = masked.clone();
+        fake_quantize(q.as_mut_slice(), bits)?;
         println!(
-            "  {bits:>2}-bit quantization: SQNR {:>5.1} dB, kernel {}",
-            sqnr_db(q.sqnr),
-            q.kernel
+            "  {bits:>2}-bit quantization: SQNR {:>5.1} dB, kernel {q}",
+            sqnr_db(sqnr(&masked, &q)?),
         );
     }
     println!("\nHigher bitwidths preserve more signal; the UPAQ efficiency score");
