@@ -25,6 +25,7 @@
 //! architecture, which the unpacker receives as a template — exactly how a
 //! deployment pairs an engine definition with a weight blob.
 
+use crate::error::ensure_finite;
 use crate::{Result, UpaqError};
 use std::collections::{HashMap, HashSet};
 use upaq_hwmodel::exec::{BitAllocation, SparsityKind};
@@ -173,7 +174,11 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`UpaqError::BadConfig`] for unsupported bitwidths.
+/// Returns [`UpaqError::BadConfig`] for unsupported bitwidths, and
+/// [`UpaqError::Tensor`] with [`TensorError::NonFiniteWeight`] for a NaN
+/// or infinite weight, which [`unpack`] would refuse.
+///
+/// [`TensorError::NonFiniteWeight`]: upaq_tensor::TensorError::NonFiniteWeight
 pub fn pack(
     model: &Model,
     bits: &BitAllocation,
@@ -188,6 +193,7 @@ pub fn pack(
     for id in weighted {
         let layer = model.layer(id)?;
         let weights = layer.weights().expect("weighted layer");
+        ensure_finite(weights)?;
         let layer_bits = bits.get(&id).copied().unwrap_or(32);
         let kind = kinds.get(&id).copied().unwrap_or(SparsityKind::Dense);
         if layer_bits != RAW_BITS && !CODED_BITS.contains(&layer_bits) {
@@ -593,6 +599,38 @@ mod tests {
                 let mut bad = packed.clone();
                 set_f32(&mut bad, at, scale);
                 assert!(unpack(&bad, &m).is_err(), "{kind:?} scale {scale}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_weight_is_not_packed() {
+        let (m, _) = model();
+        let c1 = 2;
+        for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut bad = m.deep_copy();
+            let mut w = bad.layer(c1).unwrap().weights().unwrap().clone();
+            w.as_mut_slice()[7] = value;
+            bad.layer_mut(c1).unwrap().set_weights(w);
+            for (bits, kind) in [
+                (32, SparsityKind::Dense),
+                (8, SparsityKind::Dense),
+                (8, SparsityKind::SemiStructured),
+                (32, SparsityKind::Unstructured),
+                (8, SparsityKind::Unstructured),
+            ] {
+                let alloc = BitAllocation::from([(c1, bits)]);
+                let kinds = HashMap::from([(c1, kind)]);
+                match pack(&bad, &alloc, &kinds) {
+                    Err(UpaqError::Tensor(upaq_tensor::TensorError::NonFiniteWeight {
+                        index: 7,
+                        value: v,
+                    })) if v.to_bits() == value.to_bits() => {}
+                    other => panic!(
+                        "{value} at {bits} bits, {kind:?}: got {:?}",
+                        other.map(|packed| packed.len())
+                    ),
+                }
             }
         }
     }

@@ -2,6 +2,7 @@
 //! framework-agnostic [`Compressor`] interface the baselines share.
 
 use crate::config::UpaqConfig;
+use crate::error::ensure_finite;
 use crate::kxk::compress_group;
 use crate::score::ScoreContext;
 use crate::{Result, UpaqError};
@@ -173,6 +174,15 @@ impl Compressor for Upaq {
     /// (Algorithm 1), route each root through k×k (Algorithm 4) or 1×1
     /// (Algorithm 5) compression, and replicate each root's winning pattern
     /// onto its leaves.
+    ///
+    /// # Errors
+    ///
+    /// Besides configuration and model errors, returns
+    /// [`UpaqError::Tensor`] with [`TensorError::NonFiniteWeight`] before
+    /// any search when a layer it would compress holds a NaN or an
+    /// infinity.
+    ///
+    /// [`TensorError::NonFiniteWeight`]: upaq_tensor::TensorError::NonFiniteWeight
     fn compress(&self, model: &Model, ctx: &CompressionContext) -> Result<CompressionOutcome> {
         self.config.validate()?;
         let mut mc = model.deep_copy(); // Algorithm 3, line 1
@@ -180,18 +190,8 @@ impl Compressor for Upaq {
         if groups.is_empty() {
             return Err(UpaqError::NothingToCompress);
         }
-        let score_ctx = ScoreContext::new(
-            ctx.device.clone(),
-            ctx.input_shapes.clone(),
-            model,
-            self.config.alpha,
-            self.config.beta,
-            self.config.gamma,
-        )?;
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ ctx.seed);
-        let mut bits = BitAllocation::new();
-        let mut kinds: HashMap<LayerId, SparsityKind> = HashMap::new();
 
+        let mut searches = Vec::new();
         for root in groups.roots() {
             let members: Vec<LayerId> = groups
                 .members(root)
@@ -210,10 +210,30 @@ impl Compressor for Upaq {
                 _ if self.config.compress_pointwise => self.config.virtual_kernel,
                 _ => continue,
             };
+            for &id in &members {
+                if let Some(weights) = mc.layer(id)?.weights() {
+                    ensure_finite(weights)?;
+                }
+            }
+            searches.push((members, dim));
+        }
+
+        let score_ctx = ScoreContext::new(
+            ctx.device.clone(),
+            ctx.input_shapes.clone(),
+            model,
+            self.config.alpha,
+            self.config.beta,
+            self.config.gamma,
+        )?;
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ ctx.seed);
+        let mut bits = BitAllocation::new();
+        let mut kinds: HashMap<LayerId, SparsityKind> = HashMap::new();
+        for (members, dim) in &searches {
             compress_group(
                 &mut mc,
-                &members,
-                dim,
+                members,
+                *dim,
                 &self.config,
                 &score_ctx,
                 &mut bits,
@@ -333,6 +353,37 @@ mod tests {
         let mut cfg = UpaqConfig::hck();
         cfg.quant_bits.clear();
         assert!(Upaq::new(cfg).compress(&m, &ctx).is_err());
+    }
+
+    #[test]
+    fn non_finite_weight_is_an_error() {
+        // An infinite weight would give its kernel an infinite scale, which
+        // turns the kernel's zeros into NaN; a NaN would be silently zeroed.
+        let (mut m, ctx) = test_model();
+        let c1 = 3;
+        for value in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut w = m.layer(c1).unwrap().weights().unwrap().clone();
+            let index = 9 * 5 + 4;
+            w.as_mut_slice()[index] = value;
+            let mut bad = m.deep_copy();
+            bad.layer_mut(c1).unwrap().set_weights(w);
+            match Upaq::new(UpaqConfig::hck()).compress(&bad, &ctx) {
+                Err(UpaqError::Tensor(upaq_tensor::TensorError::NonFiniteWeight {
+                    index: i,
+                    value: v,
+                })) => {
+                    assert_eq!(i, index);
+                    assert_eq!(v.to_bits(), value.to_bits());
+                }
+                other => panic!("{value}: expected NonFiniteWeight, got {other:?}"),
+            }
+        }
+        // A skipped layer is not compressed, so it is not checked either.
+        let mut w = m.layer(c1).unwrap().weights().unwrap().clone();
+        w.as_mut_slice()[0] = f32::NAN;
+        m.layer_mut(c1).unwrap().set_weights(w);
+        let skip = ctx.clone().with_skip_layers(vec![c1]);
+        assert!(Upaq::new(UpaqConfig::hck()).compress(&m, &skip).is_ok());
     }
 
     #[test]

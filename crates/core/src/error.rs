@@ -1,6 +1,6 @@
 use std::fmt;
 use upaq_nn::NnError;
-use upaq_tensor::TensorError;
+use upaq_tensor::{Tensor, TensorError};
 
 /// Errors produced by the UPAQ compression pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +45,22 @@ impl From<NnError> for UpaqError {
 impl From<TensorError> for UpaqError {
     fn from(e: TensorError) -> Self {
         UpaqError::Tensor(e)
+    }
+}
+
+/// Refuses weights holding a NaN or an infinity, naming the first:
+/// quantization cannot place one on a grid (an infinite scale turns the
+/// rest of its kernel into NaN), and [`crate::artifact::unpack`] refuses
+/// one on the way back.
+pub(crate) fn ensure_finite(weights: &Tensor) -> crate::Result<()> {
+    let data = weights.as_slice();
+    match data.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(TensorError::NonFiniteWeight {
+            index,
+            value: data[index],
+        }
+        .into()),
+        None => Ok(()),
     }
 }
 

@@ -19,6 +19,10 @@ use upaq_tensor::Tensor;
 /// `[out_c, in_c, dim, dim]` weights of a `dim × dim` convolution the runs
 /// are exactly its kernels, so this masks k×k groups too.
 ///
+/// This is the dense form of the masking: the search itself keeps only
+/// each kernel's surviving weights, and holds itself to a whole-tensor
+/// reference built on this function.
+///
 /// Returns a tensor with the original shape.
 pub fn apply_virtual_pattern(weights: &Tensor, pattern: &Pattern) -> Tensor {
     let k = pattern.dim();

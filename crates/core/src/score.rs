@@ -13,11 +13,12 @@
 //!
 //! Latency and energy come from the analytic on-device model
 //! ([`upaq_hwmodel`]) — the paper's "model of on-device efficiency of the
-//! compressed model".
+//! compressed model". A search prices the model once ([`Pricing`]) and
+//! re-prices only the rows its candidate changes.
 
 use crate::Result;
 use std::collections::HashMap;
-use upaq_hwmodel::exec::{model_executions, BitAllocation, SparsityKind};
+use upaq_hwmodel::exec::{model_executions, BitAllocation, LayerExecution, SparsityKind};
 use upaq_hwmodel::latency::{estimate, Estimate};
 use upaq_hwmodel::DeviceProfile;
 use upaq_nn::{LayerId, Model};
@@ -81,12 +82,36 @@ impl ScoreContext {
         &self.device
     }
 
-    /// Estimates a candidate model under the given bit/sparsity allocations.
+    /// Prices `model` under the given bit/sparsity allocations, one row per
+    /// layer, for candidates to overwrite with [`Pricing::set`].
     ///
     /// # Errors
     ///
     /// Propagates shape-inference errors.
-    pub fn estimate_candidate(
+    pub(crate) fn price(
+        &self,
+        model: &Model,
+        bits: &BitAllocation,
+        kinds: &HashMap<LayerId, SparsityKind>,
+    ) -> Result<Pricing> {
+        let costs = upaq_nn::stats::model_costs(model, &self.input_shapes)?;
+        Ok(Pricing {
+            ids: costs.layers.iter().map(|cost| cost.id).collect(),
+            rows: model_executions(model, &costs, bits, kinds),
+        })
+    }
+
+    /// The estimate of a priced model, rows summed in layer order.
+    pub(crate) fn estimate(&self, pricing: &Pricing) -> Estimate {
+        estimate(&self.device, &pricing.rows)
+    }
+
+    /// Estimates a whole candidate model under the given bit/sparsity
+    /// allocations — the search's reference: [`Self::price`] then
+    /// [`Self::estimate`] after [`Pricing::set`] on the changed layers must
+    /// equal it raw bit for raw bit.
+    #[cfg(test)]
+    pub(crate) fn estimate_candidate(
         &self,
         model: &Model,
         bits: &BitAllocation,
@@ -112,6 +137,37 @@ impl ScoreContext {
             0.0
         };
         self.alpha * sqnr_term + self.beta * latency_term + self.gamma * energy_term
+    }
+}
+
+/// A model priced once, one [`LayerExecution`] row per layer in
+/// topological order. [`estimate`] is the device overhead plus a per-row
+/// sum, and a row depends only on its own layer's weights, bit width and
+/// sparsity kind, so a candidate that changes a few layers re-prices by
+/// overwriting their rows.
+#[derive(Debug)]
+pub(crate) struct Pricing {
+    ids: Vec<LayerId>,
+    rows: Vec<LayerExecution>,
+}
+
+impl Pricing {
+    /// The row of layer `id`, if the model has that layer.
+    pub(crate) fn row(&self, id: LayerId) -> Option<usize> {
+        self.ids.iter().position(|&l| l == id)
+    }
+
+    /// Overwrites a weighted layer's row as [`model_executions`] would build
+    /// it with `nonzeros` non-zero weights at `bits` bits under `kind`.
+    pub(crate) fn set(&mut self, row: usize, bits: u8, kind: SparsityKind, nonzeros: usize) {
+        let exec = &mut self.rows[row];
+        exec.weight_bits = bits;
+        exec.sparsity_kind = kind;
+        exec.weight_sparsity = if exec.weight_count == 0 {
+            0.0
+        } else {
+            1.0 - nonzeros as f64 / exec.weight_count as f64
+        };
     }
 }
 

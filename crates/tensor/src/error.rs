@@ -38,8 +38,9 @@ pub enum TensorError {
     /// The requested quantization bitwidth is outside the supported 2..=16
     /// range.
     UnsupportedBitwidth(u8),
-    /// A conv weight is NaN or infinite, which the packed conv kernels
-    /// cannot execute exactly (see [`crate::packed::PackedConv::pack`]).
+    /// A weight is NaN or infinite, which the packed conv kernels cannot
+    /// execute exactly (see [`crate::packed::PackedConv::pack`]) and no
+    /// quantization grid holds.
     NonFiniteWeight {
         /// Flat index of the first offending weight.
         index: usize,
@@ -75,7 +76,7 @@ impl fmt::Display for TensorError {
                 )
             }
             TensorError::NonFiniteWeight { index, value } => {
-                write!(f, "conv weight {index} is {value}, not finite")
+                write!(f, "weight {index} is {value}, not finite")
             }
             TensorError::Invalid(msg) => write!(f, "{msg}"),
         }
