@@ -47,38 +47,52 @@ impl Default for RToss {
     }
 }
 
+/// [`entry_patterns`] as row-major keep flags, built once per compression.
+fn entry_flags() -> Vec<[bool; 9]> {
+    entry_patterns()
+        .iter()
+        .map(|mask| std::array::from_fn(|j| mask.is_kept(j / 3, j % 3)))
+        .collect()
+}
+
+/// L2 norm of a kernel, summed as [`Tensor::l2_norm`] sums it.
+fn l2(kernel: &[f32]) -> f32 {
+    kernel.iter().map(|&x| x * x).sum::<f32>().sqrt()
+}
+
 impl RToss {
-    /// Selects the dictionary mask retaining the most L2 energy for one
-    /// `d × d` kernel (the paper's per-kernel criterion). Non-3×3 kernels
-    /// fall back to keeping their top-|w| 3 weights (the dictionary is
-    /// defined for 3×3, as the paper notes pattern pruning "often targets
-    /// kernels of size 3×3 and larger").
-    fn best_mask_l2(kernel: &Tensor) -> Tensor {
-        if kernel.shape().dims() == [3, 3] {
-            let mut best: Option<(f32, Tensor)> = None;
-            for mask in entry_patterns() {
-                let masked = mask.apply(kernel).expect("3×3 kernel");
-                let l2 = masked.l2_norm();
-                if best.as_ref().is_none_or(|(b, _)| l2 > *b) {
-                    best = Some((l2, masked));
+    /// Writes into `out` the pattern-pruned form of one `kernel` (`kh ×
+    /// kw`, row-major): for a 3×3 kernel, the dictionary mask (`flags`,
+    /// from [`entry_flags`]) that retains the most L2 energy, the first
+    /// one winning a tie (the paper's per-kernel criterion). Other kernel
+    /// sizes fall back to keeping their top-|w| 3 weights (the dictionary
+    /// is defined for 3×3, as the paper notes pattern pruning "often
+    /// targets kernels of size 3×3 and larger").
+    fn best_mask_l2(
+        kernel: &[f32],
+        (kh, kw): (usize, usize),
+        flags: &[[bool; 9]],
+        out: &mut [f32],
+    ) {
+        if (kh, kw) == (3, 3) {
+            let mut best: Option<(f32, [f32; 9])> = None;
+            for keep in flags {
+                let masked: [f32; 9] =
+                    std::array::from_fn(|j| if keep[j] { kernel[j] } else { 0.0 });
+                let norm = l2(&masked);
+                if best.as_ref().is_none_or(|(b, _)| norm > *b) {
+                    best = Some((norm, masked));
                 }
             }
-            best.expect("dictionary non-empty").1
+            out.copy_from_slice(&best.expect("dictionary non-empty").1);
         } else {
             // Keep the 3 largest-magnitude weights.
-            let mut mags: Vec<(usize, f32)> = kernel
-                .as_slice()
-                .iter()
-                .enumerate()
-                .map(|(i, w)| (i, w.abs()))
-                .collect();
+            let mut mags: Vec<(usize, f32)> = kernel.iter().map(|w| w.abs()).enumerate().collect();
             mags.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            let keep: Vec<usize> = mags.iter().take(3).map(|(i, _)| *i).collect();
-            let mut out = kernel.map(|_| 0.0);
-            for &i in &keep {
-                out.as_mut_slice()[i] = kernel.as_slice()[i];
+            out.fill(0.0);
+            for &(i, _) in mags.iter().take(3) {
+                out[i] = kernel[i];
             }
-            out
         }
     }
 }
@@ -100,6 +114,7 @@ impl Compressor for RToss {
         if weighted.is_empty() {
             return Err(UpaqError::NothingToCompress);
         }
+        let flags = entry_flags();
         let mut bits = BitAllocation::new();
         let mut kinds = HashMap::new();
         for &id in &weighted {
@@ -109,19 +124,17 @@ impl Compressor for RToss {
             let w = mc.layer(id)?.weights().expect("weighted").clone();
             let dims = w.shape().dims().to_vec();
             let new_w = if dims.len() == 4 && dims[2] > 1 {
-                let (oc, ic, kh, kw) = (dims[0], dims[1], dims[2], dims[3]);
+                let (kh, kw) = (dims[2], dims[3]);
                 let data = w.as_slice();
                 // Pattern-prune every kernel by best-L2 dictionary mask.
-                let mut kernels: Vec<Tensor> = Vec::with_capacity(oc * ic);
-                let mut norms: Vec<f32> = Vec::with_capacity(oc * ic);
-                for k in 0..oc * ic {
-                    let kernel = Tensor::from_vec(
-                        upaq_tensor::Shape::matrix(kh, kw),
-                        data[k * kh * kw..(k + 1) * kh * kw].to_vec(),
-                    )?;
-                    let pruned = Self::best_mask_l2(&kernel);
-                    norms.push(pruned.l2_norm());
-                    kernels.push(pruned);
+                let mut out = vec![0.0; data.len()];
+                let mut norms: Vec<f32> = Vec::with_capacity(data.len() / (kh * kw));
+                for (kernel, pruned) in data
+                    .chunks_exact(kh * kw)
+                    .zip(out.chunks_exact_mut(kh * kw))
+                {
+                    Self::best_mask_l2(kernel, (kh, kw), &flags, pruned);
+                    norms.push(l2(pruned));
                 }
                 // Connectivity pruning: drop the lowest-norm kernels wholesale.
                 let mut sorted = norms.clone();
@@ -129,12 +142,9 @@ impl Compressor for RToss {
                 let cut_idx = ((sorted.len() as f32 * self.connectivity_quantile) as usize)
                     .min(sorted.len().saturating_sub(1));
                 let cut = sorted[cut_idx];
-                let mut out = Vec::with_capacity(data.len());
-                for (kernel, norm) in kernels.iter().zip(&norms) {
+                for (pruned, norm) in out.chunks_exact_mut(kh * kw).zip(&norms) {
                     if *norm < cut {
-                        out.extend(std::iter::repeat_n(0.0, kh * kw));
-                    } else {
-                        out.extend_from_slice(kernel.as_slice());
+                        pruned.fill(0.0);
                     }
                 }
                 Tensor::from_vec(w.shape().clone(), out)?
@@ -218,8 +228,9 @@ mod tests {
         data[2] = 1.0; // (0,2)
         data[4] = 1.0; // (1,1)
         data[6] = 1.0; // (2,0)
-        let kernel = Tensor::from_vec(Shape::matrix(3, 3), data).unwrap();
-        let pruned = RToss::best_mask_l2(&kernel);
+        let mut out = vec![0.0; 9];
+        RToss::best_mask_l2(&data, (3, 3), &entry_flags(), &mut out);
+        let pruned = Tensor::from_vec(Shape::matrix(3, 3), out).unwrap();
         assert_eq!(pruned.count_nonzero(), 3);
         assert_eq!(pruned.get(&[0, 2]).unwrap(), 1.0);
         assert_eq!(pruned.get(&[1, 1]).unwrap(), 1.0);

@@ -117,22 +117,46 @@ fn scatter(kept: &[f32], taps: &[usize], k2: usize, len: usize) -> Vec<f32> {
     dense
 }
 
-/// Fake-quantizes dense weights **per kernel**, every run of `k2` weights
-/// on its own symmetric grid.
+/// [`scatter`], fake-quantized **per kernel**: every full `k2`-weight
+/// kernel on its own `bits`-bit symmetric grid.
 ///
 /// Granularity matters: the paper's Algorithms 4 and 5 quantize individual
 /// (virtual) kernels, so every kernel gets its own symmetric scale. A
 /// single per-tensor scale would zero out low-magnitude kernels wholesale
 /// and inflate sparsity artificially.
-fn quantize_kernels(weights: &mut [f32], k2: usize, bits: u8) -> Result<()> {
-    for kernel in weights.chunks_mut(k2) {
-        fake_quantize(kernel, bits)?;
+///
+/// Pruned taps do not move a kernel's grid (`α = max|x|` over `+0.0`s is
+/// the kept weights' α) and, on a finite non-zero grid, restore to `+0.0`,
+/// so only the kept weights are quantized there. A zero scale (the
+/// kernel's largest weight is subnormal) or an infinite one (its rescale
+/// overflowed) is applied to the whole kernel, pruned taps included. The
+/// ragged tail stays `+0.0`, as an all-zero run's unit grid leaves it.
+fn quantize_scattered(
+    kept: &[f32],
+    taps: &[usize],
+    k2: usize,
+    len: usize,
+    bits: u8,
+) -> Result<Vec<f32>> {
+    let mut dense = scatter(kept, taps, k2, len);
+    for (kernel, values) in dense
+        .chunks_exact_mut(k2)
+        .zip(kept.chunks_exact(taps.len()))
+    {
+        let grid = Grid::of(values, bits)?;
+        if grid.scale > 0.0 && grid.scale.is_finite() {
+            for &j in taps {
+                kernel[j] = grid.code(kernel[j]) as f32 * grid.scale;
+            }
+        } else {
+            fake_quantize(kernel, bits)?;
+        }
     }
-    Ok(())
+    Ok(dense)
 }
 
-/// The non-zero count of a member's weights after [`scatter`] and
-/// [`quantize_kernels`], from its kept weights alone (`per_kernel` per
+/// The non-zero count of a member's weights after
+/// [`quantize_scattered`], from its kept weights alone (`per_kernel` per
 /// `k2`-weight kernel).
 fn survivors(kept: &[f32], per_kernel: usize, k2: usize, bits: u8) -> Result<usize> {
     let mut count = 0;
@@ -229,8 +253,10 @@ pub fn compress_group(
             scatter(&kept[0], &taps, k2, root.len()),
         )?;
         for &bits in &config.quant_bits {
-            let mut root_restored = root_pruned.clone();
-            quantize_kernels(root_restored.as_mut_slice(), k2, bits)?;
+            let root_restored = Tensor::from_vec(
+                root.shape().clone(),
+                quantize_scattered(&kept[0], &taps, k2, root.len(), bits)?,
+            )?;
             let root_sqnr = sqnr(&root_pruned, &root_restored)?;
             for (&row, member) in rows.iter().zip(&kept) {
                 let nonzeros = survivors(member, taps.len(), k2, bits)?;
@@ -255,8 +281,7 @@ pub fn compress_group(
         .zip(&kernel_l1s)
         .map(|(w, l1s)| {
             let kept = mask_and_rescale(w.as_slice(), l1s, &taps, k2);
-            let mut dense = scatter(&kept, &taps, k2, w.len());
-            quantize_kernels(&mut dense, k2, choice.bits)?;
+            let dense = quantize_scattered(&kept, &taps, k2, w.len(), choice.bits)?;
             Ok(Tensor::from_vec(w.shape().clone(), dense)?)
         })
         .collect::<Result<Vec<Tensor>>>()?;

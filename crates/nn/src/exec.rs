@@ -10,6 +10,7 @@
 use crate::{Graph, Layer, LayerId, LayerKind, Model, NnError, Result};
 use std::collections::HashMap;
 use std::slice;
+use std::time::{Duration, Instant};
 use upaq_tensor::ops::{
     batch_norm_into, conv2d_into, linear_into, max_pool2d, max_pool2d_into, relu_into, Conv2dParams,
 };
@@ -47,11 +48,16 @@ impl Plan {
 /// performs no allocation at all (the first frame warms the buffers up).
 /// Results are bit-identical to [`forward`]: the buffers are fully
 /// overwritten and the arithmetic path is shared.
+///
+/// Every call also records the wall time each layer took on this
+/// workspace's frame ([`Workspace::layer_times`]), into a buffer sized
+/// once with the plan.
 #[derive(Debug, Default)]
 pub struct Workspace {
     acts: HashMap<LayerId, Tensor>,
     plan: Option<Plan>,
     last_fp: Option<u64>,
+    times: Vec<(LayerId, Duration)>,
 }
 
 impl Workspace {
@@ -71,12 +77,23 @@ impl Workspace {
         std::mem::take(&mut self.acts)
     }
 
+    /// Each layer's wall time on this workspace's frame in the most recent
+    /// forward call, in execution (topological) order; after a failed
+    /// call, the layers it did not reach keep their earlier times. A
+    /// layer's time runs from the end of the previous evaluation to the
+    /// end of its own, so it includes the executor's bookkeeping for it;
+    /// in a batched call the other frames' evaluations are not counted.
+    pub fn layer_times(&self) -> &[(LayerId, Duration)] {
+        &self.times
+    }
+
     /// Drops buffers recycled from a different wiring — layer ids would
     /// otherwise alias across models and stale entries would linger in
-    /// [`Workspace::activations`].
+    /// [`Workspace::activations`] and [`Workspace::layer_times`].
     fn reset_if_rewired(&mut self, fingerprint: u64) {
         if self.last_fp != Some(fingerprint) {
             self.acts.clear();
+            self.times.clear();
             self.last_fp = Some(fingerprint);
         }
     }
@@ -184,17 +201,29 @@ fn run_plan(
         ws.reset_if_rewired(fp);
     }
     let plan = wss[0].plan_for(model, fp)?;
+    for ws in wss.iter_mut() {
+        if ws.times.len() != plan.order.len() {
+            ws.times.clear();
+            ws.times
+                .extend(plan.order.iter().map(|&id| (id, Duration::ZERO)));
+        }
+    }
     // Evaluate in place: each layer's previous-frame buffer is removed,
     // overwritten, and re-inserted. Topological order guarantees every
-    // predecessor read sees this frame's value.
+    // predecessor read sees this frame's value. One clock read per layer
+    // and frame: each evaluation's end is the next one's start.
     let result = (|| {
-        for &id in &plan.order {
+        let mut clock = Instant::now();
+        for (pos, &id) in plan.order.iter().enumerate() {
             let layer = model.layer(id)?;
             let in_ids = plan.graph.inputs_of(id);
             for (ws, frame) in wss.iter_mut().zip(inputs) {
                 let recycled = ws.acts.remove(&id);
                 let value = eval_layer(layer, in_ids, &ws.acts, frame, recycled)?;
                 ws.acts.insert(id, value);
+                let now = Instant::now();
+                ws.times[pos].1 = now - clock;
+                clock = now;
             }
         }
         Ok(())
@@ -672,6 +701,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn layer_times_follow_the_plan_for_every_frame() {
+        let m = all_kinds_model();
+        let mut rng = StdRng::seed_from_u64(9);
+        let batch: Vec<HashMap<String, Tensor>> = (0..2)
+            .map(|_| {
+                make_inputs(
+                    "in",
+                    Tensor::uniform(Shape::nchw(1, 3, 4, 6), -1.0, 1.0, &mut rng),
+                )
+            })
+            .collect();
+        let order = m.compute_graph().topo_order().unwrap();
+        let mut wss = Vec::new();
+        forward_batch_into(&m, &batch, &mut wss).unwrap();
+        for ws in &wss {
+            let ids: Vec<LayerId> = ws.layer_times().iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, order);
+        }
+        // A different wiring through the same workspace re-sizes the times.
+        let mut small = Model::new("small");
+        let x = small.add_input("in", 3);
+        small.add_layer(Layer::relu("r"), &[x]).unwrap();
+        forward_into(&small, &batch[0], &mut wss[0]).unwrap();
+        assert_eq!(wss[0].layer_times().len(), 2);
     }
 
     #[test]

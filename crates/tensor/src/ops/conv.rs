@@ -144,42 +144,95 @@ fn with_tap_grid<R>(
     })
 }
 
-/// `acc[q] = v · x[q]`: the first tap of a local sum. The oracle's
-/// `+0 + v · x` differs only when the product is `−0`, a sign the join
-/// into the total absorbs.
-fn set_products(acc: &mut [f32], v: f32, x: &[f32]) {
-    for (a, &x) in acc.iter_mut().zip(x) {
-        *a = v * x;
+/// Up to three taps of one `(oc, ic)` group: each tap's weight and the
+/// run of inputs it multiplies, every run as long as the output run.
+struct Taps<'a, const N: usize> {
+    v: [f32; N],
+    x: [&'a [f32]; N],
+}
+
+impl<'a, const N: usize> Taps<'a, N> {
+    /// The first `N` taps of `group` over runs of `len` outputs.
+    fn of(grid: &'a TapGrid, ic: usize, group: &[Tap], len: usize) -> Self {
+        Taps {
+            v: std::array::from_fn(|i| group[i].v),
+            x: std::array::from_fn(|i| grid.run(ic, group[i].r, group[i].c, len)),
+        }
+    }
+
+    /// The same taps with every run cut to `len`, so that a pass over
+    /// `q < len` indexes them without bounds checks.
+    fn cut(&self, len: usize) -> Self {
+        Taps {
+            v: self.v,
+            x: self.x.map(|x| &x[..len]),
+        }
+    }
+
+    /// `start + v0·x0[q] + v1·x1[q] + …`, added left to right.
+    #[inline(always)]
+    fn add_onto(&self, start: f32, q: usize) -> f32 {
+        let mut s = start;
+        for (v, x) in self.v.iter().zip(&self.x) {
+            s += v * x[q];
+        }
+        s
+    }
+
+    /// `v0·x0[q] + v1·x1[q] + …`, added left to right: a local sum that
+    /// starts from its first product instead of the oracle's `+0.0`,
+    /// which changes it at most in the sign of a zero.
+    #[inline(always)]
+    fn sum(&self, q: usize) -> f32 {
+        let first = self.v[0] * self.x[0][q];
+        self.v[1..]
+            .iter()
+            .zip(&self.x[1..])
+            .fold(first, |s, (v, x)| s + v * x[q])
     }
 }
 
-/// `acc[q] += v · x[q]`: one more tap of a local sum (or a one-tap local
-/// sum joining the total).
-fn add_products(acc: &mut [f32], v: f32, x: &[f32]) {
-    for (a, &x) in acc.iter_mut().zip(x) {
-        *a += v * x;
+/// `total[q] += v0·x0[q] + …`: a whole group of 1–3 taps joins the total
+/// in one pass.
+fn join_group<const N: usize>(total: &mut [f32], taps: &Taps<N>) {
+    let taps = taps.cut(total.len());
+    for (q, t) in total.iter_mut().enumerate() {
+        *t += taps.sum(q);
     }
 }
 
-/// `acc[q] = (acc[q] + v0 · x0[q]) + v1 · x1[q]`: two more taps in one
-/// pass over `acc`.
-fn add_pair(acc: &mut [f32], v0: f32, x0: &[f32], v1: f32, x1: &[f32]) {
-    for ((a, &x0), &x1) in acc.iter_mut().zip(x0).zip(x1) {
-        *a = (*a + v0 * x0) + v1 * x1;
+/// `acc[q] = (v0·x0[q] + v1·x1[q]) + v2·x2[q]`: the first three taps of a
+/// longer group start its local sum.
+fn start_sum(acc: &mut [f32], taps: &Taps<3>) {
+    let taps = taps.cut(acc.len());
+    for (q, a) in acc.iter_mut().enumerate() {
+        *a = taps.sum(q);
     }
 }
 
-/// `total[q] += acc[q] + v · x[q]`: the last tap of a local sum, and the
-/// local sum joining the total.
-fn join_products(total: &mut [f32], acc: &[f32], v: f32, x: &[f32]) {
-    for ((t, &a), &x) in total.iter_mut().zip(acc).zip(x) {
-        *t += a + v * x;
+/// `acc[q] = ((acc[q] + v0·x0[q]) + v1·x1[q]) + v2·x2[q]`: three more taps
+/// of a local sum in one pass.
+fn extend_sum(acc: &mut [f32], taps: &Taps<3>) {
+    let taps = taps.cut(acc.len());
+    for (q, a) in acc.iter_mut().enumerate() {
+        *a = taps.add_onto(*a, q);
+    }
+}
+
+/// `total[q] += (acc[q] + v0·x0[q]) + …`: the last 1–3 taps of a local
+/// sum, and the local sum joining the total, in one pass.
+fn join_sum<const N: usize>(total: &mut [f32], acc: &[f32], taps: &Taps<N>) {
+    let (acc, taps) = (&acc[..total.len()], taps.cut(total.len()));
+    for (q, t) in total.iter_mut().enumerate() {
+        *t += taps.add_onto(acc[q], q);
     }
 }
 
 /// Accumulates output channel `oc` over the flattened output grid:
 /// `total` (zeroed here) receives, in `ic` order, each input channel's
-/// local sum of its packed taps in row-major order, built in `acc`.
+/// local sum of its packed taps in row-major order. A group of 1–3 taps
+/// joins `total` in one pass; a longer one builds its local sum in `acc`
+/// three taps per pass, and its last pass of 1–3 taps joins it.
 fn accumulate_runs(
     oc: usize,
     grid: &TapGrid,
@@ -190,21 +243,23 @@ fn accumulate_runs(
     let len = total.len();
     total.fill(0.0);
     for ic in 0..packed.in_c() {
-        let run = |t: &Tap| grid.run(ic, t.r, t.c, len);
-        match packed.group(oc, ic) {
-            [] => {}
-            [t] => add_products(total, t.v, run(t)),
-            [first, mid @ .., last] => {
-                set_products(acc, first.v, run(first));
-                let mut pairs = mid.chunks_exact(2);
-                for pair in &mut pairs {
-                    let (a, b) = (&pair[0], &pair[1]);
-                    add_pair(acc, a.v, run(a), b.v, run(b));
+        let group = packed.group(oc, ic);
+        match group.len() {
+            0 => {}
+            1 => join_group(total, &Taps::<1>::of(grid, ic, group, len)),
+            2 => join_group(total, &Taps::<2>::of(grid, ic, group, len)),
+            3 => join_group(total, &Taps::<3>::of(grid, ic, group, len)),
+            n => {
+                start_sum(acc, &Taps::of(grid, ic, group, len));
+                let (mid, last) = group[3..].split_at((n - 4) / 3 * 3);
+                for three in mid.chunks_exact(3) {
+                    extend_sum(acc, &Taps::of(grid, ic, three, len));
                 }
-                for t in pairs.remainder() {
-                    add_products(acc, t.v, run(t));
+                match last.len() {
+                    1 => join_sum(total, acc, &Taps::<1>::of(grid, ic, last, len)),
+                    2 => join_sum(total, acc, &Taps::<2>::of(grid, ic, last, len)),
+                    _ => join_sum(total, acc, &Taps::<3>::of(grid, ic, last, len)),
                 }
-                join_products(total, acc, last.v, run(last));
             }
         }
     }

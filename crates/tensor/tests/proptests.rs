@@ -346,6 +346,77 @@ proptest! {
     }
 }
 
+/// `[oc, ic, k, k]` weights whose `(oc, ic)` groups keep every tap count
+/// from 0 to `k²` within the one layer: group `g = oc·ic_n + ic` keeps
+/// `g mod (k² + 1)` taps at seeded positions. The kernel branches on a
+/// group's tap count (1–3 taps in one pass; longer groups three taps per
+/// pass and a 1-, 2- or 3-tap join), so every branch meets every other
+/// within one output channel's `ic` order.
+fn every_group_length(oc: usize, ic: usize, k: usize, seed: u64) -> Tensor {
+    let k2 = k * k;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dense = Tensor::uniform(Shape::nchw(oc, ic, k, k), -0.8, 0.8, &mut rng);
+    let mut state = seed | 1;
+    let mut keep = vec![false; dense.len()];
+    for (g, kernel) in keep.chunks_exact_mut(k2).enumerate() {
+        // A seeded Fisher–Yates shuffle of the taps; keep the first n.
+        let mut order: Vec<usize> = (0..k2).collect();
+        for i in (1..k2).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        for &j in &order[..g % (k2 + 1)] {
+            kernel[j] = true;
+        }
+    }
+    let data = dense.as_slice();
+    Tensor::from_fn(
+        dense.shape().clone(),
+        |i| if keep[i] { data[i] } else { 0.0 },
+    )
+}
+
+/// One layer with `(oc, ic)` groups of every length from 0 to `k²`, for
+/// k ∈ {1, 3, 5}, over strides 1–3 and paddings 0–2, on clean and
+/// poisoned inputs, through every conv path at 1 and
+/// [`test_threads`] threads.
+#[test]
+fn conv2d_matches_oracle_on_every_group_length() {
+    let mut seed = 0u64;
+    for k in [1usize, 3, 5] {
+        let groups = k * k + 1;
+        let ic = 2;
+        // One channel more than the lengths need, so they wrap mid-channel.
+        let oc = groups.div_ceil(ic) + 1;
+        for stride in 1..=3 {
+            for padding in 0..=2 {
+                seed += 1;
+                let params = Conv2dParams { stride, padding };
+                let weights = every_group_length(oc, ic, k, seed);
+                let packed = PackedConv::pack(&weights).unwrap();
+                let mut lengths: Vec<usize> = (0..oc * ic)
+                    .map(|g| packed.group(g / ic, g % ic).len())
+                    .collect();
+                lengths.sort_unstable();
+                lengths.dedup();
+                assert_eq!(lengths.len(), groups, "k {k}: a tap count is missing");
+
+                let input = random_frames(1, ic, 7, 6, seed).pop().unwrap();
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
+                let bias = Tensor::uniform(Shape::vector(oc), -0.5, 0.5, &mut rng);
+                let oracle = naive_conv2d(&input, &weights, Some(&bias), params);
+                assert_every_conv_path(&input, &weights, Some(&bias), params, &oracle, bits);
+
+                let input = poisoned(&input, seed);
+                let oracle = naive_conv2d(&input, &weights, None, params);
+                assert_every_conv_path(&input, &weights, None, params, &oracle, canonical_bits);
+            }
+        }
+    }
+}
+
 /// Every geometry the property tests draw from, swept exhaustively on
 /// one seeded operand set each: k ∈ {1, 3, 5}, stride 1–3, padding 0–3
 /// and inputs from 1×1 to 7×7 (many with an empty output), clean and
