@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the compression primitives: pattern
-//! generation (Algorithm 2), symmetric fake-quantization (Algorithm 6),
-//! kernel masking, and sparse vs dense convolution — the mechanisms behind
-//! the paper's speedup claims.
+//! generation (Algorithm 2), symmetric fake-quantization (Algorithm 6) and
+//! sparse vs dense convolution — the mechanisms behind the paper's speedup
+//! claims.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -11,7 +11,6 @@ use upaq::pattern::{generate_candidates, generate_pattern};
 use upaq_tensor::ops::{conv2d_into, Conv2dParams};
 use upaq_tensor::packed::PackedConv;
 use upaq_tensor::quant::fake_quantize;
-use upaq_tensor::sparse::KernelMask;
 use upaq_tensor::{Shape, Tensor};
 
 fn bench_pattern_generation(c: &mut Criterion) {
@@ -50,15 +49,6 @@ fn bench_quantizer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_masking(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(4);
-    let weights = Tensor::uniform(Shape::nchw(64, 64, 3, 3), -1.0, 1.0, &mut rng);
-    let mask = KernelMask::from_positions(3, &[(0, 0), (1, 1), (2, 2)]);
-    c.bench_function("mask_apply_to_64x64x3x3", |b| {
-        b.iter(|| black_box(mask.apply_to_weights(&weights).unwrap()));
-    });
-}
-
 fn bench_sparse_conv_speedup(c: &mut Criterion) {
     // The mechanism behind Fig. 4: pattern-pruned kernels genuinely do less
     // work in the conv inner loop. Weights are packed once, as a deployed
@@ -66,8 +56,14 @@ fn bench_sparse_conv_speedup(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let input = Tensor::uniform(Shape::nchw(1, 32, 32, 32), -1.0, 1.0, &mut rng);
     let dense = Tensor::uniform(Shape::nchw(32, 32, 3, 3), -0.1, 0.1, &mut rng);
-    let mask = KernelMask::from_positions(3, &[(0, 0), (1, 1)]);
-    let pruned = mask.apply_to_weights(&dense).unwrap();
+    // Every kernel keeps taps (0, 0) and (1, 1), indices 0 and 4.
+    let pruned = Tensor::from_fn(dense.shape().clone(), |i| {
+        if i % 9 == 0 || i % 9 == 4 {
+            dense.as_slice()[i]
+        } else {
+            0.0
+        }
+    });
     let params = Conv2dParams::same(3);
     let mut out = Tensor::zeros(Shape::nchw(1, 32, 32, 32));
 
@@ -89,7 +85,6 @@ criterion_group!(
     benches,
     bench_pattern_generation,
     bench_quantizer,
-    bench_masking,
     bench_sparse_conv_speedup
 );
 criterion_main!(benches);

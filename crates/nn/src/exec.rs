@@ -289,6 +289,9 @@ fn eval_layer(
                 }
                 .into());
             }
+            if *stride == 0 {
+                return Err(TensorError::Invalid("conv stride must be non-zero".into()).into());
+            }
             let params = Conv2dParams {
                 stride: *stride,
                 padding: *padding,
@@ -530,6 +533,22 @@ mod tests {
                 "{bad} forward_batch_into"
             );
         }
+    }
+
+    #[test]
+    fn zero_stride_conv_fails_forward() {
+        let mut m = Model::new("m");
+        let input = m.add_input("in", 1);
+        let w = Tensor::full(Shape::nchw(1, 1, 1, 1), 1.0);
+        let b = Tensor::zeros(Shape::vector(1));
+        m.add_layer(Layer::conv2d_with_weights("c", 0, 0, w, b), &[input])
+            .unwrap();
+        m.pack_weights();
+        let x = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
+        assert!(matches!(
+            forward(&m, &make_inputs("in", x)),
+            Err(NnError::Tensor(TensorError::Invalid(_)))
+        ));
     }
 
     #[test]

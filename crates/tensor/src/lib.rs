@@ -12,9 +12,10 @@
 //!   signal-to-quantization-noise ratio (SQNR);
 //! * [`sparse`] — kernel masks ([`sparse::KernelMask`]) used by
 //!   semi-structured pattern pruning;
-//! * [`packed`] — per-kernel non-zero tap lists ([`packed::PackedConv`])
-//!   built once from the pruned weights so steady-state kernels stop
-//!   re-scanning for zeros;
+//! * [`packed`] — non-zero tap lists ([`packed::PackedConv`]), stored once
+//!   per block of four output channels that keep the same taps and per
+//!   kernel otherwise, built once from the pruned weights so steady-state
+//!   kernels stop re-scanning for zeros;
 //! * [`ops`] — convolution, linear, pooling, normalization and activation
 //!   kernels, plus the worker pool they share ([`ops::TensorParallel`]);
 //!   the one convolution runs over packed non-zero taps, and quantized

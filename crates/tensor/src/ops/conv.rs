@@ -1,10 +1,11 @@
 //! 2-D convolution: one tap-run kernel over packed sparse weights.
 
 use super::parallel::{parallel_for_chunks, SendPtr};
-use crate::packed::{PackedConv, Tap};
+use crate::packed::{PackedConv, SharedTaps, Tap, BLOCK};
 use crate::{Result, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::ops::Range;
 use std::thread::LocalKey;
 
 /// Hyper-parameters of a 2-D convolution.
@@ -50,15 +51,20 @@ impl Conv2dParams {
 thread_local! {
     /// This thread's zero-guarded input grid (see [`TapGrid`]).
     static GRID: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// This thread's run accumulators (see [`conv2d_channel`]).
-    static RUNS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// This thread's per-call run offsets (see [`TapGrid`]).
+    static OFFSETS: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+    /// This thread's per-lane totals (see [`conv2d_block`]).
+    static TOTALS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// This thread's per-lane local sums of one stripe (see
+    /// [`accumulate_block`]).
+    static SUMS: Cell<Vec<[f32; STRIPE]>> = const { Cell::new(Vec::new()) };
 }
 
 /// Runs `f` on this thread's buffer in `key`. The buffer is taken out for
 /// the call and put back after it, so it grows once per thread and every
 /// later call reuses it; a nested call would find it empty and grow its
 /// own rather than alias it.
-fn with_buffer<R>(key: &'static LocalKey<Cell<Vec<f32>>>, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+fn with_buffer<T, R>(key: &'static LocalKey<Cell<Vec<T>>>, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
     let mut buf = key.take();
     let out = f(&mut buf);
     key.set(buf);
@@ -74,92 +80,108 @@ fn with_buffer<R>(key: &'static LocalKey<Cell<Vec<f32>>>, f: impl FnOnce(&mut Ve
 /// `(oy, ox)` of tap `(r, c)` reads padded `(oy·s + r, ox·s + c)`, which
 /// is plane `(r % s, c % s)` at `(oy + r / s, ox + c / s)` — so over the
 /// flattened output grid `q = oy·pitch + ox` each tap reads the run of
-/// the plane that starts at its own offset. Columns `ow..pitch` of the
+/// the plane that starts at its own offset. That offset depends only on
+/// the tap index `r·kw + c` within a channel, so each call computes it
+/// once per tap index into `offsets`. Columns `ow..pitch` of the
 /// flattened grid are scratch the kernel never writes out.
 struct TapGrid<'a> {
     data: &'a [f32],
-    stride: usize,
-    rows: usize,
+    /// Length of one input channel's phase planes in `data`.
+    chan: usize,
+    /// Run start of tap index `r·kw + c` within its channel's planes.
+    offsets: &'a [usize],
+    kw: usize,
     pitch: usize,
 }
 
 impl TapGrid<'_> {
-    /// The `len` values tap `(r, c)` of input channel `ic` multiplies,
-    /// one per flattened output position.
-    fn run(&self, ic: usize, r: u16, c: u16, len: usize) -> &[f32] {
-        let (s, r, c) = (self.stride, r as usize, c as usize);
-        let plane = (ic * s + r % s) * s + c % s;
-        let start = (plane * self.rows + r / s) * self.pitch + c / s;
-        &self.data[start..start + len]
+    /// The values tap index `t` of input channel `ic` multiplies at
+    /// flattened output positions `q`.
+    fn run(&self, ic: usize, t: usize, q: &Range<usize>) -> &[f32] {
+        let start = ic * self.chan + self.offsets[t];
+        &self.data[start + q.start..start + q.end]
+    }
+
+    /// The run of per-kernel tap `tap`.
+    fn tap_run(&self, ic: usize, tap: Tap, q: &Range<usize>) -> &[f32] {
+        self.run(ic, tap.r as usize * self.kw + tap.c as usize, q)
     }
 }
 
 /// Lays `idata` (`in_c × h × w`) out as a [`TapGrid`] for `params` and
-/// hands it to `f`. An unpadded stride-1 conv reads `idata` in place;
-/// any other copies it once into this thread's grid buffer.
+/// `kh × kw` kernels and hands it to `f`. An unpadded stride-1 conv reads
+/// `idata` in place; any other copies it once into this thread's grid
+/// buffer.
 fn with_tap_grid<R>(
     idata: &[f32],
     in_c: usize,
     hw: (usize, usize),
+    khw: (usize, usize),
     params: Conv2dParams,
     f: impl FnOnce(&TapGrid) -> R,
 ) -> R {
-    let (h, w) = hw;
+    let ((h, w), (kh, kw)) = (hw, khw);
     let (s, p) = (params.stride, params.padding);
-    if s == 1 && p == 0 {
-        return f(&TapGrid {
-            data: idata,
-            stride: 1,
-            rows: h,
-            pitch: w,
-        });
-    }
     let (rows, pitch) = ((h + 2 * p).div_ceil(s), (w + 2 * p).div_ceil(s));
-    with_buffer(&GRID, |buf| {
-        buf.clear();
-        buf.resize(in_c * s * s * rows * pitch, 0.0);
-        for ic in 0..in_c {
-            for iy in 0..h {
-                let src = &idata[(ic * h + iy) * w..][..w];
-                let y = iy + p;
-                for cp in 0..s {
-                    // Input columns `ix ≡ cp - p (mod s)` land in phase
-                    // column `cp`, at consecutive plane columns.
-                    let ix0 = (cp + s - p % s) % s;
-                    let plane = (ic * s + y % s) * s + cp;
-                    let row = (plane * rows + y / s) * pitch;
-                    let dst = &mut buf[row + (ix0 + p) / s..row + pitch];
-                    for (d, &v) in dst.iter_mut().zip(src.iter().skip(ix0).step_by(s)) {
-                        *d = v;
+    with_buffer(&OFFSETS, |offsets| {
+        offsets.clear();
+        offsets.extend((0..kh * kw).map(|t| {
+            let (r, c) = (t / kw, t % kw);
+            (((r % s) * s + c % s) * rows + r / s) * pitch + c / s
+        }));
+        if s == 1 && p == 0 {
+            return f(&TapGrid {
+                data: idata,
+                chan: h * w,
+                offsets,
+                kw,
+                pitch,
+            });
+        }
+        with_buffer(&GRID, |buf| {
+            buf.clear();
+            buf.resize(in_c * s * s * rows * pitch, 0.0);
+            for ic in 0..in_c {
+                for iy in 0..h {
+                    let src = &idata[(ic * h + iy) * w..][..w];
+                    let y = iy + p;
+                    for cp in 0..s {
+                        // Input columns `ix ≡ cp - p (mod s)` land in phase
+                        // column `cp`, at consecutive plane columns.
+                        let ix0 = (cp + s - p % s) % s;
+                        let plane = (ic * s + y % s) * s + cp;
+                        let row = (plane * rows + y / s) * pitch;
+                        let dst = &mut buf[row + (ix0 + p) / s..row + pitch];
+                        for (d, &v) in dst.iter_mut().zip(src.iter().skip(ix0).step_by(s)) {
+                            *d = v;
+                        }
                     }
                 }
             }
-        }
-        f(&TapGrid {
-            data: buf,
-            stride: s,
-            rows,
-            pitch,
+            f(&TapGrid {
+                data: buf,
+                chan: s * s * rows * pitch,
+                offsets,
+                kw,
+                pitch,
+            })
         })
     })
 }
 
-/// Up to three taps of one `(oc, ic)` group: each tap's weight and the
-/// run of inputs it multiplies, every run as long as the output run.
+/// Most outputs per stripe. A block accumulates its output run one
+/// stripe at a time, each over every input channel, so that its four
+/// totals and local sums stay in the L1 cache.
+const STRIPE: usize = 1024;
+
+/// Up to three taps of one kernel: each tap's weight and the run of
+/// inputs it multiplies.
 struct Taps<'a, const N: usize> {
     v: [f32; N],
     x: [&'a [f32]; N],
 }
 
-impl<'a, const N: usize> Taps<'a, N> {
-    /// The first `N` taps of `group` over runs of `len` outputs.
-    fn of(grid: &'a TapGrid, ic: usize, group: &[Tap], len: usize) -> Self {
-        Taps {
-            v: std::array::from_fn(|i| group[i].v),
-            x: std::array::from_fn(|i| grid.run(ic, group[i].r, group[i].c, len)),
-        }
-    }
-
+impl<const N: usize> Taps<'_, N> {
     /// The same taps with every run cut to `len`, so that a pass over
     /// `q < len` indexes them without bounds checks.
     fn cut(&self, len: usize) -> Self {
@@ -192,82 +214,216 @@ impl<'a, const N: usize> Taps<'a, N> {
     }
 }
 
-/// `total[q] += v0·x0[q] + …`: a whole group of 1–3 taps joins the total
-/// in one pass.
-fn join_group<const N: usize>(total: &mut [f32], taps: &Taps<N>) {
-    let taps = taps.cut(total.len());
-    for (q, t) in total.iter_mut().enumerate() {
-        *t += taps.sum(q);
-    }
+/// `total += (v0·x0 + v1·x1) + v2·x2`: a whole group of 1–3 taps joins
+/// the total.
+fn join_local<const N: usize>(taps: &Taps<N>, _: &mut f32, total: &mut f32, q: usize) {
+    *total += taps.sum(q);
 }
 
-/// `acc[q] = (v0·x0[q] + v1·x1[q]) + v2·x2[q]`: the first three taps of a
-/// longer group start its local sum.
-fn start_sum(acc: &mut [f32], taps: &Taps<3>) {
-    let taps = taps.cut(acc.len());
-    for (q, a) in acc.iter_mut().enumerate() {
-        *a = taps.sum(q);
-    }
+/// `acc = (v0·x0 + v1·x1) + v2·x2`: the first three taps of a longer
+/// group start its local sum.
+fn start_local(taps: &Taps<3>, acc: &mut f32, _: &mut f32, q: usize) {
+    *acc = taps.sum(q);
 }
 
-/// `acc[q] = ((acc[q] + v0·x0[q]) + v1·x1[q]) + v2·x2[q]`: three more taps
-/// of a local sum in one pass.
-fn extend_sum(acc: &mut [f32], taps: &Taps<3>) {
-    let taps = taps.cut(acc.len());
-    for (q, a) in acc.iter_mut().enumerate() {
-        *a = taps.add_onto(*a, q);
-    }
+/// `acc = ((acc + v0·x0) + v1·x1) + v2·x2`: three more taps of a local
+/// sum.
+fn extend_local(taps: &Taps<3>, acc: &mut f32, _: &mut f32, q: usize) {
+    *acc = taps.add_onto(*acc, q);
 }
 
-/// `total[q] += (acc[q] + v0·x0[q]) + …`: the last 1–3 taps of a local
-/// sum, and the local sum joining the total, in one pass.
-fn join_sum<const N: usize>(total: &mut [f32], acc: &[f32], taps: &Taps<N>) {
-    let (acc, taps) = (&acc[..total.len()], taps.cut(total.len()));
-    for (q, t) in total.iter_mut().enumerate() {
-        *t += taps.add_onto(acc[q], q);
-    }
+/// `total += (acc + v0·x0) + …`: the last 1–3 taps of a local sum, and
+/// the local sum joining the total.
+fn join_acc<const N: usize>(taps: &Taps<N>, acc: &mut f32, total: &mut f32, q: usize) {
+    *total += taps.add_onto(*acc, q);
 }
 
-/// Accumulates output channel `oc` over the flattened output grid:
-/// `total` (zeroed here) receives, in `ic` order, each input channel's
-/// local sum of its packed taps in row-major order. A group of 1–3 taps
-/// joins `total` in one pass; a longer one builds its local sum in `acc`
-/// three taps per pass, and its last pass of 1–3 taps joins it.
-fn accumulate_runs(
-    oc: usize,
-    grid: &TapGrid,
-    packed: &PackedConv,
-    acc: &mut [f32],
-    total: &mut [f32],
-) {
-    let len = total.len();
-    total.fill(0.0);
-    for ic in 0..packed.in_c() {
-        let group = packed.group(oc, ic);
-        match group.len() {
-            0 => {}
-            1 => join_group(total, &Taps::<1>::of(grid, ic, group, len)),
-            2 => join_group(total, &Taps::<2>::of(grid, ic, group, len)),
-            3 => join_group(total, &Taps::<3>::of(grid, ic, group, len)),
-            n => {
-                start_sum(acc, &Taps::of(grid, ic, group, len));
-                let (mid, last) = group[3..].split_at((n - 4) / 3 * 3);
-                for three in mid.chunks_exact(3) {
-                    extend_sum(acc, &Taps::of(grid, ic, three, len));
-                }
-                match last.len() {
-                    1 => join_sum(total, acc, &Taps::<1>::of(grid, ic, last, len)),
-                    2 => join_sum(total, acc, &Taps::<2>::of(grid, ic, last, len)),
-                    _ => join_sum(total, acc, &Taps::<3>::of(grid, ic, last, len)),
-                }
+/// One pass of a tap group over a stripe: taps `from .. from + N`, each
+/// output position through `step(taps, acc, total, q)`.
+trait Pass {
+    fn pass<const N: usize>(
+        &mut self,
+        from: usize,
+        step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
+    );
+}
+
+/// Adds a group of `n` taps into the total over a stripe: a group of
+/// 1–3 taps joins it in one pass; a longer one builds its local sum in
+/// `acc` three taps per pass, and its last pass of 1–3 taps joins it.
+fn run_group(n: usize, p: &mut impl Pass) {
+    match n {
+        0 => {}
+        1 => p.pass::<1>(0, join_local),
+        2 => p.pass::<2>(0, join_local),
+        3 => p.pass::<3>(0, join_local),
+        n => {
+            p.pass(0, start_local);
+            let last = 3 + (n - 4) / 3 * 3;
+            for from in (3..last).step_by(3) {
+                p.pass(from, extend_local);
+            }
+            match n - last {
+                1 => p.pass::<1>(last, join_acc),
+                2 => p.pass::<2>(last, join_acc),
+                _ => p.pass::<3>(last, join_acc),
             }
         }
     }
 }
 
-/// One output channel of the convolution, written into its `oh*ow`
-/// slice: every packed tap of `(oc, ic)` is one contiguous run over the
-/// flattened output grid of `grid` (see [`TapGrid`]).
+/// The per-kernel taps `group` of one `(oc, ic)` kernel over stripe
+/// `q`, into the stripe of its lane's `total`.
+struct KernelPass<'a> {
+    grid: &'a TapGrid<'a>,
+    ic: usize,
+    group: &'a [Tap],
+    q: Range<usize>,
+    acc: &'a mut [f32; STRIPE],
+    total: &'a mut [f32],
+}
+
+impl Pass for KernelPass<'_> {
+    fn pass<const N: usize>(
+        &mut self,
+        from: usize,
+        step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
+    ) {
+        let (grid, ic, q) = (self.grid, self.ic, &self.q);
+        let taps = Taps {
+            v: std::array::from_fn(|i| self.group[from + i].v),
+            x: std::array::from_fn(|i| grid.tap_run(ic, self.group[from + i], q)),
+        };
+        one_lane(self.total, self.acc, &taps, step);
+    }
+}
+
+/// One pass of a kernel's taps over its stripe of `total`. The stripe
+/// and `acc` arrive as separate `&mut` arguments, which tells the
+/// compiler they overlap no input run, so the loop vectorizes over `q`.
+fn one_lane<const N: usize>(
+    total: &mut [f32],
+    acc: &mut [f32; STRIPE],
+    taps: &Taps<N>,
+    step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
+) {
+    let len = total.len();
+    let (acc, taps) = (&mut acc[..len], taps.cut(len));
+    for q in 0..len {
+        step(&taps, &mut acc[q], &mut total[q], q);
+    }
+}
+
+/// The taps a full block's kernels share for one input channel over
+/// stripe `q`, into the stripes of the block's four totals.
+struct BlockPass<'a> {
+    grid: &'a TapGrid<'a>,
+    ic: usize,
+    shared: SharedTaps<'a>,
+    q: Range<usize>,
+    acc: &'a mut [[f32; STRIPE]; BLOCK],
+    totals: [&'a mut [f32]; BLOCK],
+}
+
+impl Pass for BlockPass<'_> {
+    fn pass<const N: usize>(
+        &mut self,
+        from: usize,
+        step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
+    ) {
+        let (grid, ic, shared) = (self.grid, self.ic, self.shared);
+        let x = std::array::from_fn(|i| grid.run(ic, shared.index[from + i] as usize, &self.q));
+        let taps: [Taps<N>; BLOCK] = std::array::from_fn(|j| Taps {
+            v: std::array::from_fn(|i| shared.weights[from + i][j]),
+            x,
+        });
+        let [t0, t1, t2, t3] = &mut self.totals;
+        four_lanes(t0, t1, t2, t3, self.acc, &taps, step);
+    }
+}
+
+/// One pass of shared taps over a block's four lanes: at each `q`,
+/// `step` on every lane in turn, so each input run is read once for all
+/// four. As in [`one_lane`], each lane's stripe is its own `&mut`
+/// argument so that the loop vectorizes over `q`.
+fn four_lanes<const N: usize>(
+    t0: &mut [f32],
+    t1: &mut [f32],
+    t2: &mut [f32],
+    t3: &mut [f32],
+    acc: &mut [[f32; STRIPE]; BLOCK],
+    taps: &[Taps<N>; BLOCK],
+    step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
+) {
+    let len = t0.len();
+    let (t1, t2, t3) = (&mut t1[..len], &mut t2[..len], &mut t3[..len]);
+    let [a0, a1, a2, a3] = acc.each_mut().map(|a| &mut a[..len]);
+    let taps = taps.each_ref().map(|lane| lane.cut(len));
+    for q in 0..len {
+        step(&taps[0], &mut a0[q], &mut t0[q], q);
+        step(&taps[1], &mut a1[q], &mut t1[q], q);
+        step(&taps[2], &mut a2[q], &mut t2[q], q);
+        step(&taps[3], &mut a3[q], &mut t3[q], q);
+    }
+}
+
+/// Accumulates block `b`'s `lanes` output channels over the flattened
+/// output grid: lane `j`'s total (`totals[j·len ..]`, zeroed here)
+/// receives, in `ic` order, each input channel's local sum of that
+/// kernel's taps in row-major order, one stripe of the run at a time,
+/// with `acc` holding a longer group's local sums over the stripe. A
+/// pair the block's kernels share runs as passes over all four lanes;
+/// any other pair, and every pair of a ragged last block, runs kernel by
+/// kernel, so no pass multiplies a weight the oracle skips.
+fn accumulate_block(
+    b: usize,
+    lanes: usize,
+    grid: &TapGrid,
+    packed: &PackedConv,
+    totals: &mut [f32],
+    acc: &mut [[f32; STRIPE]; BLOCK],
+) {
+    let len = totals.len() / BLOCK;
+    totals.fill(0.0);
+    let width = len.div_ceil(len.div_ceil(STRIPE));
+    for q0 in (0..len).step_by(width) {
+        let q = q0..len.min(q0 + width);
+        for ic in 0..packed.in_c() {
+            let shared = packed.shared(b, ic);
+            let mut stripes = totals.chunks_exact_mut(len).map(|t| &mut t[q.clone()]);
+            if !shared.index.is_empty() {
+                let totals = std::array::from_fn(|_| stripes.next().expect("a lane per channel"));
+                let mut p = BlockPass {
+                    grid,
+                    ic,
+                    shared,
+                    q: q.clone(),
+                    acc,
+                    totals,
+                };
+                run_group(shared.index.len(), &mut p);
+                continue;
+            }
+            for (j, total) in stripes.take(lanes).enumerate() {
+                let group = packed.group(BLOCK * b + j, ic);
+                let mut p = KernelPass {
+                    grid,
+                    ic,
+                    group,
+                    q: q.clone(),
+                    acc: &mut acc[0],
+                    total,
+                };
+                run_group(group.len(), &mut p);
+            }
+        }
+    }
+}
+
+/// Block `b` of the convolution — output channels `BLOCK·b ..`, as many
+/// as `oblock` holds `oh*ow` slices for — written into `oblock`: every
+/// packed tap of `(oc, ic)` is one contiguous run over the flattened
+/// output grid of `grid` (see [`TapGrid`]).
 ///
 /// Per output element the arithmetic is the oracle's — per-`ic` local
 /// sums over the taps in row-major order, joined in `ic` order, bias last
@@ -276,29 +432,38 @@ fn accumulate_runs(
 /// and so is never `−0.0`, which makes adding a `±0` (or a local sum
 /// that differs from the oracle's only in the sign of a zero) leave it
 /// unchanged; finite weights (an invariant of [`PackedConv::pack`]) keep
-/// `v · 0` a zero. Channels are independent, so serial and pooled
-/// execution are bit-identical at any thread count.
-fn conv2d_channel(
-    oc: usize,
+/// `v · 0` a zero. A shared pass applies each lane's steps of the
+/// per-kernel rule in the same order. Blocks are independent, so serial
+/// and pooled execution are bit-identical at any thread count.
+fn conv2d_block(
+    b: usize,
     grid: &TapGrid,
     packed: &PackedConv,
     bias: Option<&Tensor>,
     out_hw: (usize, usize),
-    ochan: &mut [f32],
+    oblock: &mut [f32],
 ) {
     let (oh, ow) = out_hw;
     let pitch = grid.pitch;
     let len = (oh - 1) * pitch + ow;
-    let bias_v = bias.map_or(0.0, |b| b.as_slice()[oc]);
-    with_buffer(&RUNS, |buf| {
-        if buf.len() < 2 * len {
-            buf.resize(2 * len, 0.0);
+    let lanes = oblock.len() / (oh * ow);
+    with_buffer(&TOTALS, |buf| {
+        if buf.len() < BLOCK * len {
+            buf.resize(BLOCK * len, 0.0);
         }
-        let (acc, total) = buf[..2 * len].split_at_mut(len);
-        accumulate_runs(oc, grid, packed, acc, total);
-        for (orow, trow) in ochan.chunks_exact_mut(ow).zip(total.chunks(pitch)) {
-            for (o, &t) in orow.iter_mut().zip(trow) {
-                *o = finish_bias(t, bias_v);
+        let totals = &mut buf[..BLOCK * len];
+        with_buffer(&SUMS, |sums| {
+            sums.resize(BLOCK, [0.0; STRIPE]);
+            let acc = (&mut sums[..]).try_into().expect("one stripe per lane");
+            accumulate_block(b, lanes, grid, packed, totals, acc);
+        });
+        let outputs = oblock.chunks_exact_mut(oh * ow);
+        for (j, (ochan, total)) in outputs.zip(totals.chunks_exact(len)).enumerate() {
+            let bias_v = bias.map_or(0.0, |bias| bias.as_slice()[BLOCK * b + j]);
+            for (orow, trow) in ochan.chunks_exact_mut(ow).zip(total.chunks(pitch)) {
+                for (o, &t) in orow.iter_mut().zip(trow) {
+                    *o = finish_bias(t, bias_v);
+                }
             }
         }
     });
@@ -323,10 +488,10 @@ fn finish_bias(total: f32, bias_v: f32) -> f32 {
 /// genuinely do less floating-point work — the same effect the paper
 /// relies on from hardware weight-compression support (§III-A) — and the
 /// steady state scans no weights and allocates nothing. The input is laid
-/// out once as a zero-guarded tap grid, then output channels are
-/// distributed over the worker pool when
+/// out once as a zero-guarded tap grid, then blocks of [`BLOCK`] output
+/// channels are distributed over the worker pool when
 /// [`TensorParallel`][crate::ops::TensorParallel] has more than one
-/// thread. Each channel's slice is disjoint and its arithmetic order
+/// thread. Each block's slice is disjoint and its arithmetic order
 /// unchanged, so results are bit-identical to serial execution.
 ///
 /// # Errors
@@ -334,8 +499,8 @@ fn finish_bias(total: f32, bias_v: f32) -> f32 {
 /// Returns [`TensorError::RankMismatch`] for a non-rank-4 input,
 /// [`TensorError::ShapeMismatch`] when the input's channels disagree with
 /// the weights' or `out` does not have the expected output shape, and
-/// [`TensorError::Invalid`] when the batch dimension is not 1 or the bias
-/// length is wrong.
+/// [`TensorError::Invalid`] for a zero stride, a batch dimension other
+/// than 1 or a wrong bias length.
 pub fn conv2d_into(
     input: &Tensor,
     packed: &PackedConv,
@@ -343,6 +508,9 @@ pub fn conv2d_into(
     params: Conv2dParams,
     out: &mut Tensor,
 ) -> Result<()> {
+    if params.stride == 0 {
+        return Err(TensorError::Invalid("conv stride must be non-zero".into()));
+    }
     let ishape = input.shape();
     if ishape.rank() != 4 {
         return Err(TensorError::RankMismatch {
@@ -384,18 +552,34 @@ pub fn conv2d_into(
     if chan == 0 {
         return Ok(());
     }
-    // No pre-zeroing: `conv2d_channel` writes every output element.
+    // No pre-zeroing: `conv2d_block` writes every output element.
     let odata = out.as_mut_slice();
-    with_tap_grid(input.as_slice(), packed.in_c(), (h, w), params, |grid| {
-        let base = SendPtr(odata.as_mut_ptr());
-        parallel_for_chunks(packed.out_c(), move |oc| {
-            // SAFETY: chunk `oc` derives the disjoint per-channel slice
-            // `odata[oc*chan .. (oc+1)*chan]`; the buffer outlives the call
-            // because `parallel_for_chunks` blocks until all chunks finish.
-            let ochan = unsafe { std::slice::from_raw_parts_mut(base.get().add(oc * chan), chan) };
-            conv2d_channel(oc, grid, packed, bias, (oh, ow), ochan);
-        });
-    });
+    let out_c = packed.out_c();
+    let khw = (packed.kh(), packed.kw());
+    with_tap_grid(
+        input.as_slice(),
+        packed.in_c(),
+        (h, w),
+        khw,
+        params,
+        |grid| {
+            let base = SendPtr(odata.as_mut_ptr());
+            parallel_for_chunks(out_c.div_ceil(BLOCK), move |b| {
+                let channels = BLOCK * b..(BLOCK * (b + 1)).min(out_c);
+                // SAFETY: chunk `b` derives the disjoint per-block slice
+                // `odata[channels.start*chan .. channels.end*chan]`; the buffer
+                // outlives the call because `parallel_for_chunks` blocks until
+                // all chunks finish.
+                let oblock = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        base.get().add(channels.start * chan),
+                        channels.len() * chan,
+                    )
+                };
+                conv2d_block(b, grid, packed, bias, (oh, ow), oblock);
+            });
+        },
+    );
     Ok(())
 }
 
@@ -547,6 +731,21 @@ mod tests {
         let input = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
         let bad_bias = Tensor::zeros(Shape::vector(5));
         assert!(conv2d(&input, &weights, Some(&bad_bias), Conv2dParams::default()).is_err());
+    }
+
+    #[test]
+    fn zero_stride_is_an_error() {
+        let input = input_1ch(3, 3, vec![1.0; 9]);
+        let packed = PackedConv::pack(&Tensor::full(Shape::nchw(1, 1, 1, 1), 1.0)).unwrap();
+        let params = Conv2dParams {
+            stride: 0,
+            padding: 0,
+        };
+        let mut out = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
+        assert!(matches!(
+            conv2d_into(&input, &packed, None, params, &mut out),
+            Err(TensorError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Pattern-based pruning (paper §III-A, Fig. 2(d)) keeps a fixed set of
 //! positions inside each k×k kernel and zeroes the rest. [`KernelMask`]
-//! represents that position set; applying it to a weight tensor produces the
+//! represents that position set; applying it to a kernel produces the
 //! pruned kernel, whose surviving taps [`crate::packed::PackedConv`] stores
 //! for the conv kernel.
 
@@ -123,47 +123,6 @@ impl KernelMask {
         }
         Ok(out)
     }
-
-    /// Applies the mask to every `d × d` kernel of a 4-D `[out_c, in_c, d, d]`
-    /// weight tensor — the "apply the same compression pattern to all kernels
-    /// in the leaf node" step of the paper's Algorithm 3.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-rank-4 weights and
-    /// [`TensorError::ShapeMismatch`] when the spatial dims differ from the
-    /// mask.
-    pub fn apply_to_weights(&self, weights: &Tensor) -> Result<Tensor> {
-        let shape = weights.shape();
-        if shape.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: shape.rank(),
-            });
-        }
-        if shape.dim(2) != self.dim || shape.dim(3) != self.dim {
-            return Err(TensorError::ShapeMismatch {
-                left: shape.dims().to_vec(),
-                right: vec![shape.dim(0), shape.dim(1), self.dim, self.dim],
-            });
-        }
-        let (oc, ic, kh, kw) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
-        let mut out = weights.clone();
-        let data = out.as_mut_slice();
-        for o in 0..oc {
-            for i in 0..ic {
-                let base = ((o * ic) + i) * kh * kw;
-                for r in 0..kh {
-                    for c in 0..kw {
-                        if !self.keep[r * self.dim + c] {
-                            data[base + r * kw + c] = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -208,25 +167,6 @@ mod tests {
         let m = KernelMask::dense(3);
         let k = Tensor::zeros(Shape::matrix(2, 2));
         assert!(m.apply(&k).is_err());
-    }
-
-    #[test]
-    fn apply_to_weights_masks_every_kernel() {
-        let w = Tensor::full(Shape::nchw(2, 3, 3, 3), 1.0);
-        let m = KernelMask::from_positions(3, &[(1, 1)]);
-        let pruned = m.apply_to_weights(&w).unwrap();
-        assert_eq!(pruned.count_nonzero(), 2 * 3); // one survivor per kernel
-    }
-
-    #[test]
-    fn apply_to_weights_rejects_bad_rank() {
-        let m = KernelMask::dense(3);
-        assert!(m
-            .apply_to_weights(&Tensor::zeros(Shape::matrix(3, 3)))
-            .is_err());
-        assert!(m
-            .apply_to_weights(&Tensor::zeros(Shape::nchw(1, 1, 2, 2)))
-            .is_err());
     }
 
     #[test]

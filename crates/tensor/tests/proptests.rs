@@ -145,18 +145,21 @@ fn random_frames(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Vec<Tenso
         .collect()
 }
 
-/// Random `[oc, ic, k, k]` weights with roughly half the taps pruned by a
-/// seeded [`KernelMask`] — the sparse, mask-aware execution path.
+/// Random `[oc, ic, k, k]` weights with roughly half the taps pruned by
+/// one seeded mask that every kernel shares: tap `r·k + c` is kept when
+/// bit `(r·k + c) mod 61` of `seed` is set.
 fn masked_weights(oc: usize, ic: usize, k: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
     let dense = Tensor::uniform(Shape::nchw(oc, ic, k, k), -0.8, 0.8, &mut rng);
-    let positions: Vec<(usize, usize)> = (0..k * k)
-        .filter(|i| (seed >> (i % 61)) & 1 == 1)
-        .map(|i| (i / k, i % k))
-        .collect();
-    KernelMask::from_positions(k, &positions)
-        .apply_to_weights(&dense)
-        .unwrap()
+    let keep: Vec<bool> = (0..k * k).map(|t| (seed >> (t % 61)) & 1 == 1).collect();
+    let data = dense.as_slice();
+    Tensor::from_fn(dense.shape().clone(), |i| {
+        if keep[i % (k * k)] {
+            data[i]
+        } else {
+            0.0
+        }
+    })
 }
 
 proptest! {
@@ -304,7 +307,7 @@ proptest! {
     #[test]
     fn conv2d_bit_identical_across_modes_packing_and_threads(
         ic in 1usize..4,
-        oc in 1usize..4,
+        oc in 1usize..10,
         k in kernel_size(),
         h in 1usize..9,
         w in 1usize..9,
@@ -325,7 +328,7 @@ proptest! {
     #[test]
     fn conv2d_on_poisoned_inputs_matches_oracle_up_to_nan_payloads(
         ic in 1usize..4,
-        oc in 1usize..4,
+        oc in 1usize..10,
         k in kernel_size(),
         h in 1usize..9,
         w in 1usize..9,
@@ -412,6 +415,128 @@ fn conv2d_matches_oracle_on_every_group_length() {
                 let input = poisoned(&input, seed);
                 let oracle = naive_conv2d(&input, &weights, None, params);
                 assert_every_conv_path(&input, &weights, None, params, &oracle, canonical_bits);
+            }
+        }
+    }
+}
+
+/// One xorshift64 step of `state`.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// `[oc, ic, k, k]` weights shaped like a UPAQ rung: every kernel keeps
+/// one seeded tap set of `n` taps, except a seeded tenth of the kernels,
+/// which each lack one of its taps, as where a 2-bit grid rounds a kept
+/// weight to zero. Returns the weights and each lacking kernel's
+/// `(oc, ic, missing tap index)`.
+fn rung_weights(
+    oc: usize,
+    ic: usize,
+    k: usize,
+    n: usize,
+    seed: u64,
+) -> (Tensor, Vec<(usize, usize, usize)>) {
+    let (k2, kernels) = (k * k, oc * ic);
+    let mut state = seed | 1;
+    let mut order: Vec<usize> = (0..k2).collect();
+    for i in (1..k2).rev() {
+        order.swap(i, (xorshift(&mut state) % (i as u64 + 1)) as usize);
+    }
+    let taps = &order[..n];
+    let mut picks: Vec<usize> = (0..kernels).collect();
+    for i in (1..kernels).rev() {
+        picks.swap(i, (xorshift(&mut state) % (i as u64 + 1)) as usize);
+    }
+    let lacking: Vec<(usize, usize, usize)> = picks[..kernels.div_ceil(10)]
+        .iter()
+        .map(|&g| {
+            (
+                g / ic,
+                g % ic,
+                taps[(xorshift(&mut state) % n as u64) as usize],
+            )
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dense = Tensor::uniform(Shape::nchw(oc, ic, k, k), -0.8, 0.8, &mut rng);
+    let data = dense.as_slice();
+    let weights = Tensor::from_fn(dense.shape().clone(), |i| {
+        let (g, t) = (i / k2, i % k2);
+        let dropped = lacking.contains(&(g / ic, g % ic, t));
+        if taps.contains(&t) && !dropped {
+            data[i]
+        } else {
+            0.0
+        }
+    });
+    (weights, lacking)
+}
+
+/// A layer shaped like a UPAQ rung (see [`rung_weights`]): 9 output
+/// channels, so two blocks of four whose kernels mostly share one tap
+/// set and a ragged tail of one, for k ∈ {1, 3, 5} and tap sets of every
+/// size the pass rule branches on, over strides 1–3 and paddings 0–2,
+/// through every conv path at 1 and [`test_threads`] threads. The
+/// poisoned inputs put ±inf exactly where a lacking kernel's missing tap
+/// would read: a kernel that multiplied the missing tap's zero weight
+/// there would produce `0·inf = NaN` where the oracle skips the tap.
+#[test]
+fn conv2d_matches_oracle_on_rung_shaped_layers() {
+    let (oc, ic, h, w) = (9, 3, 7, 6);
+    let mut seed = 0u64;
+    for k in [1usize, 3, 5] {
+        for stride in 1..=3 {
+            for padding in 0..=2 {
+                seed += 1;
+                let n = 1 + (seed as usize * 7) % (k * k);
+                let params = Conv2dParams { stride, padding };
+                let (weights, lacking) = rung_weights(oc, ic, k, n, seed);
+                let packed = PackedConv::pack(&weights).unwrap();
+                let kernel = |g: usize| &weights.as_slice()[g * k * k..][..k * k];
+                let shared = (0..8 * ic).filter(|&g| {
+                    packed.group(g / ic, g % ic).is_empty() && kernel(g).iter().any(|&v| v != 0.0)
+                });
+                assert!(shared.count() > 0, "k {k} n {n}: no block shares its taps");
+                assert!(
+                    lacking
+                        .iter()
+                        .all(|&(o, i, _)| o == 8 || n == 1 || !packed.group(o, i).is_empty()),
+                    "k {k} n {n}: a lacking kernel's block runs as shared"
+                );
+
+                let input = random_frames(1, ic, h, w, seed).pop().unwrap();
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
+                let bias = Tensor::uniform(Shape::vector(oc), -0.5, 0.5, &mut rng);
+                let oracle = naive_conv2d(&input, &weights, Some(&bias), params);
+                assert_every_conv_path(&input, &weights, Some(&bias), params, &oracle, bits);
+
+                let mut poisoned = input.clone();
+                let (oh, ow) = (params.out_size(h, k), params.out_size(w, k));
+                for (j, &(_, i, t)) in lacking.iter().enumerate() {
+                    let inf = if j % 2 == 0 {
+                        f32::INFINITY
+                    } else {
+                        f32::NEG_INFINITY
+                    };
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let (y, x) = (oy * stride + t / k, ox * stride + t % k);
+                            let inside = (padding..h + padding).contains(&y)
+                                && (padding..w + padding).contains(&x);
+                            if inside {
+                                poisoned
+                                    .set(&[0, i, y - padding, x - padding], inf)
+                                    .unwrap();
+                            }
+                        }
+                    }
+                }
+                let oracle = naive_conv2d(&poisoned, &weights, None, params);
+                assert_every_conv_path(&poisoned, &weights, None, params, &oracle, canonical_bits);
             }
         }
     }

@@ -11,7 +11,10 @@
 //! model fails here, even where the kernel oracles' small random operands
 //! would not reach it.
 //!
-//! The tiny cases run in tier-1. The paper-scale PointPillars case is
+//! The tiny cases run in tier-1, at one tensor thread and again at
+//! `UPAQ_TEST_THREADS` (default 4; CI's thread-sanity matrix sets 1 and
+//! 4), so the pool's split of each conv must leave every bit in place.
+//! The paper-scale PointPillars case runs at one thread and is
 //! `#[ignore]`d; run it with
 //! `cargo test --release --test forward_pin -- --ignored`.
 
@@ -24,10 +27,19 @@ use upaq_models::smoke::{Smoke, SmokeConfig};
 use upaq_models::StreamingDetector;
 use upaq_nn::exec::{forward_batch_into, forward_into, Workspace};
 use upaq_runtime::VariantLadder;
+use upaq_tensor::ops::TensorParallel;
 use upaq_tensor::Tensor;
 
 /// Seed of the UPAQ search that builds the ladder, and of the frames.
 const SEED: u64 = 2025;
+
+/// Tensor threads for the multi-threaded leg of the tiny cases.
+fn test_threads() -> usize {
+    std::env::var("UPAQ_TEST_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(4)
+}
 
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -68,13 +80,15 @@ fn fingerprint(ws: &Workspace) -> u64 {
     h.0
 }
 
-/// Builds `base`'s ladder, runs `frames` through every rung both ways and
-/// checks each rung's per-frame fingerprints against `expected`,
-/// reporting every mismatch at once.
+/// Builds `base`'s ladder, runs `frames` through every rung both ways at
+/// each tensor thread count in `threads` and checks each rung's
+/// per-frame fingerprints against `expected`, reporting every mismatch
+/// at once.
 fn assert_pinned<D: StreamingDetector>(
     case: &str,
     base: D,
     frames: &[D::Input],
+    threads: &[usize],
     expected: &[(&str, [u64; 2])],
 ) {
     let ladder = VariantLadder::build(base, &DeviceProfile::jetson_orin_nano(), SEED).unwrap();
@@ -88,27 +102,31 @@ fn assert_pinned<D: StreamingDetector>(
             .map(|frame| HashMap::from([(det.input_name().to_string(), det.preprocess(frame))]))
             .collect();
 
-        let mut ws = Workspace::new();
-        let mut single = [0u64; 2];
-        for (got, frame) in single.iter_mut().zip(&inputs) {
-            forward_into(det.model(), frame, &mut ws).unwrap();
-            *got = fingerprint(&ws);
-        }
-        let mut wss = Vec::new();
-        forward_batch_into(det.model(), &inputs, &mut wss).unwrap();
-        let batched = [fingerprint(&wss[0]), fingerprint(&wss[1])];
-        assert_eq!(
-            single, batched,
-            "{case} `{want_name}`: forward_into and forward_batch_into disagree"
-        );
+        for &t in threads {
+            TensorParallel::set_threads(t);
+            let mut ws = Workspace::new();
+            let mut single = [0u64; 2];
+            for (got, frame) in single.iter_mut().zip(&inputs) {
+                forward_into(det.model(), frame, &mut ws).unwrap();
+                *got = fingerprint(&ws);
+            }
+            let mut wss = Vec::new();
+            forward_batch_into(det.model(), &inputs, &mut wss).unwrap();
+            let batched = [fingerprint(&wss[0]), fingerprint(&wss[1])];
+            assert_eq!(
+                single, batched,
+                "{case} `{want_name}` at {t} threads: forward_into and forward_batch_into disagree"
+            );
 
-        if single != want {
-            mismatches.push(format!(
-                "(\"{want_name}\", [0x{:016x}, 0x{:016x}]),",
-                single[0], single[1]
-            ));
+            if single != want {
+                mismatches.push(format!(
+                    "(\"{want_name}\", [0x{:016x}, 0x{:016x}]), at {t} threads",
+                    single[0], single[1]
+                ));
+            }
         }
     }
+    TensorParallel::set_threads(1);
     assert!(
         mismatches.is_empty(),
         "{case}: activations differ from the pinned ones; got\n{}",
@@ -130,6 +148,7 @@ fn tiny_pointpillars_activations_are_pinned() {
         "tiny PointPillars",
         PointPillars::build(&PointPillarsConfig::tiny()).unwrap(),
         &two_frames(&DatasetConfig::small()),
+        &[1, test_threads()],
         &[
             ("base", [0x2b38_1b28_8162_99c3, 0x9745_b577_4618_045f]),
             ("UPAQ (LCK)", [0x7e28_721c_9b9e_3e6c, 0x6217_fe4f_3309_adee]),
@@ -147,6 +166,7 @@ fn tiny_smoke_activations_are_pinned() {
         "tiny SMOKE",
         Smoke::build(&config).unwrap(),
         &two_frames(&dataset),
+        &[1, test_threads()],
         &[
             ("base", [0x489f_96f0_3a6f_1ec5, 0x1687_d737_e223_7b4b]),
             ("UPAQ (LCK)", [0xc180_a0b9_1bd7_ad3d, 0xb24a_7e06_00b8_2380]),
@@ -162,6 +182,7 @@ fn paper_pointpillars_activations_are_pinned() {
         "paper PointPillars",
         PointPillars::build(&PointPillarsConfig::paper()).unwrap(),
         &two_frames(&DatasetConfig::small()),
+        &[1],
         &[
             ("base", [0x269d_7061_cf73_a298, 0x464f_4966_ac95_d64b]),
             ("UPAQ (LCK)", [0xe238_2190_23b8_7ab3, 0x3c74_cfc9_02f5_3797]),
