@@ -1,10 +1,12 @@
-//! 2-D convolution: one tap-run kernel over packed sparse weights.
+//! 2-D convolution: one tap-run kernel over packed sparse weights,
+//! compiled for the target's baseline and, on x86-64, again with AVX2.
 
 use super::parallel::{parallel_for_chunks, SendPtr};
 use crate::packed::{PackedConv, SharedTaps, Tap, BLOCK};
 use crate::{Result, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::thread::LocalKey;
 
@@ -97,12 +99,14 @@ struct TapGrid<'a> {
 impl TapGrid<'_> {
     /// The values tap index `t` of input channel `ic` multiplies at
     /// flattened output positions `q`.
+    #[inline(always)]
     fn run(&self, ic: usize, t: usize, q: &Range<usize>) -> &[f32] {
         let start = ic * self.chan + self.offsets[t];
         &self.data[start + q.start..start + q.end]
     }
 
     /// The run of per-kernel tap `tap`.
+    #[inline(always)]
     fn tap_run(&self, ic: usize, tap: Tap, q: &Range<usize>) -> &[f32] {
         self.run(ic, tap.r as usize * self.kw + tap.c as usize, q)
     }
@@ -176,6 +180,7 @@ const STRIPE: usize = 1024;
 
 /// Up to three taps of one kernel: each tap's weight and the run of
 /// inputs it multiplies.
+#[derive(Clone, Copy)]
 struct Taps<'a, const N: usize> {
     v: [f32; N],
     x: [&'a [f32]; N],
@@ -184,11 +189,13 @@ struct Taps<'a, const N: usize> {
 impl<const N: usize> Taps<'_, N> {
     /// The same taps with every run cut to `len`, so that a pass over
     /// `q < len` indexes them without bounds checks.
+    #[inline(always)]
     fn cut(&self, len: usize) -> Self {
-        Taps {
-            v: self.v,
-            x: self.x.map(|x| &x[..len]),
+        let mut taps = *self;
+        for x in &mut taps.x {
+            *x = &x[..len];
         }
+        taps
     }
 
     /// `start + v0·x0[q] + v1·x1[q] + …`, added left to right.
@@ -216,24 +223,28 @@ impl<const N: usize> Taps<'_, N> {
 
 /// `total += (v0·x0 + v1·x1) + v2·x2`: a whole group of 1–3 taps joins
 /// the total.
+#[inline(always)]
 fn join_local<const N: usize>(taps: &Taps<N>, _: &mut f32, total: &mut f32, q: usize) {
     *total += taps.sum(q);
 }
 
 /// `acc = (v0·x0 + v1·x1) + v2·x2`: the first three taps of a longer
 /// group start its local sum.
+#[inline(always)]
 fn start_local(taps: &Taps<3>, acc: &mut f32, _: &mut f32, q: usize) {
     *acc = taps.sum(q);
 }
 
 /// `acc = ((acc + v0·x0) + v1·x1) + v2·x2`: three more taps of a local
 /// sum.
+#[inline(always)]
 fn extend_local(taps: &Taps<3>, acc: &mut f32, _: &mut f32, q: usize) {
     *acc = taps.add_onto(*acc, q);
 }
 
 /// `total += (acc + v0·x0) + …`: the last 1–3 taps of a local sum, and
 /// the local sum joining the total.
+#[inline(always)]
 fn join_acc<const N: usize>(taps: &Taps<N>, acc: &mut f32, total: &mut f32, q: usize) {
     *total += taps.add_onto(*acc, q);
 }
@@ -251,6 +262,7 @@ trait Pass {
 /// Adds a group of `n` taps into the total over a stripe: a group of
 /// 1–3 taps joins it in one pass; a longer one builds its local sum in
 /// `acc` three taps per pass, and its last pass of 1–3 taps joins it.
+#[inline(always)]
 fn run_group(n: usize, p: &mut impl Pass) {
     match n {
         0 => {}
@@ -273,98 +285,146 @@ fn run_group(n: usize, p: &mut impl Pass) {
 }
 
 /// The per-kernel taps `group` of one `(oc, ic)` kernel over stripe
-/// `q`, into the stripe of its lane's `total`.
-struct KernelPass<'a> {
+/// `q`, into the stripe of its lane's `total`, in compiled copy `C`.
+struct KernelPass<'a, C> {
     grid: &'a TapGrid<'a>,
     ic: usize,
     group: &'a [Tap],
     q: Range<usize>,
     acc: &'a mut [f32; STRIPE],
     total: &'a mut [f32],
+    copy: PhantomData<C>,
 }
 
-impl Pass for KernelPass<'_> {
+impl<C> Pass for KernelPass<'_, C> {
+    #[inline(always)]
     fn pass<const N: usize>(
         &mut self,
         from: usize,
         step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
     ) {
-        let (grid, ic, q) = (self.grid, self.ic, &self.q);
-        let taps = Taps {
-            v: std::array::from_fn(|i| self.group[from + i].v),
-            x: std::array::from_fn(|i| grid.tap_run(ic, self.group[from + i], q)),
+        let mut taps = Taps {
+            v: [0.0; N],
+            x: [&[]; N],
         };
-        one_lane(self.total, self.acc, &taps, step);
+        let group = &self.group[from..from + N];
+        for ((v, x), &tap) in taps.v.iter_mut().zip(&mut taps.x).zip(group) {
+            *v = tap.v;
+            *x = self.grid.tap_run(self.ic, tap, &self.q);
+        }
+        Self::one_lane(self.total, self.acc, &taps, step);
     }
 }
 
-/// One pass of a kernel's taps over its stripe of `total`. The stripe
-/// and `acc` arrive as separate `&mut` arguments, which tells the
-/// compiler they overlap no input run, so the loop vectorizes over `q`.
-fn one_lane<const N: usize>(
-    total: &mut [f32],
-    acc: &mut [f32; STRIPE],
-    taps: &Taps<N>,
-    step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
-) {
-    let len = total.len();
-    let (acc, taps) = (&mut acc[..len], taps.cut(len));
-    for q in 0..len {
-        step(&taps, &mut acc[q], &mut total[q], q);
+impl<C> KernelPass<'_, C> {
+    /// One pass of a kernel's taps over its stripe of `total`. The stripe
+    /// and `acc` arrive as separate `&mut` arguments, which tells the
+    /// compiler they overlap no input run, so the loop vectorizes over
+    /// `q`. That needs this to reach the code generator as a function of
+    /// its own: `#[inline(always)]` would paste it into its caller before
+    /// then and drop what its `&mut` arguments promise. As an associated
+    /// function of `KernelPass<C>`, it has one instance per compiled copy
+    /// `C` (see [`BlockKernel`]).
+    fn one_lane<const N: usize>(
+        total: &mut [f32],
+        acc: &mut [f32; STRIPE],
+        taps: &Taps<N>,
+        step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
+    ) {
+        let len = total.len();
+        let (acc, taps) = (&mut acc[..len], taps.cut(len));
+        for q in 0..len {
+            step(&taps, &mut acc[q], &mut total[q], q);
+        }
     }
 }
 
 /// The taps a full block's kernels share for one input channel over
-/// stripe `q`, into the stripes of the block's four totals.
-struct BlockPass<'a> {
+/// stripe `q`, into the stripes of the block's four totals, in compiled
+/// copy `C`.
+struct BlockPass<'a, C> {
     grid: &'a TapGrid<'a>,
     ic: usize,
     shared: SharedTaps<'a>,
     q: Range<usize>,
     acc: &'a mut [[f32; STRIPE]; BLOCK],
     totals: [&'a mut [f32]; BLOCK],
+    copy: PhantomData<C>,
 }
 
-impl Pass for BlockPass<'_> {
+impl<C> Pass for BlockPass<'_, C> {
+    #[inline(always)]
     fn pass<const N: usize>(
         &mut self,
         from: usize,
         step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
     ) {
-        let (grid, ic, shared) = (self.grid, self.ic, self.shared);
-        let x = std::array::from_fn(|i| grid.run(ic, shared.index[from + i] as usize, &self.q));
-        let taps: [Taps<N>; BLOCK] = std::array::from_fn(|j| Taps {
-            v: std::array::from_fn(|i| shared.weights[from + i][j]),
-            x,
-        });
+        let mut x: [&[f32]; N] = [&[]; N];
+        for (x, &t) in x.iter_mut().zip(&self.shared.index[from..from + N]) {
+            *x = self.grid.run(self.ic, t as usize, &self.q);
+        }
+        let mut taps = [Taps { v: [0.0; N], x }; BLOCK];
+        for (i, weights) in self.shared.weights[from..from + N].iter().enumerate() {
+            for (lane, &v) in taps.iter_mut().zip(weights) {
+                lane.v[i] = v;
+            }
+        }
         let [t0, t1, t2, t3] = &mut self.totals;
-        four_lanes(t0, t1, t2, t3, self.acc, &taps, step);
+        Self::four_lanes(t0, t1, t2, t3, self.acc, &taps, step);
     }
 }
 
-/// One pass of shared taps over a block's four lanes: at each `q`,
-/// `step` on every lane in turn, so each input run is read once for all
-/// four. As in [`one_lane`], each lane's stripe is its own `&mut`
-/// argument so that the loop vectorizes over `q`.
-fn four_lanes<const N: usize>(
-    t0: &mut [f32],
-    t1: &mut [f32],
-    t2: &mut [f32],
-    t3: &mut [f32],
-    acc: &mut [[f32; STRIPE]; BLOCK],
-    taps: &[Taps<N>; BLOCK],
-    step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
-) {
-    let len = t0.len();
-    let (t1, t2, t3) = (&mut t1[..len], &mut t2[..len], &mut t3[..len]);
-    let [a0, a1, a2, a3] = acc.each_mut().map(|a| &mut a[..len]);
-    let taps = taps.each_ref().map(|lane| lane.cut(len));
-    for q in 0..len {
-        step(&taps[0], &mut a0[q], &mut t0[q], q);
-        step(&taps[1], &mut a1[q], &mut t1[q], q);
-        step(&taps[2], &mut a2[q], &mut t2[q], q);
-        step(&taps[3], &mut a3[q], &mut t3[q], q);
+impl<C> BlockPass<'_, C> {
+    /// One pass of shared taps over a block's four lanes: at each `q`,
+    /// `step` on every lane in turn, so each input run is read once for
+    /// all four. As in [`KernelPass::one_lane`], each lane's stripe is
+    /// its own `&mut` argument so that the loop vectorizes over `q`, and
+    /// there is one instance per compiled copy `C`.
+    fn four_lanes<const N: usize>(
+        t0: &mut [f32],
+        t1: &mut [f32],
+        t2: &mut [f32],
+        t3: &mut [f32],
+        acc: &mut [[f32; STRIPE]; BLOCK],
+        taps: &[Taps<N>; BLOCK],
+        step: impl Fn(&Taps<N>, &mut f32, &mut f32, usize),
+    ) {
+        let len = t0.len();
+        let (t1, t2, t3) = (&mut t1[..len], &mut t2[..len], &mut t3[..len]);
+        let [a0, a1, a2, a3] = acc;
+        let (a0, a1, a2, a3) = (
+            &mut a0[..len],
+            &mut a1[..len],
+            &mut a2[..len],
+            &mut a3[..len],
+        );
+        let mut taps = *taps;
+        for lane in &mut taps {
+            *lane = lane.cut(len);
+        }
+        for q in 0..len {
+            step(&taps[0], &mut a0[q], &mut t0[q], q);
+            step(&taps[1], &mut a1[q], &mut t1[q], q);
+            step(&taps[2], &mut a2[q], &mut t2[q], q);
+            step(&taps[3], &mut a3[q], &mut t3[q], q);
+        }
     }
+}
+
+/// Stripe `q` of each of a block's four totals, which lie `len` apart
+/// in `totals`.
+#[inline(always)]
+fn stripes<'a>(totals: &'a mut [f32], len: usize, q: &Range<usize>) -> [&'a mut [f32]; BLOCK] {
+    let (t0, rest) = totals.split_at_mut(len);
+    let (t1, rest) = rest.split_at_mut(len);
+    let (t2, t3) = rest.split_at_mut(len);
+    let q = q.clone();
+    [
+        &mut t0[q.clone()],
+        &mut t1[q.clone()],
+        &mut t2[q.clone()],
+        &mut t3[q],
+    ]
 }
 
 /// Accumulates block `b`'s `lanes` output channels over the flattened
@@ -375,7 +435,8 @@ fn four_lanes<const N: usize>(
 /// pair the block's kernels share runs as passes over all four lanes;
 /// any other pair, and every pair of a ragged last block, runs kernel by
 /// kernel, so no pass multiplies a weight the oracle skips.
-fn accumulate_block(
+#[inline(always)]
+fn accumulate_block<C>(
     b: usize,
     lanes: usize,
     grid: &TapGrid,
@@ -390,21 +451,21 @@ fn accumulate_block(
         let q = q0..len.min(q0 + width);
         for ic in 0..packed.in_c() {
             let shared = packed.shared(b, ic);
-            let mut stripes = totals.chunks_exact_mut(len).map(|t| &mut t[q.clone()]);
+            let stripes = stripes(totals, len, &q);
             if !shared.index.is_empty() {
-                let totals = std::array::from_fn(|_| stripes.next().expect("a lane per channel"));
                 let mut p = BlockPass {
                     grid,
                     ic,
                     shared,
                     q: q.clone(),
                     acc,
-                    totals,
+                    totals: stripes,
+                    copy: PhantomData::<C>,
                 };
                 run_group(shared.index.len(), &mut p);
                 continue;
             }
-            for (j, total) in stripes.take(lanes).enumerate() {
+            for (j, total) in stripes.into_iter().take(lanes).enumerate() {
                 let group = packed.group(BLOCK * b + j, ic);
                 let mut p = KernelPass {
                     grid,
@@ -413,6 +474,7 @@ fn accumulate_block(
                     q: q.clone(),
                     acc: &mut acc[0],
                     total,
+                    copy: PhantomData::<C>,
                 };
                 run_group(group.len(), &mut p);
             }
@@ -435,7 +497,12 @@ fn accumulate_block(
 /// `v · 0` a zero. A shared pass applies each lane's steps of the
 /// per-kernel rule in the same order. Blocks are independent, so serial
 /// and pooled execution are bit-identical at any thread count.
-fn conv2d_block(
+///
+/// `C` is the compiled copy (see [`BlockKernel`]). The thread's buffers
+/// are taken and put back without a closure, so that the whole kernel
+/// inlines into that copy.
+#[inline(always)]
+fn conv2d_block<C>(
     b: usize,
     grid: &TapGrid,
     packed: &PackedConv,
@@ -447,30 +514,94 @@ fn conv2d_block(
     let pitch = grid.pitch;
     let len = (oh - 1) * pitch + ow;
     let lanes = oblock.len() / (oh * ow);
-    with_buffer(&TOTALS, |buf| {
-        if buf.len() < BLOCK * len {
-            buf.resize(BLOCK * len, 0.0);
-        }
-        let totals = &mut buf[..BLOCK * len];
-        with_buffer(&SUMS, |sums| {
-            sums.resize(BLOCK, [0.0; STRIPE]);
-            let acc = (&mut sums[..]).try_into().expect("one stripe per lane");
-            accumulate_block(b, lanes, grid, packed, totals, acc);
-        });
-        let outputs = oblock.chunks_exact_mut(oh * ow);
-        for (j, (ochan, total)) in outputs.zip(totals.chunks_exact(len)).enumerate() {
-            let bias_v = bias.map_or(0.0, |bias| bias.as_slice()[BLOCK * b + j]);
-            for (orow, trow) in ochan.chunks_exact_mut(ow).zip(total.chunks(pitch)) {
-                for (o, &t) in orow.iter_mut().zip(trow) {
-                    *o = finish_bias(t, bias_v);
-                }
+    let (mut buf, mut sums) = (TOTALS.take(), SUMS.take());
+    if buf.len() < BLOCK * len {
+        buf.resize(BLOCK * len, 0.0);
+    }
+    let totals = &mut buf[..BLOCK * len];
+    sums.resize(BLOCK, [0.0; STRIPE]);
+    let acc = (&mut sums[..]).try_into().expect("one stripe per lane");
+    accumulate_block::<C>(b, lanes, grid, packed, totals, acc);
+    let outputs = oblock.chunks_exact_mut(oh * ow);
+    for (j, (ochan, total)) in outputs.zip(totals.chunks_exact(len)).enumerate() {
+        let bias_v = bias.map_or(0.0, |bias| bias.as_slice()[BLOCK * b + j]);
+        for (orow, trow) in ochan.chunks_exact_mut(ow).zip(total.chunks(pitch)) {
+            for (o, &t) in orow.iter_mut().zip(trow) {
+                *o = finish_bias(t, bias_v);
             }
         }
-    });
+    }
+    TOTALS.set(buf);
+    SUMS.set(sums);
+}
+
+/// Type tag of the portable copy (see [`BlockKernel`]).
+enum Portable {}
+
+/// Type tag of the AVX2 copy (see [`BlockKernel`]).
+#[cfg(target_arch = "x86_64")]
+enum Avx2 {}
+
+/// One compiled copy of [`conv2d_block`]: the same source, built for one
+/// set of target features; [`conv2d_into`] picks the copy per call.
+///
+/// Code is built for the target features of the function it is inlined
+/// into, so each copy must inline the whole kernel: a function it calls
+/// instead runs baseline code. Below [`conv2d_block`], the functions both
+/// copies call are `#[inline(always)]`. The two loops must not be (see
+/// [`KernelPass::one_lane`]), so they are associated functions of the
+/// passes, and the passes and everything above them take the copy's type
+/// tag as a parameter that changes no code: each copy then has its own
+/// instance of each loop, with one caller, which the compiler inlines. A
+/// loop both copies shared would be built once, for the baseline.
+type BlockKernel = fn(usize, &TapGrid, &PackedConv, Option<&Tensor>, (usize, usize), &mut [f32]);
+
+/// [`conv2d_block`] built for the target's baseline features, which every
+/// CPU of the target runs.
+fn conv2d_block_portable(
+    b: usize,
+    grid: &TapGrid,
+    packed: &PackedConv,
+    bias: Option<&Tensor>,
+    out_hw: (usize, usize),
+    oblock: &mut [f32],
+) {
+    conv2d_block::<Portable>(b, grid, packed, bias, out_hw, oblock);
+}
+
+/// [`conv2d_block`] built with AVX2, so that every pass vectorizes eight
+/// lanes wide. Per lane it performs the portable copy's operations in
+/// the same order, with the same rounding: `fma` stays disabled, and
+/// Rust never fuses `a * b + c`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn conv2d_block_avx2(
+    b: usize,
+    grid: &TapGrid,
+    packed: &PackedConv,
+    bias: Option<&Tensor>,
+    out_hw: (usize, usize),
+    oblock: &mut [f32],
+) {
+    conv2d_block::<Avx2>(b, grid, packed, bias, out_hw, oblock);
+}
+
+/// The AVX2 copy of the block kernel, where this CPU has AVX2.
+fn avx2_kernel() -> Option<BlockKernel> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return Some(|b, grid, packed, bias, out_hw, oblock| {
+            // SAFETY: `avx2_kernel` hands this function out only after
+            // `is_x86_feature_detected!("avx2")` found AVX2 on this CPU.
+            unsafe { conv2d_block_avx2(b, grid, packed, bias, out_hw, oblock) }
+        });
+    }
+    None
 }
 
 /// Bias joins the sum last, and a zero bias performs no add at all —
 /// the oracle's order exactly.
+#[inline(always)]
 fn finish_bias(total: f32, bias_v: f32) -> f32 {
     if bias_v != 0.0 {
         total + bias_v
@@ -492,7 +623,10 @@ fn finish_bias(total: f32, bias_v: f32) -> f32 {
 /// channels are distributed over the worker pool when
 /// [`TensorParallel`][crate::ops::TensorParallel] has more than one
 /// thread. Each block's slice is disjoint and its arithmetic order
-/// unchanged, so results are bit-identical to serial execution.
+/// unchanged, so results are bit-identical to serial execution. The
+/// blocks run the AVX2 copy of the kernel where the CPU has AVX2 (`std`
+/// caches the detection, so the choice costs an atomic load per call) and
+/// the portable copy elsewhere, with the same bits.
 ///
 /// # Errors
 ///
@@ -502,6 +636,19 @@ fn finish_bias(total: f32, bias_v: f32) -> f32 {
 /// [`TensorError::Invalid`] for a zero stride, a batch dimension other
 /// than 1 or a wrong bias length.
 pub fn conv2d_into(
+    input: &Tensor,
+    packed: &PackedConv,
+    bias: Option<&Tensor>,
+    params: Conv2dParams,
+    out: &mut Tensor,
+) -> Result<()> {
+    let kernel = avx2_kernel().unwrap_or(conv2d_block_portable);
+    conv2d_with(kernel, input, packed, bias, params, out)
+}
+
+/// [`conv2d_into`] through the given copy of the block kernel.
+fn conv2d_with(
+    kernel: BlockKernel,
     input: &Tensor,
     packed: &PackedConv,
     bias: Option<&Tensor>,
@@ -576,7 +723,7 @@ pub fn conv2d_into(
                         channels.len() * chan,
                     )
                 };
-                conv2d_block(b, grid, packed, bias, (oh, ow), oblock);
+                kernel(b, grid, packed, bias, (oh, ow), oblock);
             });
         },
     );
@@ -605,6 +752,16 @@ pub(super) fn conv2d(
 mod tests {
     use super::*;
     use crate::{approx_eq, Shape};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The oracle suite's deterministic operand sets. A `#[path]` from
+    /// this inline module would resolve below `src/ops/conv/`, which does
+    /// not exist, so the file comes in through `include!`.
+    mod conv_cases {
+        include!("../../tests/common/conv_cases.rs");
+    }
+    use conv_cases::{every_group_length_cases, long_run_cases, rung_shaped_cases};
 
     fn input_1ch(h: usize, w: usize, data: Vec<f32>) -> Tensor {
         Tensor::from_vec(Shape::nchw(1, 1, h, w), data).unwrap()
@@ -754,6 +911,43 @@ mod tests {
         assert_eq!(p.out_size(2, 3), 0);
         assert_eq!(p.out_size(3, 3), 1);
         assert_eq!(Conv2dParams::same(3).out_size(7, 3), 7);
+    }
+
+    /// The portable copy of the block kernel against the AVX2 copy, on
+    /// the oracle suite's deterministic operand sets, raw bit for raw bit
+    /// (NaN-canonical on poisoned inputs). Where the CPU has AVX2,
+    /// `conv2d_into` runs only the AVX2 copy, so the oracle suites pin
+    /// that one and this ties the portable copy to it; elsewhere there is
+    /// no second copy, and the oracle suites pin the portable one.
+    #[test]
+    fn portable_copy_matches_avx2_copy() {
+        let Some(avx2) = avx2_kernel() else {
+            return;
+        };
+        let cases = every_group_length_cases()
+            .into_iter()
+            .chain(rung_shaped_cases())
+            .chain(long_run_cases());
+        for case in cases {
+            let packed = PackedConv::pack(&case.weights).unwrap();
+            let (h, w) = (case.input.shape().dim(2), case.input.shape().dim(3));
+            let oh = case.params.out_size(h, packed.kh());
+            let ow = case.params.out_size(w, packed.kw());
+            let run = |kernel: BlockKernel| {
+                let mut out = Tensor::full(Shape::nchw(1, packed.out_c(), oh, ow), f32::NAN);
+                let bias = case.bias.as_ref();
+                conv2d_with(kernel, &case.input, &packed, bias, case.params, &mut out).unwrap();
+                (case.key)(&out)
+            };
+            assert_eq!(
+                run(conv2d_block_portable),
+                run(avx2),
+                "in {:?} w {:?} {:?}",
+                case.input.shape().dims(),
+                case.weights.shape().dims(),
+                case.params
+            );
+        }
     }
 
     #[test]

@@ -112,13 +112,6 @@ impl Shape {
         }
         Ok(index)
     }
-
-    /// Returns `true` when the last dimension equals 1 — the test the
-    /// compression stage (paper Algorithm 3, line 7) uses to route kernels to
-    /// the 1×1 or k×k compression path.
-    pub fn is_pointwise(&self) -> bool {
-        self.dims.last().copied() == Some(1)
-    }
 }
 
 impl fmt::Display for Shape {
@@ -193,12 +186,6 @@ mod tests {
         assert!(s.offset(&[2, 0]).is_err());
         assert!(s.offset(&[0]).is_err());
         assert!(s.unravel(4).is_err());
-    }
-
-    #[test]
-    fn pointwise_detection() {
-        assert!(Shape::new(vec![64, 9, 1, 1]).is_pointwise());
-        assert!(!Shape::new(vec![64, 64, 3, 3]).is_pointwise());
     }
 
     #[test]

@@ -176,15 +176,6 @@ impl Tensor {
         self.zip(other, |a, b| a - b)
     }
 
-    /// Elementwise multiplication (Hadamard product).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
@@ -258,24 +249,6 @@ impl Tensor {
         } else {
             self.count_zeros() as f32 / self.data.len() as f32
         }
-    }
-
-    /// Returns a tensor with the same data but a new shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the volumes differ.
-    pub fn reshape(&self, shape: Shape) -> Result<Tensor> {
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: self.data.clone(),
-        })
     }
 
     /// Flattens to a rank-1 tensor. Used by the 1×1 kernel transformation
@@ -408,7 +381,6 @@ mod tests {
         let b = Tensor::from_vec(Shape::vector(3), vec![4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.sub(&b).unwrap().as_slice(), &[-3.0, -3.0, -3.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }
 
@@ -436,14 +408,6 @@ mod tests {
         assert_eq!(t.count_zeros(), 2);
         assert_eq!(t.count_nonzero(), 2);
         assert_eq!(t.sparsity(), 0.5);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(Shape::matrix(2, 3), (0..6).map(|i| i as f32).collect()).unwrap();
-        let r = t.reshape(Shape::matrix(3, 2)).unwrap();
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert!(t.reshape(Shape::vector(5)).is_err());
     }
 
     #[test]
