@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Checks the fleet reports that `bin/stream` and `bin/fleet` write.
+"""Checks the fleet reports in the `serve.json` documents `bin/serve` writes.
 
-Every report found in the given JSON files (a list of reports, or an
-object holding them, like `fleet.json`) must satisfy the accounting
-identities:
+Each file is one document, `{config, reports, independent}`. Every
+report in its `reports` list must satisfy the accounting identities:
 
 * per stream: completed + degraded + dropped_backpressure
   + dropped_deadline + failed + faulted == admitted, and
@@ -31,17 +30,6 @@ TERMINAL = (
     "faulted",
 )
 SUMMED = ("admitted", "quarantined") + TERMINAL
-
-
-def reports_in(doc):
-    """Every fleet report in a document, in order."""
-    if isinstance(doc, list):
-        return [r for item in doc for r in reports_in(item)]
-    if isinstance(doc, dict):
-        if "per_stream" in doc:
-            return [doc]
-        return [r for value in doc.values() for r in reports_in(value)]
-    return []
 
 
 def check_identities(r, label):
@@ -91,15 +79,18 @@ def check_job(r, label, args):
 
 
 def check_compare(doc, label):
-    fleet = doc["fleet"]
-    assert fleet["cross_stream_batches"] > 0, f"{label}: no cross-stream batches formed"
-    assert fleet["delivered"] == fleet["admitted"], f"{label}: saturate mode lost frames"
-    independent = doc["independent"]
-    assert independent["delivered"] == fleet["admitted"], f"{label}: independent arm lost frames"
-    print(
-        f"{label}: consolidation fleet {fleet['delivered_fps']:.1f} fps vs "
-        f"independent {independent['fps']:.1f} fps ({doc['speedup']:.2f}x)"
-    )
+    reports, arms = doc["reports"], doc["independent"]
+    assert len(arms) == len(reports), f"{label}: {len(arms)} independent arms"
+    for fleet, independent in zip(reports, arms):
+        assert fleet["cross_stream_batches"] > 0, f"{label}: no cross-stream batches formed"
+        assert fleet["delivered"] == fleet["admitted"], f"{label}: saturate mode lost frames"
+        assert independent["delivered"] == fleet["admitted"], (
+            f"{label}: independent arm lost frames"
+        )
+        print(
+            f"{label}: consolidation fleet {fleet['delivered_fps']:.1f} fps vs "
+            f"independent {independent['fps']:.1f} fps ({independent['speedup']:.2f}x)"
+        )
 
 
 def main():
@@ -121,14 +112,14 @@ def main():
         help="any report faulted a frame after admission (faulted > quarantined)",
     )
     parser.add_argument(
-        "--compare", action="store_true", help="fleet.json of --mode compare: lossless arms"
+        "--compare", action="store_true", help="a --mode compare document: lossless arms"
     )
     args = parser.parse_args()
 
     for path in args.files:
         with open(path) as f:
             doc = json.load(f)
-        reports = reports_in(doc)
+        reports = doc["reports"]
         assert reports, f"{path}: no fleet report found"
         for i, r in enumerate(reports):
             label = f"{path}[{i}] {r['detector']}/{r['scenario']}/{r['mode']}"

@@ -15,7 +15,8 @@
 //!   families, score weights, 1×1 transform, mixed precision).
 //!
 //! [`serving::independent_fleets`] is the dedicated-server baseline
-//! `bin/fleet` and `bench_fleet` measure consolidation against.
+//! `bin/serve --mode compare` and `bench_fleet` measure consolidation
+//! against.
 //!
 //! Environment knobs: `UPAQ_SCENES` (dataset size), `UPAQ_REFIT` (training
 //! scenes used for head fits), `UPAQ_SEED`.

@@ -1,4 +1,4 @@
-//! Serving baselines shared by `bin/fleet` and `bench_fleet`.
+//! Serving baselines shared by `bin/serve` and `bench_fleet`.
 
 use std::time::{Duration, Instant};
 use upaq_kitti::fleet::FleetScenario;

@@ -20,15 +20,6 @@ pub fn iou_threshold(class: ObjectClass) -> f32 {
     }
 }
 
-/// KITTI's strict thresholds, kept for reference and for the threshold
-/// ablation.
-pub fn kitti_strict_threshold(class: ObjectClass) -> f32 {
-    match class {
-        ObjectClass::Car => 0.7,
-        ObjectClass::Pedestrian | ObjectClass::Cyclist => 0.5,
-    }
-}
-
 /// A detection tagged with the scene it came from, so matching never pairs
 /// boxes across frames.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -334,8 +325,6 @@ mod tests {
     fn thresholds_per_class() {
         assert_eq!(iou_threshold(ObjectClass::Car), 0.5);
         assert_eq!(iou_threshold(ObjectClass::Pedestrian), 0.25);
-        assert_eq!(kitti_strict_threshold(ObjectClass::Car), 0.7);
-        assert_eq!(kitti_strict_threshold(ObjectClass::Cyclist), 0.5);
     }
 
     #[test]

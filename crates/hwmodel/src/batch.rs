@@ -52,15 +52,6 @@ impl BatchCost {
         self.fixed_s + k as f64 * self.marginal_s
     }
 
-    /// Predicted *amortized* per-frame latency at batch size `k`, seconds.
-    /// Monotonically non-increasing in `k` — the batching win.
-    pub fn per_frame_s(&self, k: usize) -> f64 {
-        if k == 0 {
-            return f64::INFINITY;
-        }
-        self.predict_s(k) / k as f64
-    }
-
     /// The fixed per-invocation component, seconds.
     pub fn fixed_s(&self) -> f64 {
         self.fixed_s
@@ -147,18 +138,6 @@ mod tests {
         assert!((c.marginal_s() - 0.03).abs() < 1e-12);
         assert!((c.predict_s(1) - 0.032).abs() < 1e-12);
         assert!((c.predict_s(4) - 0.122).abs() < 1e-12);
-    }
-
-    #[test]
-    fn amortized_per_frame_cost_decreases_with_batch_size() {
-        let c = BatchCost::new(0.010, 0.005);
-        let mut prev = f64::INFINITY;
-        for k in 1..=8 {
-            let per = c.per_frame_s(k);
-            assert!(per < prev, "k={k}: {per} !< {prev}");
-            prev = per;
-        }
-        assert_eq!(c.per_frame_s(0), f64::INFINITY);
     }
 
     #[test]

@@ -12,11 +12,6 @@ pub fn layer_energy(device: &DeviceProfile, layer: &LayerExecution) -> f64 {
     mac_energy + traffic_energy
 }
 
-/// Total dynamic energy over a layer set.
-pub fn total_dynamic_energy(device: &DeviceProfile, layers: &[LayerExecution]) -> f64 {
-    layers.iter().map(|l| layer_energy(device, l)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,14 +40,5 @@ mod tests {
     fn pruning_saves_energy() {
         let d = DeviceProfile::jetson_orin_nano();
         assert!(layer_energy(&d, &layer(32, 0.7)) < layer_energy(&d, &layer(32, 0.0)));
-    }
-
-    #[test]
-    fn totals_add_up() {
-        let d = DeviceProfile::rtx_4080();
-        let layers = vec![layer(32, 0.0), layer(8, 0.5)];
-        let total = total_dynamic_energy(&d, &layers);
-        let sum = layer_energy(&d, &layers[0]) + layer_energy(&d, &layers[1]);
-        assert!((total - sum).abs() < 1e-15);
     }
 }

@@ -51,7 +51,8 @@ impl Default for FleetScenarioConfig {
     fn default() -> Self {
         let mut dataset = DatasetConfig::small();
         // Two scenes per stream keep per-stream dataset synthesis cheap at
-        // hundreds of streams; streams cycle their scenes like `bin/stream`.
+        // hundreds of streams; streams cycle their scenes like one-stream
+        // `bin/serve` runs.
         dataset.scenes = 2;
         FleetScenarioConfig {
             streams: 128,

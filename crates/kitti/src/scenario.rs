@@ -91,8 +91,8 @@ pub struct ScenarioProfile {
 }
 
 /// Scenario datasets share a small scene pool: frames cycle it like
-/// `bin/stream`, so synthesis stays cheap while every profile still sees
-/// several distinct worlds.
+/// one-stream `bin/serve` runs, so synthesis stays cheap while every
+/// profile still sees several distinct worlds.
 const SCENARIO_SCENES: usize = 4;
 
 fn dataset(scene: SceneConfig, lidar: LidarConfig) -> DatasetConfig {

@@ -92,26 +92,6 @@ impl Graph {
         }
         Ok(order)
     }
-
-    /// Depth-first traversal of *ancestors* of `id` (its transitive
-    /// producers), in visit order, excluding `id` itself.
-    ///
-    /// This is the DFS the paper's `find_root` performs over the
-    /// backpropagation graph.
-    pub fn ancestors(&self, id: LayerId) -> Vec<LayerId> {
-        let mut seen = vec![false; self.len()];
-        let mut stack: Vec<LayerId> = self.inputs[id].to_vec();
-        let mut result = Vec::new();
-        while let Some(cur) = stack.pop() {
-            if seen[cur] {
-                continue;
-            }
-            seen[cur] = true;
-            result.push(cur);
-            stack.extend(self.inputs[cur].iter().copied());
-        }
-        result
-    }
 }
 
 #[cfg(test)]
@@ -151,21 +131,5 @@ mod tests {
     fn rejects_out_of_range_edges() {
         assert!(Graph::from_edges(2, &[(0, 2)]).is_err());
         assert!(Graph::from_edges(2, &[(3, 0)]).is_err());
-    }
-
-    #[test]
-    fn ancestors_transitive() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 2), (2, 4)]).unwrap();
-        let mut a = g.ancestors(4);
-        a.sort_unstable();
-        assert_eq!(a, vec![0, 1, 2, 3]);
-        assert!(g.ancestors(0).is_empty());
-    }
-
-    #[test]
-    fn diamond_ancestors_visited_once() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        let a = g.ancestors(3);
-        assert_eq!(a.len(), 3); // 0, 1, 2 each once
     }
 }

@@ -76,11 +76,6 @@ impl RootGroups {
         self.groups.is_empty()
     }
 
-    /// Total weighted layers covered.
-    pub fn covered_layers(&self) -> usize {
-        self.root_of.len()
-    }
-
     /// Iterator over `(root, members)` pairs in ascending root order.
     pub fn iter(&self) -> impl Iterator<Item = (LayerId, &[LayerId])> {
         self.groups.iter().map(|(&r, m)| (r, m.as_slice()))
@@ -227,7 +222,6 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, m.weighted_layers());
-        assert_eq!(groups.covered_layers(), m.weighted_layers().len());
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl ModelCosts {
         self.layers.iter().map(|l| l.dense_macs).sum()
     }
 
-    /// Sum of activation traffic across layers.
-    pub fn total_activation_elems(&self) -> u64 {
-        self.layers.iter().map(|l| l.activation_elems).sum()
-    }
-
     /// Cost entry for a layer id, if present.
     pub fn layer(&self, id: LayerId) -> Option<&LayerCost> {
         self.layers.iter().find(|l| l.id == id)
@@ -331,7 +326,6 @@ mod tests {
             costs.total_dense_macs(),
             costs.layers.iter().map(|l| l.dense_macs).sum::<u64>()
         );
-        assert!(costs.total_activation_elems() > 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!
 //! A single sensor stream is a fleet of one
 //! ([`FleetScenario::single`](upaq_kitti::fleet::FleetScenario::single)):
-//! `bin/stream` serves it in Realtime mode, and a one-stream Saturate run
+//! `bin/serve` serves it in Realtime mode, and a one-stream Saturate run
 //! is the lossless reference whose detections equal per-frame `detect`.
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -149,7 +149,7 @@ impl Default for FleetConfig {
 
 /// Everything a finished fleet run produced.
 pub struct FleetOutcome {
-    /// The run report (the JSON artifact of `bin/fleet`).
+    /// The run report (one entry of `bin/serve`'s `reports`).
     pub report: FleetReport,
     /// Delivered detections as `(stream, frame id, boxes)`, sorted by
     /// stream then frame id. Empty unless

@@ -33,8 +33,8 @@ impl ToJson for RungFrames {
     }
 }
 
-/// Everything a finished fleet run reports (the JSON artifact of
-/// `bin/fleet`).
+/// Everything a finished fleet run reports (one entry of the `reports`
+/// list `bin/serve` writes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Scenario label.

@@ -195,7 +195,7 @@ fn realtime_overload_accounts_every_frame_per_stream() {
 
 /// Unbatched fleet (max_batch = 1) still delivers everything in saturate
 /// mode and never forms a cross-stream batch — the control arm of the
-/// batched-vs-unbatched throughput comparison in `bin/fleet`.
+/// batched-vs-unbatched throughput comparison in `bin/serve`.
 #[test]
 fn unbatched_saturate_fleet_is_lossless_with_no_cross_batches() {
     let scen = scenario(

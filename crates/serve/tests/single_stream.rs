@@ -2,11 +2,11 @@
 //! degrade-ladder reporting and failure accounting for both detector
 //! modalities.
 //!
-//! `bin/stream` runs exactly this shape — `FleetScenario::single` under
-//! `FleetServer` — so these tests pin its guarantees: every frame the
-//! stream offers is accounted exactly once, overload surfaces as shed or
-//! degraded load (never as failures), and a rung whose forward pass
-//! errors charges its frames to `failed` only.
+//! `bin/serve` runs exactly this shape for one stream —
+//! `FleetScenario::single` under `FleetServer` — so these tests pin its
+//! guarantees: every frame the stream offers is accounted exactly once,
+//! overload surfaces as shed or degraded load (never as failures), and a
+//! rung whose forward pass errors charges its frames to `failed` only.
 
 use std::sync::{Arc, OnceLock};
 use upaq_hwmodel::DeviceProfile;

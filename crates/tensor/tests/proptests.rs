@@ -91,13 +91,18 @@ fn small_vec() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, 1..64)
 }
 
-/// Random `[oc, ic, k, k]` weights with roughly half the taps pruned by
-/// one seeded mask that every kernel shares: tap `r·k + c` is kept when
-/// bit `(r·k + c) mod 61` of `seed` is set.
+/// Random `[oc, ic, k, k]` weights pruned by one seeded mask that every
+/// kernel shares: tap `t = r·k + c` is kept when bit `t mod 61` of `seed`
+/// is set and, for each of the `seed >> 62` further draws `d` (0–3), so
+/// is bit `(t + 17·d) mod 61`. A case keeps about ½, ¼, ⅛ or 1/16 of its
+/// taps, so groups of 1–3 taps occur at k = 3 and 5, not only at k = 1.
 fn masked_weights(oc: usize, ic: usize, k: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
     let dense = Tensor::uniform(Shape::nchw(oc, ic, k, k), -0.8, 0.8, &mut rng);
-    let keep: Vec<bool> = (0..k * k).map(|t| (seed >> (t % 61)) & 1 == 1).collect();
+    let bit = |t: usize| (seed >> (t % 61)) & 1 == 1;
+    let keep: Vec<bool> = (0..k * k)
+        .map(|t| (0..=(seed >> 62) as usize).all(|d| bit(t + 17 * d)))
+        .collect();
     let data = dense.as_slice();
     Tensor::from_fn(dense.shape().clone(), |i| {
         if keep[i % (k * k)] {
